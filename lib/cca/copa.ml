@@ -31,19 +31,25 @@ type state = {
 
 let mss_f s = float_of_int s.p.mss
 
+(* The filter reads below use [get_default], not [get], so a read builds
+   no [Some].  An empty filter is tested explicitly where the default
+   could leak into the result (a NaN default would reach [Float.max]);
+   a 0. default already fails the [st > 0.] guards. *)
 let queue_delay s =
-  match (Window.Extremum.get s.standing, Window.Extremum.get s.min_rtt) with
-  | Some st, Some mn -> Float.max 0. (st -. mn)
-  | _ -> 0.
+  if Window.Extremum.is_empty s.standing || Window.Extremum.is_empty s.min_rtt
+  then 0.
+  else
+    Float.max 0.
+      (Window.Extremum.get_default s.standing 0.
+      -. Window.Extremum.get_default s.min_rtt 0.)
 
 let target_rate_pps s =
   let dq = queue_delay s in
   if dq <= 0. then infinity else 1. /. (s.p.delta *. dq)
 
 let current_rate_pps s =
-  match Window.Extremum.get s.standing with
-  | Some st when st > 0. -> s.cwnd /. mss_f s /. st
-  | _ -> 0.
+  let st = Window.Extremum.get_default s.standing 0. in
+  if st > 0. then s.cwnd /. mss_f s /. st else 0.
 
 let make ?(params = default_params) () =
   let s =
@@ -108,9 +114,8 @@ let make ?(params = default_params) () =
         s.cwnd <- Float.max (s.cwnd /. 2.) (2. *. mss_f s)
   in
   let pacing_rate () =
-    match Window.Extremum.get s.standing with
-    | Some st when st > 0. -> Some (2. *. s.cwnd /. st)
-    | _ -> None
+    let st = Window.Extremum.get_default s.standing 0. in
+    if st > 0. then Some (2. *. s.cwnd /. st) else None
   in
   {
     Cca.name = "copa";
@@ -137,10 +142,10 @@ let make ?(params = default_params) () =
 
 (* Same algorithm as [make] with the float state in one row of a shared
    {!Columns} arena.  Copa is only partially columnar: the two
-   windowed-minimum deques are inherently variable-length and stay boxed
-   per instance (they are bounded by the window's sample count and are
-   cleared on reset/release).  Direction is encoded 0/1/2 =
-   Unset/Up/Down, the same-direction RTT count and the slow-start flag
+   windowed-minimum deques are inherently variable-length and stay per
+   instance (rings bounded by the window's sample count, cleared on
+   reset/release without giving up their storage).  Direction is encoded
+   0/1/2 = Unset/Up/Down, the same-direction RTT count and the slow-start flag
    as small exact floats, so every update below is bit-identical to the
    boxed path — asserted by the trace-equivalence qcheck property. *)
 
@@ -177,18 +182,20 @@ let make_in ?(params = default_params) cols =
   in
   reset ();
   let queue_delay () =
-    match (Window.Extremum.get standing, Window.Extremum.get min_rtt) with
-    | Some st, Some mn -> Float.max 0. (st -. mn)
-    | _ -> 0.
+    if Window.Extremum.is_empty standing || Window.Extremum.is_empty min_rtt
+    then 0.
+    else
+      Float.max 0.
+        (Window.Extremum.get_default standing 0.
+        -. Window.Extremum.get_default min_rtt 0.)
   in
   let target_rate_pps () =
     let dq = queue_delay () in
     if dq <= 0. then infinity else 1. /. (params.delta *. dq)
   in
   let current_rate_pps () =
-    match Window.Extremum.get standing with
-    | Some st when st > 0. -> Columns.get cols r f_cwnd /. mss /. st
-    | _ -> 0.
+    let st = Window.Extremum.get_default standing 0. in
+    if st > 0. then Columns.get cols r f_cwnd /. mss /. st else 0.
   in
   let per_rtt_velocity_update () =
     let dir =
@@ -249,9 +256,8 @@ let make_in ?(params = default_params) cols =
           (Float.max (Columns.get cols r f_cwnd /. 2.) (2. *. mss))
   in
   let pacing_rate () =
-    match Window.Extremum.get standing with
-    | Some st when st > 0. -> Some (2. *. Columns.get cols r f_cwnd /. st)
-    | _ -> None
+    let st = Window.Extremum.get_default standing 0. in
+    if st > 0. then Some (2. *. Columns.get cols r f_cwnd /. st) else None
   in
   let cca =
     {

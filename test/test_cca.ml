@@ -100,6 +100,176 @@ let prop_extremum_matches_naive =
           | None -> false)
         samples)
 
+(* The list deque [Window.Extremum] used before its ring buffer, kept as a
+   reference oracle: newest first, the extremum at the tail, eviction by
+   the keep rule [time >= now - window] on push only, and a new sample
+   displacing every older one it ties or beats. *)
+module List_extremum = struct
+  type entry = { time : float; value : float }
+
+  type t = {
+    mutable window : float;
+    dominates : float -> float -> bool; (* [dominates new old] *)
+    mutable items : entry list; (* newest first *)
+  }
+
+  let create ~is_min ~window =
+    let dominates = if is_min then fun n o -> n <= o else fun n o -> n >= o in
+    { window; dominates; items = [] }
+
+  let push t ~time value =
+    let cutoff = time -. t.window in
+    t.items <- List.filter (fun e -> e.time >= cutoff) t.items;
+    let rec drop_dominated = function
+      | e :: rest when t.dominates value e.value -> drop_dominated rest
+      | l -> l
+    in
+    t.items <- { time; value } :: drop_dominated t.items
+
+  let get t =
+    match List.rev t.items with [] -> None | e :: _ -> Some e.value
+
+  let set_window t w = t.window <- w
+  let clear t = t.items <- []
+end
+
+type extremum_op =
+  | Ext_push of float * float (* time step, noise added to the trend *)
+  | Ext_push_exact of float * float (* time step, value *)
+  | Ext_window of float
+  | Ext_clear
+
+let extremum_window_gen = QCheck.Gen.oneofl [ 0.; 0.5; 2.; 7.; 40.; infinity ]
+
+(* A trend against the filter's direction (rising values into a min
+   filter) keeps most samples live, so long streams wrap and grow the
+   ring; a 0 trend with small integer noise gives runs of equal values,
+   and zero time steps give equal timestamps.  Signed zeros compare equal
+   but differ in bits, so they expose the tie rule; NaN exposes the
+   comparison directions, and a rare infinite time step (until the next
+   clear) a NaN cutoff under an infinite window. *)
+let extremum_stream_arb =
+  let open QCheck.Gen in
+  let dt = frequencyl [ (100, 0.); (50, 0.25); (50, 1.); (1, infinity) ] in
+  let op =
+    frequency
+      [
+        ( 30,
+          map2
+            (fun dt noise -> Ext_push (dt, noise))
+            dt
+            (map float_of_int (int_range 0 3)) );
+        ( 3,
+          map2
+            (fun dt v -> Ext_push_exact (dt, v))
+            dt
+            (oneofl [ 0.; -0.; nan ]) );
+        (1, map (fun w -> Ext_window w) extremum_window_gen);
+        (1, return Ext_clear);
+      ]
+  in
+  let gen =
+    let* is_min = bool in
+    let* window = extremum_window_gen in
+    let* trend = oneofl [ -1.; 0.; 1. ] in
+    let+ ops = list_size (int_range 1 500) op in
+    (is_min, window, trend, ops)
+  in
+  QCheck.make
+    ~print:(fun (is_min, window, trend, ops) ->
+      Printf.sprintf "%s window=%g trend=%g, %d ops"
+        (if is_min then "min" else "max")
+        window trend (List.length ops))
+    gen
+
+let prop_extremum_matches_list_oracle =
+  QCheck.Test.make ~name:"ring extremum matches the list oracle bit for bit"
+    ~count:300 extremum_stream_arb
+    (fun (is_min, window, trend, ops) ->
+      let ring =
+        if is_min then Window.Extremum.create_min ~window
+        else Window.Extremum.create_max ~window
+      in
+      let oracle = List_extremum.create ~is_min ~window in
+      let now = ref 0. in
+      List.iteri
+        (fun i op ->
+          let push dt v =
+            now := !now +. dt;
+            Window.Extremum.push ring ~time:!now v;
+            List_extremum.push oracle ~time:!now v
+          in
+          (match op with
+          | Ext_push (dt, noise) -> push dt ((trend *. float_of_int i) +. noise)
+          | Ext_push_exact (dt, v) -> push dt v
+          | Ext_window w ->
+              Window.Extremum.set_window ring w;
+              List_extremum.set_window oracle w
+          | Ext_clear ->
+              (* A cleared filter forgets its newest time: reuse it from 0. *)
+              now := 0.;
+              Window.Extremum.clear ring;
+              List_extremum.clear oracle);
+          let bits = Option.map Int64.bits_of_float in
+          if bits (Window.Extremum.get ring) <> bits (List_extremum.get oracle)
+          then
+            QCheck.Test.fail_reportf "op %d: ring %s, oracle %s" i
+              (Option.fold ~none:"None" ~some:string_of_float
+                 (Window.Extremum.get ring))
+              (Option.fold ~none:"None" ~some:string_of_float
+                 (List_extremum.get oracle)))
+        ops;
+      true)
+
+let raises_invalid f =
+  match f () with _ -> false | exception Invalid_argument _ -> true
+
+let test_extremum_rejects_bad_input () =
+  let f = Window.Extremum.create_min ~window:10. in
+  Window.Extremum.push f ~time:5. 1.;
+  Alcotest.(check bool) "push earlier than the newest sample" true
+    (raises_invalid (fun () -> Window.Extremum.push f ~time:4.9 0.));
+  Alcotest.(check (option (float 0.))) "rejected push changes nothing" (Some 1.)
+    (Window.Extremum.get f);
+  Window.Extremum.push f ~time:5. 2. (* an equal time is accepted *);
+  Window.Extremum.clear f;
+  Window.Extremum.push f ~time:0. 3. (* clear forgets the newest time *);
+  Alcotest.(check (option (float 0.))) "reused after clear" (Some 3.)
+    (Window.Extremum.get f);
+  List.iter
+    (fun w ->
+      let name what = Printf.sprintf "%s rejects window %g" what w in
+      Alcotest.(check bool) (name "create_min") true
+        (raises_invalid (fun () -> Window.Extremum.create_min ~window:w));
+      Alcotest.(check bool) (name "create_max") true
+        (raises_invalid (fun () -> Window.Extremum.create_max ~window:w));
+      Alcotest.(check bool) (name "set_window") true
+        (raises_invalid (fun () -> Window.Extremum.set_window f w)))
+    [ nan; -1.; neg_infinity ]
+
+(* Allocation budget: 100 000 rising samples into a 100 s min filter all
+   stay live, the worst case for the deque.  The ring's doublings are
+   major-heap allocations, so the minor words per push are the boxed
+   arguments alone (a list deque copied the whole list on every push).
+   Bytecode boxes differently, so the budget only binds on the native
+   backend. *)
+let test_extremum_minor_words_budget () =
+  match Sys.backend_type with
+  | Sys.Native ->
+      let n = 100_000 in
+      let f = Window.Extremum.create_min ~window:100. in
+      let w0 = Gc.minor_words () in
+      for i = 0 to n - 1 do
+        Window.Extremum.push f ~time:(float_of_int i *. 1e-3) (float_of_int i)
+      done;
+      let per_push = (Gc.minor_words () -. w0) /. float_of_int n in
+      Alcotest.(check (option (float 0.))) "oldest sample is the minimum"
+        (Some 0.) (Window.Extremum.get f);
+      Alcotest.(check bool)
+        (Printf.sprintf "%.2f minor words/push <= 8" per_push)
+        true (per_push <= 8.)
+  | Sys.Bytecode | Sys.Other _ -> ()
+
 let test_ewma () =
   let e = Window.Ewma.create ~gain:0.5 in
   Alcotest.(check (option (float 1e-9))) "empty" None (Window.Ewma.get e);
@@ -1043,8 +1213,13 @@ let () =
           Alcotest.test_case "eviction" `Quick test_extremum_eviction;
           Alcotest.test_case "empty" `Quick test_extremum_empty;
           Alcotest.test_case "window change" `Quick test_extremum_window_change;
+          Alcotest.test_case "rejects bad input" `Quick
+            test_extremum_rejects_bad_input;
+          Alcotest.test_case "minor-words budget" `Quick
+            test_extremum_minor_words_budget;
           Alcotest.test_case "ewma" `Quick test_ewma;
           qt prop_extremum_matches_naive;
+          qt prop_extremum_matches_list_oracle;
         ] );
       ( "basics",
         [
