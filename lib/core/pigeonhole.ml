@@ -9,8 +9,13 @@ type pair = {
 }
 
 let find_pair ~measure ~lambda0 ~factor ~epsilon ?(max_probes = 24) () =
-  if factor <= 1. then invalid_arg "Pigeonhole.find_pair: factor must exceed 1";
-  if epsilon <= 0. then invalid_arg "Pigeonhole.find_pair: epsilon must be positive";
+  let require name ok what =
+    if not ok then
+      invalid_arg (Printf.sprintf "Pigeonhole.find_pair: %s must be %s" name what)
+  in
+  require "lambda0" (Float.is_finite lambda0 && lambda0 > 0.) "finite and positive";
+  require "factor" (Float.is_finite factor && factor > 1.) "finite and greater than 1";
+  require "epsilon" (Float.is_finite epsilon && epsilon > 0.) "finite and positive";
   let bucket_of m = int_of_float (Float.floor (m.Convergence.d_max /. epsilon)) in
   let rec scan i seen probes =
     if i >= max_probes then

@@ -30,4 +30,7 @@ val find_pair :
     {!Convergence.measure} with the CCA and Rm fixed.  Fails (with a
     diagnostic) only if a probe does not converge or [max_probes]
     (default 24) is exhausted — which for a delay-convergent CCA means
-    epsilon was too small for the probe budget. *)
+    epsilon was too small for the probe budget.
+    @raise Invalid_argument naming the parameter unless [lambda0] and
+    [epsilon] are finite and positive and [factor] is finite and above 1
+    (NaN fails every check). *)

@@ -2,7 +2,9 @@
     deterministic, f-efficient, delay-convergent CCAs when the
     non-congestive jitter bound D exceeds 2 delta_max.
 
-    The pipeline mirrors the proof:
+    The pipeline mirrors the proof; {!search} does Steps 1-2 and
+    {!construct} Step 3, and neither re-reads a whole RTT series per
+    sample:
 
     + {b Step 1} ({!Pigeonhole}): find link rates C1, C2 with
       C2 >= (s/f) C1 whose converged delay bands overlap within epsilon.
@@ -54,6 +56,46 @@ type construction = Case1 | Case2
     jitter element alone — the same mechanism as Theorem 2, which is why
     the paper notes Case 2 also proves non-f-efficiency. *)
 
+type search
+(** Steps 1 and 2, done: the pigeonhole pair, delta_max, D, the
+    convergence times T_i and both send-time delay trajectories, plus the
+    parameters Step 3 replays them with.  {!construct} only reads it, so
+    one search can feed any number of constructions. *)
+
+val search :
+  make_cca:(unit -> Cca.t) ->
+  rm:float ->
+  s:float ->
+  f:float ->
+  lambda0:float ->
+  ?epsilon:float ->
+  ?phase2_duration:float ->
+  ?single_duration:float ->
+  ?seed:int ->
+  unit ->
+  (search, string) result
+(** Steps 1-2.  [s] is the target starvation ratio, [f] the CCA's
+    efficiency (Step 1 spaces probe rates by s/f), [lambda0] the first
+    probe rate (bytes/s).  [epsilon] defaults to 0.5 ms.
+    [phase2_duration] (default 30 s) is the length of the shared-link run
+    and [single_duration] that of each single-flow probe (default: the
+    largest of 30 s, 400 Rm and 2.5 [phase2_duration]).  Fails (with a
+    diagnostic) when {!Pigeonhole.find_pair} does.
+    @raise Invalid_argument naming the parameter unless [rm],
+    [phase2_duration] and [single_duration] are finite and positive,
+    [s] is finite and above 1 and 0 < [f] <= 1 (and see
+    {!Pigeonhole.find_pair} for [lambda0] and [epsilon]). *)
+
+val construct : ?construction:construction -> search -> (outcome, string) result
+(** Step 3 on a finished search: the warm replay of both CCAs to their
+    converged states, the shared-link run and its analytic, runtime and
+    emulation checks.  [construction] defaults to [Case1], which works
+    whenever the converged delays leave room for a standing queue;
+    [Case2] requires the paper's case-2 condition and fails with an error
+    otherwise.  The search's trajectories and probe series are read, never
+    written, so constructing twice from one search gives bit-identical
+    outcomes; E7 (Case 1) and E7c (Case 2) share one search this way. *)
+
 val run :
   make_cca:(unit -> Cca.t) ->
   rm:float ->
@@ -67,12 +109,7 @@ val run :
   ?construction:construction ->
   unit ->
   (outcome, string) result
-(** [s] is the target starvation ratio, [f] the CCA's efficiency (Step 1
-    spaces probe rates by s/f), [lambda0] the first probe rate (bytes/s).
-    [epsilon] defaults to 0.5 ms.  [construction] defaults to [Case1],
-    which works whenever the converged delays leave room for a standing
-    queue; [Case2] requires the paper's case-2 condition and fails with
-    an error otherwise. *)
+(** {!search} then {!construct}. *)
 
 val pp_outcome : Format.formatter -> outcome -> unit
 

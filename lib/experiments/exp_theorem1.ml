@@ -1,16 +1,17 @@
+(* Steps 1-2 for FAST; E7 and E7c construct their cases from this one
+   search. *)
+let search ~quick =
+  let rm, s, lambda0, phase2_duration, single_duration =
+    if quick then (0.01, 3., 4., 4., 10.) else (0.02, 4., 2., 8., 20.)
+  in
+  Core.Theorem1.search
+    ~make_cca:(fun () -> Fast_tcp.make ())
+    ~rm ~s ~f:0.8
+    ~lambda0:(Sim.Units.mbps lambda0)
+    ~epsilon:0.002 ~phase2_duration ~single_duration ()
+
 let outcome ?(quick = false) () =
-  if quick then
-    Core.Theorem1.run
-      ~make_cca:(fun () -> Fast_tcp.make ())
-      ~rm:0.01 ~s:3. ~f:0.8
-      ~lambda0:(Sim.Units.mbps 4.)
-      ~epsilon:0.002 ~phase2_duration:4. ~single_duration:10. ()
-  else
-    Core.Theorem1.run
-      ~make_cca:(fun () -> Fast_tcp.make ())
-      ~rm:0.02 ~s:4. ~f:0.8
-      ~lambda0:(Sim.Units.mbps 2.)
-      ~epsilon:0.002 ~phase2_duration:8. ~single_duration:20. ()
+  Result.bind (search ~quick) (Core.Theorem1.construct ~construction:Case1)
 
 let ledbat_outcome () =
   (* LEDBAT's delay band is dominated by its 25 ms target, so successive
@@ -53,23 +54,7 @@ let ledbat_row () =
           && o.analytic.Core.Emulation.violations = 0
           && worst < 1500. /. Sim.Units.mbps 4.)
 
-let case2_row ~quick () =
-  let result =
-    if quick then
-      Core.Theorem1.run
-        ~make_cca:(fun () -> Fast_tcp.make ())
-        ~rm:0.01 ~s:3. ~f:0.8
-        ~lambda0:(Sim.Units.mbps 4.)
-        ~epsilon:0.002 ~phase2_duration:4. ~single_duration:10.
-        ~construction:Core.Theorem1.Case2 ()
-    else
-      Core.Theorem1.run
-        ~make_cca:(fun () -> Fast_tcp.make ())
-        ~rm:0.02 ~s:4. ~f:0.8
-        ~lambda0:(Sim.Units.mbps 2.)
-        ~epsilon:0.002 ~phase2_duration:8. ~single_duration:20.
-        ~construction:Core.Theorem1.Case2 ()
-  in
+let case2_row result =
   match result with
   | Error e ->
       Report.row ~id:"E7c" ~label:"appendix A case 2 (huge link, pure jitter)"
@@ -89,8 +74,14 @@ let case2_row ~quick () =
           && Sim.Network.utilization o.net () < 0.05)
 
 let run ?(quick = false) () =
-  let extra = if quick then [ case2_row ~quick () ] else [ case2_row ~quick (); ledbat_row () ] in
-  (match outcome ~quick () with
+  let searched = search ~quick in
+  let construct construction =
+    Result.bind searched (Core.Theorem1.construct ~construction)
+  in
+  let extra =
+    case2_row (construct Case2) :: (if quick then [] else [ ledbat_row () ])
+  in
+  (match construct Case1 with
   | Error e ->
       [
         Report.row ~id:"E7" ~label:"theorem 1 construction" ~paper:"starvation"

@@ -8,7 +8,10 @@
     - Step 2 trajectories converged (Figure 5);
     - Step 3's eta bounds hold analytically (Eq. 5, Figure 6) and at
       runtime (zero jitter clamps);
-    - the shared-link throughput ratio reaches the target s. *)
+    - the shared-link throughput ratio reaches the target s.
+
+    E7 (Appendix A Case 1) and E7c (Case 2) are constructed from one
+    {!Core.Theorem1.search}. *)
 
 val run : ?quick:bool -> unit -> Report.row list
 (** Full mode also runs the construction against LEDBAT — a min-filter CCA

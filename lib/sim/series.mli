@@ -18,6 +18,10 @@ val add : t -> time:float -> float -> unit
 
 val times : t -> float array
 val values : t -> float array
+(** [times] and [values] each return a fresh O(n) copy of the whole
+    series, so a caller that indexes samples in a loop must read the array
+    once before the loop, never once per sample. *)
+
 val to_list : t -> (float * float) list
 
 val last : t -> (float * float) option

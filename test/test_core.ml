@@ -286,13 +286,34 @@ let test_pigeonhole_budget () =
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "budget should be exhausted"
 
+(* [f ()] raises [Invalid_argument] with a message "<function>: <param>
+   must be ...". *)
+let check_rejects param f =
+  let named msg =
+    let key = ": " ^ param ^ " must" in
+    let n = String.length key in
+    let rec go i =
+      i + n <= String.length msg && (String.sub msg i n = key || go (i + 1))
+    in
+    go 0
+  in
+  match f () with
+  | _ -> Alcotest.failf "bad %s accepted" param
+  | exception Invalid_argument msg ->
+      Alcotest.(check bool) (Printf.sprintf "%S names %s" msg param) true (named msg)
+
 let test_pigeonhole_validates_args () =
   let measure ~rate = fake_measurement ~rate ~d_max:0.06 in
-  Alcotest.(check bool) "factor <= 1 rejected" true
-    (try
-       ignore (Core.Pigeonhole.find_pair ~measure ~lambda0:1e5 ~factor:1. ~epsilon:1e-3 ());
-       false
-     with Invalid_argument _ -> true)
+  let find ?(lambda0 = 1e5) ?(factor = 4.) ?(epsilon = 1e-3) () =
+    ignore (Core.Pigeonhole.find_pair ~measure ~lambda0 ~factor ~epsilon ())
+  in
+  List.iter
+    (fun v -> check_rejects "lambda0" (find ~lambda0:v))
+    [ nan; infinity; 0.; -1e5 ];
+  List.iter (fun v -> check_rejects "factor" (find ~factor:v)) [ nan; infinity; 1.; 0.5 ];
+  List.iter
+    (fun v -> check_rejects "epsilon" (find ~epsilon:v))
+    [ nan; infinity; 0.; -1e-3 ]
 
 (* ------------------------------------------------------------------ *)
 (* Emulation (Eq. 5)                                                   *)
@@ -472,16 +493,40 @@ let test_target_of_series_extension () =
 (* Theorems end-to-end (small versions)                                *)
 (* ------------------------------------------------------------------ *)
 
+let theorem1_quick_search ?(rm = 0.01) ?(s = 3.) ?(f = 0.8) ?(lambda0 = Sim.Units.mbps 4.)
+    ?(epsilon = 0.002) ?(phase2_duration = 4.) ?(single_duration = 10.) () =
+  Core.Theorem1.search
+    ~make_cca:(fun () -> Fast_tcp.make ())
+    ~rm ~s ~f ~lambda0 ~epsilon ~phase2_duration ~single_duration ()
+
+let test_theorem1_validates_args () =
+  let search ?rm ?s ?f ?lambda0 ?epsilon ?phase2_duration ?single_duration () () =
+    ignore
+      (theorem1_quick_search ?rm ?s ?f ?lambda0 ?epsilon ?phase2_duration
+         ?single_duration ())
+  in
+  List.iter (fun v -> check_rejects "rm" (search ~rm:v ())) [ nan; infinity; 0.; -0.01 ];
+  List.iter (fun v -> check_rejects "s" (search ~s:v ())) [ nan; infinity; 1.; 0.5 ];
+  List.iter (fun v -> check_rejects "f" (search ~f:v ())) [ nan; 0.; -0.8; 1.5 ];
+  List.iter
+    (fun v -> check_rejects "phase2_duration" (search ~phase2_duration:v ()))
+    [ nan; infinity; 0.; -4. ];
+  List.iter
+    (fun v -> check_rejects "single_duration" (search ~single_duration:v ()))
+    [ nan; infinity; 0.; -10. ];
+  (* Step 1's own inputs are rejected by the pigeonhole search before any
+     probe runs. *)
+  check_rejects "lambda0" (search ~lambda0:nan ());
+  check_rejects "epsilon" (search ~epsilon:nan ())
+
 let test_theorem1_full () =
-  match
-    Core.Theorem1.run
-      ~make_cca:(fun () -> Fast_tcp.make ())
-      ~rm:0.01 ~s:3. ~f:0.8
-      ~lambda0:(Sim.Units.mbps 4.)
-      ~epsilon:0.002 ~phase2_duration:4. ~single_duration:10. ()
-  with
-  | Error e -> Alcotest.fail e
-  | Ok o ->
+  let a0 = Gc.allocated_bytes () in
+  let searched = theorem1_quick_search () in
+  let first = Result.bind searched (fun sr -> Core.Theorem1.construct sr) in
+  let allocated = Gc.allocated_bytes () -. a0 in
+  match (searched, first) with
+  | Error e, _ | _, Error e -> Alcotest.fail e
+  | Ok sr, Ok o ->
       Alcotest.(check bool) "starved" true o.Core.Theorem1.starved;
       Alcotest.(check int) "no runtime clamps" 0 o.Core.Theorem1.runtime_violations;
       Alcotest.(check int) "no analytic violations" 0
@@ -492,7 +537,40 @@ let test_theorem1_full () =
         (Printf.sprintf "emulation exact to %.4f ms"
            (Sim.Units.to_ms o.Core.Theorem1.max_emulation_error))
         true
-        (o.Core.Theorem1.max_emulation_error < 0.001)
+        (o.Core.Theorem1.max_emulation_error < 0.001);
+      (* Allocation budget: reading each RTT array once, search and
+         construction allocate ~210 MB over the shared run's ~88k RTT
+         samples; copying the whole array per sample cost ~40 GB.
+         Bytecode boxes differently, so the budget only binds on the
+         native backend. *)
+      (match Sys.backend_type with
+      | Sys.Native ->
+          Alcotest.(check bool)
+            (Printf.sprintf "%.0f MB allocated <= 2 GB" (allocated /. 1e6))
+            true (allocated <= 2e9)
+      | Sys.Bytecode | Sys.Other _ -> ());
+      (* E7 and E7c construct from one search: a second construction must
+         read the same probe series and trajectories, untouched. *)
+      (match Core.Theorem1.construct sr with
+      | Error e -> Alcotest.fail e
+      | Ok o2 ->
+          let open Core.Theorem1 in
+          List.iter
+            (fun (name, get) ->
+              Alcotest.(check int64)
+                (name ^ " bit-identical on a shared search")
+                (Int64.bits_of_float (get o))
+                (Int64.bits_of_float (get o2)))
+            [
+              ("ratio", fun o -> o.ratio);
+              ("x1", fun o -> o.x1);
+              ("x2", fun o -> o.x2);
+              ("max_emulation_error", fun o -> o.max_emulation_error);
+              ("big_d", fun o -> o.big_d);
+            ];
+          Alcotest.(check bool) "analytic equal" true (o.analytic = o2.analytic);
+          Alcotest.(check int) "runtime_violations equal" o.runtime_violations
+            o2.runtime_violations)
 
 let test_theorem2_full () =
   let o =
@@ -601,5 +679,6 @@ let () =
           Alcotest.test_case "theorem 1 end-to-end" `Slow test_theorem1_full;
           Alcotest.test_case "theorem 2 end-to-end" `Slow test_theorem2_full;
           Alcotest.test_case "theorem 3 end-to-end" `Slow test_theorem3_full;
+          Alcotest.test_case "theorem 1 validates args" `Quick test_theorem1_validates_args;
         ] );
     ]
