@@ -32,9 +32,27 @@ type config = {
 let config ~key ~seed ~n ~duration ~arrival_frac ~rate ?(buffer = infinity)
     ~rm ?(mss = 1500.) ~jitter_d ~alpha ~xm ~size_cap ?dt law =
   let dt = match dt with Some d -> d | None -> rm /. 4. in
-  if n <= 0 || duration <= 0. || rate <= 0. || rm <= 0. || dt <= 0.
-     || arrival_frac <= 0. || arrival_frac > 1. || jitter_d < 0.
-  then invalid_arg "Fluid.Census.config";
+  (* NaN-safe: each test is written so that NaN fails it. *)
+  let require ok what =
+    if not ok then invalid_arg ("Fluid.Census.config: " ^ what)
+  in
+  let positive name x =
+    require (Float.is_finite x && x > 0.) (name ^ " must be finite and positive")
+  in
+  require (n > 0) "n must be positive";
+  positive "duration" duration;
+  require (arrival_frac > 0. && arrival_frac <= 1.)
+    "arrival_frac must be in (0, 1]";
+  positive "rate" rate;
+  require (buffer >= 0.) "buffer must be >= 0";
+  positive "rm" rm;
+  positive "mss" mss;
+  require (Float.is_finite jitter_d && jitter_d >= 0.)
+    "jitter_d must be finite and >= 0";
+  positive "alpha" alpha;
+  positive "xm" xm;
+  positive "size_cap" size_cap;
+  positive "dt" dt;
   { key; seed; n; duration; arrival_frac; rate; buffer; rm; mss; jitter_d;
     alpha; xm; size_cap; dt; law }
 

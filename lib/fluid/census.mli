@@ -42,7 +42,12 @@ val config :
   ?dt:float ->
   Ccac.Model.fluid ->
   config
-(** [dt] defaults to rm/4. *)
+(** [dt] defaults to rm/4.
+    @raise Invalid_argument naming the field unless [n > 0];
+    [duration], [rate], [rm], [mss], [alpha], [xm], [size_cap] and [dt]
+    are finite and positive; [arrival_frac] is in (0, 1]; [jitter_d] is
+    finite and [>= 0]; and [buffer] is [>= 0] (it may be [infinity]).
+    NaN fails every test. *)
 
 type result = {
   goodputs : float array;

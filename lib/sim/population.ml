@@ -65,18 +65,27 @@ type slot = {
   mutable flow_no : int; (* population index of the current incarnation *)
 }
 
+(* NaN-safe: each test is written so that NaN fails it. *)
 let validate cfg =
   if cfg.n <= 0 then invalid_arg "Population.run: n must be positive";
-  if not (cfg.duration > 0.) then
-    invalid_arg "Population.run: duration must be positive";
+  if not (Float.is_finite cfg.duration && cfg.duration > 0.) then
+    invalid_arg "Population.run: duration must be finite and positive";
   if not (cfg.arrival_frac > 0. && cfg.arrival_frac <= 1.) then
     invalid_arg "Population.run: arrival_frac must be in (0, 1]";
-  if not (cfg.rate > 0.) then invalid_arg "Population.run: rate must be positive";
-  if cfg.rm < 0. then invalid_arg "Population.run: negative propagation delay";
+  if not (Float.is_finite cfg.rate && cfg.rate > 0.) then
+    invalid_arg "Population.run: rate must be finite and positive";
+  (match cfg.buffer with
+  | Some b when b < 0 -> invalid_arg "Population.run: buffer must be >= 0"
+  | _ -> ());
+  if not (Float.is_finite cfg.rm && cfg.rm >= 0.) then
+    invalid_arg "Population.run: rm must be finite and >= 0";
   if cfg.mss <= 0 then invalid_arg "Population.run: mss must be positive";
-  if cfg.jitter_d < 0. then invalid_arg "Population.run: negative jitter";
-  if not (cfg.alpha > 0. && cfg.xm > 0.) then
-    invalid_arg "Population.run: pareto parameters must be positive";
+  if not (Float.is_finite cfg.jitter_d && cfg.jitter_d >= 0.) then
+    invalid_arg "Population.run: jitter_d must be finite and >= 0";
+  if not (Float.is_finite cfg.alpha && cfg.alpha > 0.) then
+    invalid_arg "Population.run: alpha must be finite and positive";
+  if not (Float.is_finite cfg.xm && cfg.xm > 0.) then
+    invalid_arg "Population.run: xm must be finite and positive";
   if cfg.size_cap < cfg.mss then
     invalid_arg "Population.run: size_cap below one segment"
 

@@ -52,4 +52,9 @@ val run :
     incarnation of a slot.  [prev] is the slot's previous instance when
     the slot is being recycled: a columnar factory resets and returns it
     (allocation-free churn); returning a different instance releases the
-    old one.  Called once per spawned flow. *)
+    old one.  Called once per spawned flow.
+    @raise Invalid_argument naming the field unless [n > 0]; [duration],
+    [rate], [alpha] and [xm] are finite and positive; [arrival_frac] is
+    in (0, 1]; [rm] and [jitter_d] are finite and [>= 0]; [buffer], if
+    given, is [>= 0]; [mss > 0]; and [size_cap >= mss].  NaN fails
+    every test. *)

@@ -1,4 +1,9 @@
-type t = { mutable s0 : int64; mutable s1 : int64; mutable s2 : int64; mutable s3 : int64 }
+(* The four xoshiro256** words s0..s3, native-endian at byte offsets 0,
+   8, 16 and 24 of one buffer.  As [int64] record fields each word would
+   be boxed, one fresh box per updated word per draw; the bytes
+   accessors keep them unboxed, so an inlined [bits64] allocates nothing
+   and a draw at most the float it returns. *)
+type t = Bytes.t
 
 (* splitmix64, used for seeding and splitting. *)
 let splitmix64 state =
@@ -11,27 +16,34 @@ let splitmix64 state =
 
 let of_seed64 seed64 =
   let state = ref seed64 in
-  let s0 = splitmix64 state in
-  let s1 = splitmix64 state in
-  let s2 = splitmix64 state in
-  let s3 = splitmix64 state in
-  { s0; s1; s2; s3 }
+  let t = Bytes.create 32 in
+  Bytes.set_int64_ne t 0 (splitmix64 state);
+  Bytes.set_int64_ne t 8 (splitmix64 state);
+  Bytes.set_int64_ne t 16 (splitmix64 state);
+  Bytes.set_int64_ne t 24 (splitmix64 state);
+  t
 
 let create ~seed = of_seed64 (Int64.of_int seed)
 
-let rotl x k =
+let[@inline] rotl x k =
   Int64.logor (Int64.shift_left x k) (Int64.shift_right_logical x (64 - k))
 
-let bits64 t =
+let[@inline] bits64 t =
   let open Int64 in
-  let result = mul (rotl (mul t.s1 5L) 7) 9L in
-  let tmp = shift_left t.s1 17 in
-  t.s2 <- logxor t.s2 t.s0;
-  t.s3 <- logxor t.s3 t.s1;
-  t.s1 <- logxor t.s1 t.s2;
-  t.s0 <- logxor t.s0 t.s3;
-  t.s2 <- logxor t.s2 tmp;
-  t.s3 <- rotl t.s3 45;
+  let s0 = Bytes.get_int64_ne t 0 in
+  let s1 = Bytes.get_int64_ne t 8 in
+  let s2 = Bytes.get_int64_ne t 16 in
+  let s3 = Bytes.get_int64_ne t 24 in
+  let result = mul (rotl (mul s1 5L) 7) 9L in
+  let tmp = shift_left s1 17 in
+  let s2 = logxor s2 s0 in
+  let s3 = logxor s3 s1 in
+  let s1 = logxor s1 s2 in
+  let s0 = logxor s0 s3 in
+  Bytes.set_int64_ne t 0 s0;
+  Bytes.set_int64_ne t 8 s1;
+  Bytes.set_int64_ne t 16 (logxor s2 tmp);
+  Bytes.set_int64_ne t 24 (rotl s3 45);
   result
 
 let split t = of_seed64 (bits64 t)
@@ -51,19 +63,19 @@ let fnv1a64 s =
 
 let stream t ~label =
   (* Fold the parent's four state words and the label hash through
-     splitmix64 without touching the parent: reading [t.s0..s3] does not
+     splitmix64 without touching the parent: reading s0..s3 does not
      advance the stream, so [stream] calls commute with each other and
      with later draws from [t].  Distinct labels land in distinct
      splitmix chains, giving statistically independent children. *)
   let state = ref (fnv1a64 label) in
   let fold w = state := Int64.logxor (splitmix64 state) w in
-  fold t.s0;
-  fold t.s1;
-  fold t.s2;
-  fold t.s3;
+  fold (Bytes.get_int64_ne t 0);
+  fold (Bytes.get_int64_ne t 8);
+  fold (Bytes.get_int64_ne t 16);
+  fold (Bytes.get_int64_ne t 24);
   of_seed64 (splitmix64 state)
 
-let float t bound =
+let[@inline] float t bound =
   (* 53 high bits -> uniform in [0,1). *)
   let u = Int64.shift_right_logical (bits64 t) 11 in
   Int64.to_float u /. 9007199254740992. *. bound
@@ -91,7 +103,7 @@ let pareto t ~alpha ~xm =
   xm *. ((1. -. u) ** (-1. /. alpha))
 
 let fold_state buf t =
-  Statebuf.i64 buf t.s0;
-  Statebuf.i64 buf t.s1;
-  Statebuf.i64 buf t.s2;
-  Statebuf.i64 buf t.s3
+  Statebuf.i64 buf (Bytes.get_int64_ne t 0);
+  Statebuf.i64 buf (Bytes.get_int64_ne t 8);
+  Statebuf.i64 buf (Bytes.get_int64_ne t 16);
+  Statebuf.i64 buf (Bytes.get_int64_ne t 24)

@@ -3,7 +3,10 @@
     xoshiro256** seeded through splitmix64.  Every stochastic element of a
     simulation (random loss, BBR probe phases, uniform jitter) draws from a
     stream split off a single experiment seed, so runs are reproducible and
-    flows are statistically independent. *)
+    flows are statistically independent.
+
+    The state is held unboxed, so a draw allocates at most the boxed
+    [float] or [int64] it returns: {!int} and {!bool} allocate nothing. *)
 
 type t
 

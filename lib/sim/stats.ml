@@ -77,37 +77,64 @@ type ratio_summary = {
   max_ratio : float;
 }
 
-(* {!percentile} over a pre-sorted slice — same interpolation, no copy. *)
-let percentile_sorted xs ~off ~len p =
-  if len = 1 then xs.(off)
-  else begin
-    let rank = p /. 100. *. float_of_int (len - 1) in
-    let lo = int_of_float (Float.floor rank) in
-    let hi = Stdlib.min (lo + 1) (len - 1) in
-    let frac = rank -. float_of_int lo in
-    (xs.(off + lo) *. (1. -. frac)) +. (xs.(off + hi) *. frac)
-  end
+let[@inline] swap (xs : float array) i j =
+  let t = xs.(i) in
+  xs.(i) <- xs.(j);
+  xs.(j) <- t
+
+(* Quickselect: permutes [xs.(lo..hi)] so that [xs.(k)] holds the value a
+   full sort would put there, with nothing greater before it and nothing
+   smaller after it.  Expected O(hi - lo).  The [float array] annotation
+   makes [<] a machine comparison, not a call to the polymorphic
+   [compare_val]. *)
+let select (xs : float array) lo hi k =
+  let lo = ref lo and hi = ref hi in
+  while !lo < !hi do
+    (* Median of three as the pivot; the ends then bound both scans. *)
+    let mid = !lo + ((!hi - !lo) / 2) in
+    if xs.(mid) < xs.(!lo) then swap xs mid !lo;
+    if xs.(!hi) < xs.(!lo) then swap xs !hi !lo;
+    if xs.(!hi) < xs.(mid) then swap xs !hi mid;
+    let pivot = xs.(mid) in
+    let i = ref !lo and j = ref !hi in
+    while !i <= !j do
+      while xs.(!i) < pivot do incr i done;
+      while pivot < xs.(!j) do decr j done;
+      if !i <= !j then begin
+        swap xs !i !j;
+        incr i;
+        decr j
+      end
+    done;
+    (* Now [lo..j] <= pivot <= [i..hi], and anything between equals it. *)
+    if k <= !j then hi := !j else if k >= !i then lo := !i else lo := !hi
+  done
 
 let ratio_summary_in_place xs =
   let n = Array.length xs in
   if n = 0 then invalid_arg "Stats.ratio_summary: empty array";
+  let mx = ref 0. in
   for i = 0 to n - 1 do
     let x = xs.(i) in
     if not (Float.is_finite x && x >= 0.) then
-      invalid_arg "Stats.ratio_summary: rates must be finite and >= 0"
+      invalid_arg "Stats.ratio_summary: rates must be finite and >= 0";
+    if x > !mx then mx := x
   done;
-  let mx = Array.fold_left Float.max 0. xs in
+  let mx = !mx in
   (* Rewrite each live rate to its ratio [mx /. x] (every ratio >= 1) and
-     each starved rate to exactly 0., so one sort of the whole array
-     leaves the zeros as a prefix and the live ratios as a sorted suffix
-     — quantiles without the per-call sorted copy that dominated census
-     merge time at 10^6 flows. *)
-  let starved = ref 0 in
+     move each starved rate to a zero prefix, tracking the largest
+     ratio on the way. *)
+  let starved = ref 0 and max_ratio = ref 1. in
   for i = 0 to n - 1 do
     let x = xs.(i) in
-    if x > 0. then xs.(i) <- mx /. x
+    if x > 0. then begin
+      let r = mx /. x in
+      xs.(i) <- r;
+      if r > !max_ratio then max_ratio := r
+    end
     else begin
-      xs.(i) <- 0.;
+      xs.(i) <- xs.(!starved);
+      xs.(!starved) <- 0.;
       incr starved
     end
   done;
@@ -118,16 +145,37 @@ let ratio_summary_in_place xs =
        finite ratio to report; zeros keep the record serializable. *)
     { total = n; starved; p50 = 0.; p90 = 0.; p99 = 0.; max_ratio = 0. }
   else begin
-    Array.sort Float.compare xs;
-    let q p = percentile_sorted xs ~off:starved ~len:live p in
-    {
-      total = n;
-      starved;
-      p50 = q 50.;
-      p90 = q 90.;
-      p99 = q 99.;
-      max_ratio = Float.max 1. xs.(n - 1);
-    }
+    (* Each quantile interpolates between the live ratios of rank [lo]
+       and [lo + 1], exactly as {!percentile} does over a sorted copy.
+       Invariant: [xs.(top)] and [xs.(top + 1)] (where in bounds) hold
+       their sorted values and nothing before [top] exceeds [xs.(top)].
+       Asking for p99 first leaves p90 and p50 to select only within
+       the prefix below it. *)
+    let top = ref n in
+    let q p =
+      let rank = p /. 100. *. float_of_int (live - 1) in
+      let lo = int_of_float (Float.floor rank) in
+      let hi = Stdlib.min (lo + 1) (live - 1) in
+      let frac = rank -. float_of_int lo in
+      let a = starved + lo and b = starved + hi in
+      if a < !top then begin
+        select xs starved (!top - 1) a;
+        if b > a && b < !top then begin
+          (* Rank [lo + 1] is the smallest value between [a] and [top]. *)
+          let m = ref b in
+          for i = b + 1 to !top - 1 do
+            if xs.(i) < xs.(!m) then m := i
+          done;
+          swap xs b !m
+        end;
+        top := a
+      end;
+      (xs.(a) *. (1. -. frac)) +. (xs.(b) *. frac)
+    in
+    let p99 = q 99. in
+    let p90 = q 90. in
+    let p50 = q 50. in
+    { total = n; starved; p50; p90; p99; max_ratio = !max_ratio }
   end
 
 let ratio_summary xs = ratio_summary_in_place (Array.copy xs)

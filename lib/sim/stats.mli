@@ -67,8 +67,10 @@ val ratio_summary : float array -> ratio_summary
     non-finite rate. *)
 
 val ratio_summary_in_place : float array -> ratio_summary
-(** Same result as {!ratio_summary}, bit for bit, but destroys its input
-    (rates are overwritten with ratios and the array is sorted) and
-    allocates no intermediate arrays — one sort of the caller's buffer
-    instead of a filtered copy plus three sorted copies.  This is what
-    the million-flow census calls on its per-cell goodput column. *)
+(** Same result as {!ratio_summary}, bit for bit, but destroys its input:
+    rates are overwritten with ratios and the array is left permuted,
+    the starved flows' zeros first and the live ratios after them in no
+    particular order (not sorted).  Runs in expected O(n) and allocates
+    nothing per element: each quantile's two order statistics are found
+    by in-place selection in the caller's buffer.  This is what the
+    million-flow census calls on its per-cell goodput column. *)

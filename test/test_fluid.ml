@@ -160,6 +160,65 @@ let test_census_deterministic () =
        (fun x y -> Int64.bits_of_float x = Int64.bits_of_float y)
        a.Fluid.Census.goodputs b.Fluid.Census.goodputs)
 
+(* Every float field is checked NaN-safely and named.  Unchecked, a NaN
+   rate, jitter_d or size_cap, or a zero mss, reports every flow starved
+   with all quantiles 0, a plausible-looking result; a NaN duration
+   fails late inside [Rng.exponential] and an infinite one never
+   returns. *)
+let test_census_config_rejects () =
+  let config ?(n = 200) ?(duration = 60.) ?(arrival_frac = 0.6)
+      ?(rate = 7.5e6) ?buffer ?(rm = 0.04) ?(mss = 1500.) ?(jitter_d = 0.01)
+      ?(alpha = 1.5) ?(xm = 15000.) ?(size_cap = 1.5e6) ?dt () =
+    Fluid.Census.config ~key:"test/fluid-census-reject" ~seed:1 ~n ~duration
+      ~arrival_frac ~rate ?buffer ~rm ~mss ~jitter_d ~alpha ~xm ~size_cap ?dt
+      Ccac.Model.reno_fluid
+  in
+  let rejects (name, field, f) =
+    match f () with
+    | _ -> Alcotest.failf "%s accepted" name
+    | exception Invalid_argument msg ->
+        Alcotest.(check bool)
+          (Printf.sprintf "%s: %S names %s" name msg field)
+          true
+          (String.starts_with ~prefix:("Fluid.Census.config: " ^ field) msg)
+  in
+  List.iter rejects
+    [
+      ("n 0", "n", fun () -> config ~n:0 ());
+      ("duration nan", "duration", fun () -> config ~duration:nan ());
+      ("duration inf", "duration", fun () -> config ~duration:infinity ());
+      ("duration 0", "duration", fun () -> config ~duration:0. ());
+      ("arrival_frac nan", "arrival_frac", fun () -> config ~arrival_frac:nan ());
+      ("arrival_frac 0", "arrival_frac", fun () -> config ~arrival_frac:0. ());
+      ("arrival_frac 1.5", "arrival_frac", fun () -> config ~arrival_frac:1.5 ());
+      ("rate nan", "rate", fun () -> config ~rate:nan ());
+      ("rate inf", "rate", fun () -> config ~rate:infinity ());
+      ("rate 0", "rate", fun () -> config ~rate:0. ());
+      ("buffer nan", "buffer", fun () -> config ~buffer:nan ());
+      ("buffer -1", "buffer", fun () -> config ~buffer:(-1.) ());
+      ("rm nan", "rm", fun () -> config ~rm:nan ());
+      ("rm inf", "rm", fun () -> config ~rm:infinity ());
+      ("rm 0", "rm", fun () -> config ~rm:0. ());
+      ("mss nan", "mss", fun () -> config ~mss:nan ());
+      ("mss 0", "mss", fun () -> config ~mss:0. ());
+      ("jitter_d nan", "jitter_d", fun () -> config ~jitter_d:nan ());
+      ("jitter_d inf", "jitter_d", fun () -> config ~jitter_d:infinity ());
+      ("jitter_d -1", "jitter_d", fun () -> config ~jitter_d:(-1.) ());
+      ("alpha nan", "alpha", fun () -> config ~alpha:nan ());
+      ("alpha 0", "alpha", fun () -> config ~alpha:0. ());
+      ("xm nan", "xm", fun () -> config ~xm:nan ());
+      ("xm 0", "xm", fun () -> config ~xm:0. ());
+      ("size_cap nan", "size_cap", fun () -> config ~size_cap:nan ());
+      ("size_cap inf", "size_cap", fun () -> config ~size_cap:infinity ());
+      ("size_cap 0", "size_cap", fun () -> config ~size_cap:0. ());
+      ("dt nan", "dt", fun () -> config ~dt:nan ());
+      ("dt 0", "dt", fun () -> config ~dt:0. ());
+    ];
+  (* The boundary values stay legal: an unbounded or empty buffer, no
+     jitter, arrivals over the whole run. *)
+  ignore (config ~buffer:infinity ~jitter_d:0. ~arrival_frac:1. ());
+  ignore (config ~buffer:0. ())
+
 (* ------------------------------------------------------------------ *)
 (* Cross-validation oracles                                            *)
 (* ------------------------------------------------------------------ *)
@@ -197,6 +256,8 @@ let () =
         [
           Alcotest.test_case "smoke" `Quick test_census_smoke;
           Alcotest.test_case "deterministic" `Quick test_census_deterministic;
+          Alcotest.test_case "config rejects bad input" `Quick
+            test_census_config_rejects;
         ] );
       ( "oracle",
         [

@@ -297,6 +297,59 @@ let test_rng_bool_probability () =
   let freq = float_of_int !hits /. float_of_int n in
   Alcotest.(check bool) "freq near 0.3" true (Float.abs (freq -. 0.3) < 0.01)
 
+(* Every seeded result in the repository (census digests, fuzz corpora,
+   experiment tables) is a function of this exact stream, so a change to
+   how the generator stores its state must not move a bit of it. *)
+let test_rng_pinned_stream () =
+  let first8 g = List.init 8 (fun _ -> Sim.Rng.bits64 g) in
+  let check name expect g =
+    Alcotest.(check (list int64)) name expect (first8 g)
+  in
+  check "create ~seed:42"
+    [ 0x15780B2E0C2EC716L; 0x6104D9866D113A7EL; 0xAE17533239E499A1L;
+      0xECB8AD4703B360A1L; 0xFDE6DC7FE2EC5E64L; 0xC50DA53101795238L;
+      0xB82154855A65DDB2L; 0xD99A2743EBE60087L ]
+    (Sim.Rng.create ~seed:42);
+  check "split child"
+    [ 0x8EE445D14631C453L; 0x106FA1A13296FE62L; 0x729A768806244CE5L;
+      0x91D83A17B20E6585L; 0x38C33DF442FC70FDL; 0xE33CD1B92E2E42F1L;
+      0x3162280B9DCFA5EFL; 0xB4F9F0541228B854L ]
+    (Sim.Rng.split (Sim.Rng.create ~seed:42));
+  check "stream child"
+    [ 0x677E4E357F338F89L; 0xD28A1AF834573EDDL; 0x1E8CD744CB6FC86BL;
+      0xF050D56B7297497BL; 0xA7378D9450BCB73AL; 0x4727EFFDCC863491L;
+      0x9EB567E56B3A0114L; 0xC61CF7FB01D110EBL ]
+    (Sim.Rng.stream (Sim.Rng.create ~seed:42) ~label:"census");
+  (* [fold_state] encodes the four xoshiro words s0..s3 in order, here
+     the splitmix64 expansion of seed 42. *)
+  let buf = Buffer.create 32 in
+  Sim.Rng.fold_state buf (Sim.Rng.create ~seed:42);
+  let b = Buffer.to_bytes buf in
+  Alcotest.(check (list int64)) "fold_state words"
+    [ 0xBDD732262FEB6E95L; 0x28EFE333B266F103L; 0x47526757130F9F52L;
+      0x581CE1FF0E4AE394L ]
+    (List.init (Bytes.length b / 8) (fun i -> Bytes.get_int64_le b (8 * i)))
+
+(* Allocation budget: a draw allocates at most the float it returns (2
+   words; 0 when the call is inlined).  Bytecode boxes differently, so
+   the budget only binds on the native backend. *)
+let test_rng_minor_words_budget () =
+  match Sys.backend_type with
+  | Sys.Native ->
+      let g = Sim.Rng.create ~seed:42 in
+      let n = 100_000 in
+      let acc = ref 0. in
+      let w0 = Gc.minor_words () in
+      for _ = 1 to n do
+        acc := !acc +. Sim.Rng.float g 1.
+      done;
+      let per_draw = (Gc.minor_words () -. w0) /. float_of_int n in
+      ignore (Sys.opaque_identity !acc);
+      Alcotest.(check bool)
+        (Printf.sprintf "%.1f minor words/draw <= 4" per_draw)
+        true (per_draw <= 4.)
+  | Sys.Bytecode | Sys.Other _ -> ()
+
 (* ------------------------------------------------------------------ *)
 (* Stats                                                               *)
 (* ------------------------------------------------------------------ *)
@@ -2247,15 +2300,47 @@ let ratio_summary_oracle xs =
     }
   end
 
+(* Rates for the oracle comparison: short lists of distinct rates;
+   arrays of up to a few thousand rates over a few levels (many ties, so
+   the selection partitions deep) with zeros in runs; and mostly
+   starved arrays with one or two live rates. *)
+let ratio_rates =
+  let open QCheck.Gen in
+  let short =
+    list_size (1 -- 60) (oneof [ float_range 0. 1e9; return 0. ])
+    >|= Array.of_list
+  in
+  let tied =
+    list_size (1 -- 12) (float_range 1e-3 1e9) >>= fun levels ->
+    let levels = Array.of_list levels in
+    let run =
+      oneof
+        [
+          (1 -- 40) >|= (fun k -> Array.make k 0.);
+          (1 -- 150) >>= fun k -> array_repeat k (oneofa levels);
+        ]
+    in
+    list_size (1 -- 30) run >|= Array.concat
+  in
+  let sparse =
+    (1 -- 3000) >>= fun n ->
+    list_size (1 -- 2) (pair (0 -- (n - 1)) (float_range 1e-3 1e9))
+    >|= fun live ->
+    let a = Array.make n 0. in
+    List.iter (fun (i, x) -> a.(i) <- x) live;
+    a
+  in
+  QCheck.make
+    ~print:(fun a ->
+      Printf.sprintf "%d rates: %s" (Array.length a)
+        QCheck.Print.(array float a))
+    (frequency [ (2, short); (2, tied); (1, sparse) ])
+
 let prop_ratio_summary_in_place_matches =
   QCheck.Test.make
     ~name:"in-place ratio summary matches the copying oracle bit for bit"
-    ~count:300
-    QCheck.(
-      list_of_size Gen.(1 -- 60)
-        (oneof [ float_range 0. 1e9; always 0. ]))
-    (fun xs ->
-      let a = Array.of_list xs in
+    ~count:750 ratio_rates
+    (fun a ->
       let got = Sim.Stats.ratio_summary_in_place (Array.copy a) in
       let via_copy = Sim.Stats.ratio_summary a in
       let expect = ratio_summary_oracle a in
@@ -2413,6 +2498,51 @@ let test_population_recycles_slots () =
     "someone made progress" true
     (Array.exists (fun g -> g > 0.) r.Sim.Population.goodputs)
 
+(* Every float field is checked NaN-safely and named.  Unchecked, a NaN
+   [jitter_d] runs as if it were 0 and a NaN [rm] fails late inside the
+   ACK delay line. *)
+let test_population_rejects_bad_config () =
+  let base = population_cfg ~n:10 () in
+  let rejects (name, field, cfg) =
+    match Sim.Population.run ~cca:boxed_reno cfg with
+    | _ -> Alcotest.failf "%s accepted" name
+    | exception Invalid_argument msg ->
+        Alcotest.(check bool)
+          (Printf.sprintf "%s: %S names %s" name msg field)
+          true
+          (String.starts_with ~prefix:("Population.run: " ^ field) msg)
+  in
+  List.iter rejects
+    Sim.Population.
+      [
+        ("n 0", "n", { base with n = 0 });
+        ("duration nan", "duration", { base with duration = nan });
+        ("duration inf", "duration", { base with duration = infinity });
+        ("duration 0", "duration", { base with duration = 0. });
+        ("arrival_frac nan", "arrival_frac", { base with arrival_frac = nan });
+        ("arrival_frac 1.5", "arrival_frac", { base with arrival_frac = 1.5 });
+        ("rate nan", "rate", { base with rate = nan });
+        ("rate inf", "rate", { base with rate = infinity });
+        ("rate 0", "rate", { base with rate = 0. });
+        ("buffer -1", "buffer", { base with buffer = Some (-1) });
+        ("rm nan", "rm", { base with rm = nan });
+        ("rm inf", "rm", { base with rm = infinity });
+        ("rm -1", "rm", { base with rm = -1. });
+        ("mss 0", "mss", { base with mss = 0 });
+        ("jitter_d nan", "jitter_d", { base with jitter_d = nan });
+        ("jitter_d inf", "jitter_d", { base with jitter_d = infinity });
+        ("jitter_d -1", "jitter_d", { base with jitter_d = -1. });
+        ("alpha nan", "alpha", { base with alpha = nan });
+        ("alpha 0", "alpha", { base with alpha = 0. });
+        ("xm nan", "xm", { base with xm = nan });
+        ("xm inf", "xm", { base with xm = infinity });
+        ("size_cap below mss", "size_cap", { base with size_cap = 1000 });
+      ];
+  (* The boundary values stay legal. *)
+  ignore
+    (Sim.Population.run ~cca:boxed_reno
+       { base with rm = 0.; jitter_d = 0.; arrival_frac = 1.; buffer = None })
+
 let test_population_deterministic () =
   let cfg = population_cfg ~n:800 ~jitter_d:0.02 () in
   let r1 = Sim.Population.run ~cca:boxed_reno cfg in
@@ -2516,6 +2646,9 @@ let () =
           Alcotest.test_case "pareto" `Quick test_rng_pareto;
           Alcotest.test_case "bool probability" `Quick test_rng_bool_probability;
           qt prop_rng_float_range;
+          Alcotest.test_case "pinned stream" `Quick test_rng_pinned_stream;
+          Alcotest.test_case "minor words budget" `Quick
+            test_rng_minor_words_budget;
         ] );
       ( "stats",
         [
@@ -2675,5 +2808,7 @@ let () =
           Alcotest.test_case "deterministic" `Quick test_population_deterministic;
           Alcotest.test_case "columnar equivalence" `Quick
             test_population_columnar_equivalence;
+          Alcotest.test_case "rejects bad config" `Quick
+            test_population_rejects_bad_config;
         ] );
     ]
