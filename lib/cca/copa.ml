@@ -13,6 +13,16 @@ let default_params =
     mss = Cca.default_mss;
   }
 
+(* Shared by [make] and [make_in], so the two constructors accept the
+   same params.  Every test fails on NaN.  [min_rtt_window] is checked
+   by {!Window.Extremum} (0 is legal). *)
+let check_params fn p =
+  if not (Float.is_finite p.delta && p.delta > 0.) then
+    invalid_arg (fn ^ ": delta must be finite and positive");
+  if not (Float.is_finite p.init_cwnd_packets && p.init_cwnd_packets > 0.) then
+    invalid_arg (fn ^ ": init_cwnd_packets must be finite and positive");
+  if p.mss <= 0 then invalid_arg (fn ^ ": mss must be positive")
+
 type direction = Up | Down | Unset
 
 type state = {
@@ -52,6 +62,7 @@ let current_rate_pps s =
   if st > 0. then s.cwnd /. mss_f s /. st else 0.
 
 let make ?(params = default_params) () =
+  check_params "Copa.make" params;
   let s =
     {
       p = params;
@@ -160,6 +171,7 @@ let f_cwnd_at_epoch = 6
 let f_slow_start = 7 (* 1 = slow start *)
 
 let make_in ?(params = default_params) cols =
+  check_params "Copa.make_in" params;
   if Columns.nfields cols <> nfields then
     invalid_arg "Copa.make_in: arena has the wrong number of fields";
   let mss = float_of_int params.mss in

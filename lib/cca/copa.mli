@@ -25,6 +25,11 @@ type params = {
 
 val default_params : params
 val make : ?params:params -> unit -> Cca.t
+(** @raise Invalid_argument naming the field unless [delta] and
+    [init_cwnd_packets] are finite and positive and [mss] is positive
+    (NaN fails every check), or if {!Window.Extremum} rejects
+    [min_rtt_window] (NaN or negative; 0 is legal).  {!make_in} applies
+    the same checks. *)
 
 val nfields : int
 (** Float cells per instance in the columnar layout. *)

@@ -7,6 +7,15 @@ type params = {
 let default_params =
   { init_cwnd_packets = 4.; initial_ssthresh = infinity; mss = Cca.default_mss }
 
+(* Shared by [make] and [make_in], so the two constructors accept the
+   same params.  Every test fails on NaN. *)
+let check_params fn p =
+  if not (Float.is_finite p.init_cwnd_packets && p.init_cwnd_packets > 0.) then
+    invalid_arg (fn ^ ": init_cwnd_packets must be finite and positive");
+  if not (p.initial_ssthresh > 0.) then
+    invalid_arg (fn ^ ": initial_ssthresh must be positive");
+  if p.mss <= 0 then invalid_arg (fn ^ ": mss must be positive")
+
 type state = {
   p : params;
   mutable cwnd : float;
@@ -30,6 +39,7 @@ let f_recovery = 2
 let f_last_rtt = 3
 
 let make_in ?(params = default_params) cols =
+  check_params "Reno.make_in" params;
   if Columns.nfields cols <> nfields then
     invalid_arg "Reno.make_in: arena has the wrong number of fields";
   let mss = float_of_int params.mss in
@@ -85,6 +95,7 @@ let make_in ?(params = default_params) cols =
   { Cca.cca; reset = Some reset; release = (fun () -> Columns.free cols r) }
 
 let make ?(params = default_params) () =
+  check_params "Reno.make" params;
   let mss = float_of_int params.mss in
   let s =
     {

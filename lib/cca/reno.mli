@@ -14,6 +14,10 @@ type params = {
 
 val default_params : params
 val make : ?params:params -> unit -> Cca.t
+(** @raise Invalid_argument naming the field unless [init_cwnd_packets]
+    is finite and positive, [initial_ssthresh] is positive ([infinity]
+    is legal) and [mss] is positive.  NaN fails every check; {!make_in}
+    applies the same checks. *)
 
 val nfields : int
 (** Float cells per instance in the columnar layout. *)

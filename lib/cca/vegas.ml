@@ -9,6 +9,19 @@ type params = {
 let default_params =
   { alpha = 2.; beta = 4.; gamma = 1.; init_cwnd_packets = 4.; mss = Cca.default_mss }
 
+(* Shared by [make] and [make_in], so the two constructors accept the
+   same params.  Every test fails on NaN. *)
+let check_params fn p =
+  if not (Float.is_finite p.alpha && p.alpha >= 0.) then
+    invalid_arg (fn ^ ": alpha must be finite and >= 0");
+  if not (Float.is_finite p.beta && p.beta >= p.alpha) then
+    invalid_arg (fn ^ ": beta must be finite and >= alpha");
+  if not (Float.is_finite p.gamma && p.gamma >= 0.) then
+    invalid_arg (fn ^ ": gamma must be finite and >= 0");
+  if not (Float.is_finite p.init_cwnd_packets && p.init_cwnd_packets > 0.) then
+    invalid_arg (fn ^ ": init_cwnd_packets must be finite and positive");
+  if p.mss <= 0 then invalid_arg (fn ^ ": mss must be positive")
+
 type state = {
   p : params;
   mutable cwnd : float; (* bytes *)
@@ -58,6 +71,7 @@ let f_slow_start = 4
 let f_ss_parity = 5
 
 let make_in ?(params = default_params) cols =
+  check_params "Vegas.make_in" params;
   if Columns.nfields cols <> nfields then
     invalid_arg "Vegas.make_in: arena has the wrong number of fields";
   let mss = float_of_int params.mss in
@@ -137,6 +151,7 @@ let make_in ?(params = default_params) cols =
   { Cca.cca; reset = Some reset; release = (fun () -> Columns.free cols r) }
 
 let make ?(params = default_params) () =
+  check_params "Vegas.make" params;
   let s =
     {
       p = params;

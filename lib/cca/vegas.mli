@@ -21,6 +21,10 @@ type params = {
 val default_params : params
 
 val make : ?params:params -> unit -> Cca.t
+(** @raise Invalid_argument naming the field unless [alpha] and [gamma]
+    are finite and >= 0, [beta] is finite and >= [alpha],
+    [init_cwnd_packets] is finite and positive and [mss] is positive.
+    NaN fails every check; {!make_in} applies the same checks. *)
 
 val nfields : int
 (** Float cells per instance in the columnar layout. *)

@@ -2,13 +2,13 @@
    plus two structure-of-arrays binary heaps — a tiny "due" heap holding
    wheel entries whose tick the cursor has reached (re-sorted exactly by
    their original (time, seq)), and an "overflow" heap for events beyond
-   the wheel's horizon.  In [Heap] backend mode the wheel is absent and
-   everything routes through the overflow heap, which reproduces the
-   previous pure-heap scheduler byte for byte.
+   the wheel's horizon.  Small queues (below [wheel_threshold] pending
+   events) route everything through the overflow heap and never allocate
+   the wheel.
 
-   Pop order is identical across backends: a single global FIFO sequence
-   counter is consumed per insertion in both modes, the wheel stores the
-   exact (time, seq) it was given, and container-vs-container decisions
+   Pop order does not depend on placement: a single global FIFO sequence
+   counter is consumed per insertion, the wheel stores the exact
+   (time, seq) it was given, and container-vs-container decisions
    are made in integer tick space (never by multiplying ticks back into
    float time, which could misorder by an ulp) with exact (time, seq)
    comparison between heap roots.  Heap invariant: every due-heap entry
@@ -110,8 +110,9 @@ let hpush hp h ~time ~seq =
   hp.hsize <- hp.hsize + 1;
   sift_up hp i
 
-(* In-place move of a queued entry (Heap backend only, where the target
-   container cannot change): one sift path instead of remove + push. *)
+(* In-place move of an overflow-resident entry, which stays in the
+   overflow heap whatever its new time: one sift path instead of
+   remove + push. *)
 let hmove hp h ~time ~seq =
   let i = h.pos in
   hp.htimes.(i) <- time;
@@ -155,16 +156,13 @@ let hpop hp =
   else hp.hslots.(0) <- dummy_handle;
   h
 
-type backend = Heap | Wheel
-
 type t = {
-  backend : backend;
   due : heap;
   overflow : heap;
   (* Created lazily, on the first insert into a queue that has outgrown
-     [wheel_threshold]; always [None] when [backend = Heap].  Laziness
-     matters for churny small runs: a wheel is ~a thousand words of slot
-     vecs that a 2-flow simulation would pay for and never use. *)
+     [wheel_threshold].  Laziness matters for churny small runs: a wheel
+     is ~a thousand words of slot vecs that a 2-flow simulation would pay
+     for and never use. *)
   mutable wheel : handle Timer_wheel.t option;
   wheel_threshold : int;
   mutable now : float;
@@ -173,22 +171,24 @@ type t = {
      insert / cancel / pop.  Makes [pending] O(1) and — more
      importantly — turns the per-insertion small-queue bypass check into
      a single int compare instead of an option match plus three loads,
-     which is what kept tiny populations at parity with the pure heap. *)
+     which is what keeps tiny populations off the wheel for free. *)
   mutable count : int;
   mutable step_hook : (float -> unit) option;
 }
 
 (* Below this many pending events a binary heap (depth <= 8) beats the
    wheel's cascade constants, so small queues route through the overflow
-   heap and a 2-flow run costs the same as the pure-heap backend.
-   Placement is a pure optimization: [source] orders containers by exact
-   (time, seq), so any event is correct in any container. *)
+   heap and a 2-flow run never touches the wheel.  Placement is a pure
+   optimization: [source] orders containers by exact (time, seq), so any
+   event is correct in any container. *)
 let default_wheel_threshold = 256
 
-let create ?(backend = Wheel) ?(wheel_threshold = default_wheel_threshold)
-    ?(start = 0.) () =
+let create ?(wheel_threshold = default_wheel_threshold) ?(start = 0.) () =
+  if not (Float.is_finite start) then
+    invalid_arg "Event_queue.create: start must be finite";
+  if wheel_threshold < 0 then
+    invalid_arg "Event_queue.create: wheel_threshold must be >= 0";
   {
-    backend;
     due = mkheap in_due;
     overflow = mkheap in_overflow;
     wheel = None;
@@ -215,7 +215,6 @@ let wheel_of t =
       t.wheel <- Some w;
       w
 
-let backend t = t.backend
 let set_step_hook t f = t.step_hook <- f
 let now t = t.now
 
@@ -233,15 +232,12 @@ let insert t h ~at =
   let seq = t.next_seq in
   t.next_seq <- seq + 1;
   t.count <- t.count + 1;
-  match t.backend with
-  | Heap -> hpush t.overflow h ~time:at ~seq
-  | Wheel ->
-      if t.count <= t.wheel_threshold then hpush t.overflow h ~time:at ~seq
-      else (
-        match Timer_wheel.add (wheel_of t) ~time:at ~seq h with
-        | Timer_wheel.Placed -> () (* the wheel's move callback filed it *)
-        | Timer_wheel.Due -> hpush t.due h ~time:at ~seq
-        | Timer_wheel.Far -> hpush t.overflow h ~time:at ~seq)
+  if t.count <= t.wheel_threshold then hpush t.overflow h ~time:at ~seq
+  else
+    match Timer_wheel.add (wheel_of t) ~time:at ~seq h with
+    | Timer_wheel.Placed -> () (* the wheel's move callback filed it *)
+    | Timer_wheel.Due -> hpush t.due h ~time:at ~seq
+    | Timer_wheel.Far -> hpush t.overflow h ~time:at ~seq
 
 let schedule t ~at action =
   validate t at;
@@ -272,10 +268,10 @@ let schedule_handle t h ~at =
   validate t at;
   if h.where = idle then insert t h ~at
   else if h.where = in_overflow then begin
-    (* Overflow-resident (pure-heap backend, small queue, or far
-       future): move in place.  A fresh sequence number keeps the FIFO
-       tie-break identical to cancel + re-arm, and leaving a near event
-       in the overflow heap is fine — see [default_wheel_threshold]. *)
+    (* Overflow-resident (small queue or far future): move in place.  A
+       fresh sequence number keeps the FIFO tie-break identical to
+       cancel + re-arm, and leaving a near event in the overflow heap is
+       fine — see [default_wheel_threshold]. *)
     let seq = t.next_seq in
     t.next_seq <- seq + 1;
     hmove t.overflow h ~time:at ~seq
@@ -365,9 +361,9 @@ let run t = while step t do () done
    sequence, so identical runs produce identical folds, and a marshalled
    copy reproduces the layout exactly.  Actions are closures and cannot
    be content-hashed; the armed times and FIFO sequence numbers pin the
-   schedule, which is what divergence diagnosis needs.  In [Heap] mode
-   the due heap is always empty and the wheel absent, so the encoding is
-   bit-identical to the pre-wheel pure-heap fold. *)
+   schedule, which is what divergence diagnosis needs.  While the wheel
+   is unallocated the due heap is empty, so the fold is the overflow
+   heap's alone. *)
 let fold_heap buf hp =
   for i = 0 to hp.hsize - 1 do
     Statebuf.f buf hp.htimes.(i);

@@ -5,7 +5,7 @@
     every simulation fully deterministic — a requirement for the paper's
     Theorem 1 construction, where a flow's trajectory must replay exactly.
 
-    Two scheduling interfaces share one heap:
+    Two scheduling interfaces share one queue:
 
     - {!schedule} takes a fresh thunk per event — convenient, but each call
       allocates, which adds up to several heap words per simulated packet.
@@ -16,44 +16,40 @@
       the queue.  This is the hot path used by {!Link}, {!Flow} and
       {!Delay_line}.
 
-    Two backends share this interface with identical pop order:
+    Three containers hold the pending events:
 
-    - {!Wheel} (the default) files near-future events in a hierarchical
-      {!Timer_wheel} (O(1) arm/cancel/re-arm — the operation mix of
-      pacing, RTO, delayed-ACK and delay-line timers), keeps entries
-      whose tick the cursor has reached in a small "due" binary heap,
-      and sends events beyond the wheel's ~9.5-simulated-hour horizon to
-      an overflow heap.
-    - {!Heap} routes everything through the overflow binary heap
-      (O(log n) arm/cancel) — the pre-wheel scheduler, kept as the
-      comparison baseline and for arbitrarily long timelines.
+    - a small "overflow" binary heap (O(log n) arm/cancel) takes every
+      insertion while fewer than [wheel_threshold] events are pending,
+      and any event beyond the wheel's ~9.5-simulated-hour horizon;
+    - a hierarchical {!Timer_wheel} (O(1) arm/cancel/re-arm — the
+      operation mix of pacing, RTO, delayed-ACK and delay-line timers)
+      files near-future events once the queue has outgrown the
+      threshold;
+    - a "due" binary heap holds wheel entries whose tick the cursor has
+      reached.
 
-    Both backends consume one global FIFO sequence number per insertion
-    and compare containers exactly (integer tick space between wheel and
-    overflow, (time, seq) between heap roots), so a given schedule trace
-    pops in the same order under either backend, byte for byte. *)
+    One global FIFO sequence number is consumed per insertion, and
+    containers are compared exactly (integer tick space between wheel
+    and overflow, (time, seq) between heap roots), so placement never
+    affects pop order: a given schedule trace pops in the same order
+    whatever [wheel_threshold] is, byte for byte. *)
 
 type t
 
-type backend =
-  | Heap  (** single binary heap — the pre-wheel scheduler *)
-  | Wheel  (** hierarchical timing wheel + due/overflow heaps (default) *)
-
-val create : ?backend:backend -> ?wheel_threshold:int -> ?start:float -> unit -> t
+val create : ?wheel_threshold:int -> ?start:float -> unit -> t
 (** [start] (default 0) sets the initial clock — used by constructions that
     continue a flow on a new network sharing the old timeline.
-    [backend] defaults to {!Wheel}.
 
-    [wheel_threshold] (default 256) only applies to the {!Wheel} backend:
-    while fewer events are pending, insertions route through the overflow
-    heap — a depth-8 heap beats the wheel's cascade constants, so a 2-flow
-    run costs the same as the pure-heap backend, and the wheel itself is
-    only allocated once the queue outgrows the threshold.  Placement never
-    affects pop order (containers are merged by exact (time, seq)); pass
-    [0] to force every insertion through the wheel, as the equivalence
-    tests do. *)
-
-val backend : t -> backend
+    [wheel_threshold] (default 256): while fewer events are pending,
+    insertions route through the overflow heap — a depth-8 heap beats the
+    wheel's cascade constants, so a 2-flow run never touches the wheel,
+    and the wheel itself is only allocated once the queue outgrows the
+    threshold.  Placement never affects pop order (containers are merged
+    by exact (time, seq)); [0] forces every insertion through the wheel
+    and [max_int] keeps everything in the overflow heap, as the
+    equivalence tests do.
+    @raise Invalid_argument if [start] is not finite or [wheel_threshold]
+    is negative. *)
 
 val now : t -> float
 (** Current simulation time. *)
@@ -71,10 +67,9 @@ val pending : t -> int
     size per insertion. *)
 
 val wheel_allocated : t -> bool
-(** Whether the lazy timer wheel has been materialized.  Always [false]
-    under the {!Heap} backend; under {!Wheel} it stays [false] while the
-    queue has never outgrown [wheel_threshold] — the small-population
-    bypass the bench suite verifies. *)
+(** Whether the lazy timer wheel has been materialized.  It stays
+    [false] while the queue has never outgrown [wheel_threshold] — the
+    small-population bypass that keeps few-flow runs on the heap path. *)
 
 val step : t -> bool
 (** Run the next event.  Returns [false] when the queue is empty. *)

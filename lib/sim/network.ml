@@ -19,25 +19,68 @@ type flow_spec = {
   size_bytes : int option;
 }
 
+(* Per-flow checks, shared by [flow] and [config] (a spec may also be
+   built or edited with record syntax).  Every test is written so that
+   NaN fails it. *)
+let check_flow_spec fn f =
+  let fail field what =
+    invalid_arg (Printf.sprintf "%s: %s %s" fn field what)
+  in
+  if not (Float.is_finite f.start_time) then fail "start_time" "must be finite";
+  (match f.stop_time with
+  | Some st when not (st > f.start_time) ->
+      fail "stop_time" "must be after start_time"
+  | Some _ | None -> ());
+  if not (Float.is_finite f.extra_rm && f.extra_rm >= 0.) then
+    fail "extra_rm" "must be finite and >= 0";
+  if not (f.jitter_bound >= 0.) then fail "jitter_bound" "must be >= 0";
+  (match f.ack_policy with
+  | Immediate -> ()
+  | Delayed { count; timeout } ->
+      if count < 1 then fail "ack_policy" "Delayed count must be >= 1";
+      if not (timeout > 0.) then
+        fail "ack_policy" "Delayed timeout must be positive"
+  | Aggregate { period } ->
+      if not (period > 0.) then
+        fail "ack_policy" "Aggregate period must be positive");
+  if not (f.loss_rate >= 0. && f.loss_rate < 1.) then
+    fail "loss_rate" "must be in [0, 1)";
+  if f.mss <= 0 then fail "mss" "must be positive";
+  (match f.initial_pacing with
+  | Some r when not (Float.is_finite r && r > 0.) ->
+      fail "initial_pacing" "must be finite and positive"
+  | Some _ | None -> ());
+  (match f.inspect_period with
+  | Some p when not (Float.is_finite p && p > 0.) ->
+      fail "inspect_period" "must be finite and positive"
+  | Some _ | None -> ());
+  match f.size_bytes with
+  | Some sz when sz <= 0 -> fail "size_bytes" "must be positive"
+  | Some _ | None -> ()
+
 let flow ?(start_time = 0.) ?stop_time ?(extra_rm = 0.) ?(jitter = Jitter.No_jitter)
     ?(jitter_bound = infinity) ?(ack_policy = Immediate) ?(loss_rate = 0.)
     ?(mss = Cca.default_mss) ?initial_pacing ?inspect_period
     ?(record_series = true) ?size_bytes cca =
-  {
-    cca;
-    start_time;
-    stop_time;
-    extra_rm;
-    jitter;
-    jitter_bound;
-    ack_policy;
-    loss_rate;
-    mss;
-    initial_pacing;
-    inspect_period;
-    record_series;
-    size_bytes;
-  }
+  let f =
+    {
+      cca;
+      start_time;
+      stop_time;
+      extra_rm;
+      jitter;
+      jitter_bound;
+      ack_policy;
+      loss_rate;
+      mss;
+      initial_pacing;
+      inspect_period;
+      record_series;
+      size_bytes;
+    }
+  in
+  check_flow_spec "Network.flow" f;
+  f
 
 type config = {
   rate : Link.rate;
@@ -54,48 +97,31 @@ type config = {
   initial_queue_bytes : int;
   faults : Fault.plan;
   monitor_period : float option;
-  backend : Event_queue.backend;
 }
 
 let config ~rate ?buffer ?ecn_threshold ?aqm ?(discipline = Link.Fifo) ~rm
     ?(seed = 42) ?(record_queue = false) ?(initial_queue_bytes = 0) ?(t0 = 0.)
-    ?(faults = Fault.none) ?monitor_period ?(backend = Event_queue.Wheel)
-    ~duration flows =
-  if flows = [] then invalid_arg "Network.config: at least one flow required";
-  if duration <= 0. then invalid_arg "Network.config: duration must be positive";
-  if rm < 0. then invalid_arg "Network.config: negative propagation delay";
-  if initial_queue_bytes < 0 then
-    invalid_arg "Network.config: negative initial queue";
+    ?(faults = Fault.none) ?monitor_period ~duration flows =
+  let fail field what =
+    invalid_arg (Printf.sprintf "Network.config: %s %s" field what)
+  in
+  if flows = [] then fail "flows" "must hold at least one flow";
+  (match rate with
+  | Link.Constant r when not (Float.is_finite r && r > 0.) ->
+      fail "rate" "Constant rate must be finite and positive"
+  | Link.Constant _ | Link.Piecewise _ | Link.Opportunities _ -> ());
+  if not (Float.is_finite duration && duration > 0.) then
+    fail "duration" "must be finite and positive";
+  if not (Float.is_finite rm && rm >= 0.) then
+    fail "rm" "must be finite and >= 0";
+  if not (Float.is_finite t0) then fail "t0" "must be finite";
+  if initial_queue_bytes < 0 then fail "initial_queue_bytes" "must be >= 0";
   (match monitor_period with
-  | Some p when not (p > 0.) ->
-      invalid_arg "Network.config: monitor_period must be positive"
+  | Some p when not (p > 0.) -> fail "monitor_period" "must be positive"
   | Some _ | None -> ());
-  List.iter
-    (fun f ->
-      if f.loss_rate < 0. || f.loss_rate >= 1. then
-        invalid_arg "Network.config: loss_rate must be in [0, 1)";
-      if f.extra_rm < 0. then invalid_arg "Network.config: negative extra_rm";
-      (match f.ack_policy with
-      | Immediate -> ()
-      | Delayed { count; timeout } ->
-          if count < 1 then
-            invalid_arg "Network.config: Delayed ack count must be >= 1";
-          if not (timeout > 0.) then
-            invalid_arg "Network.config: Delayed ack timeout must be positive"
-      | Aggregate { period } ->
-          if not (period > 0.) then
-            invalid_arg "Network.config: Aggregate ack period must be positive");
-      (match f.size_bytes with
-      | Some sz when sz <= 0 ->
-          invalid_arg "Network.config: size_bytes must be positive"
-      | Some _ | None -> ());
-      match f.stop_time with
-      | Some st when st <= f.start_time ->
-          invalid_arg "Network.config: stop_time before start_time"
-      | Some _ | None -> ())
-    flows;
+  List.iter (check_flow_spec "Network.config") flows;
   { rate; buffer; ecn_threshold; aqm; discipline; rm; flows; t0; duration; seed;
-    record_queue; initial_queue_bytes; faults; monitor_period; backend }
+    record_queue; initial_queue_bytes; faults; monitor_period }
 
 (* Per-flow delayed-ACK accumulator.  [count] mirrors the length of
    [held] so the per-delivery policy check is O(1) instead of two
@@ -169,7 +195,7 @@ let fault_ack_drops t =
 let phantom_flow_id = -1
 
 let build cfg =
-  let eq = Event_queue.create ~backend:cfg.backend ~start:cfg.t0 () in
+  let eq = Event_queue.create ~start:cfg.t0 () in
   let master_rng = Rng.create ~seed:cfg.seed in
   let effective_rate = Fault.compile_rate cfg.faults cfg.rate in
   let link = Link.create ~eq ~rate:effective_rate ?buffer:cfg.buffer

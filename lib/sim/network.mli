@@ -49,7 +49,14 @@ val flow : ?start_time:float -> ?stop_time:float -> ?extra_rm:float ->
   Cca.t -> flow_spec
 (** Spec with defaults: starts at 0, never stops, no extra delay, no jitter
     (bound [infinity]), immediate ACKs, no random loss, 1500-byte MSS,
-    unbounded size. *)
+    unbounded size.
+    @raise Invalid_argument naming the field on a non-finite [start_time],
+    [stop_time] not after [start_time], [extra_rm] not finite and >= 0,
+    negative or NaN [jitter_bound], [loss_rate] outside [\[0, 1)],
+    [mss] <= 0, [initial_pacing] or [inspect_period] not finite and
+    positive, [size_bytes] <= 0, or a malformed [ack_policy]
+    ([Delayed] count < 1 or timeout <= 0, [Aggregate] period <= 0).
+    NaN fails every check. *)
 
 type config = {
   rate : Link.rate;
@@ -63,8 +70,8 @@ type config = {
           isolation (the conclusion's "stronger isolation") *)
   rm : float;  (** base minimum propagation RTT, seconds *)
   flows : flow_spec list;
-  t0 : float;  (** simulation start time (flows still start at their own
-                   [start_time], which must be >= [t0]) *)
+  t0 : float;  (** simulation start time; a flow whose [start_time] is
+                   earlier than [t0] starts at [t0] *)
   duration : float;  (** horizon is [t0 + duration] *)
   seed : int;
   record_queue : bool;
@@ -79,22 +86,19 @@ type config = {
   monitor_period : float option;
       (** audit the runtime invariants ({!invariant}) at this period;
           [None] (the default) disables the monitor *)
-  backend : Event_queue.backend;
-      (** event scheduler backend (default {!Event_queue.Wheel}); both
-          backends pop in the same order, so results are identical — the
-          {!Event_queue.Heap} baseline exists for benchmarking and for
-          timelines beyond the wheel's horizon *)
 }
 
 val config :
   rate:Link.rate -> ?buffer:int -> ?ecn_threshold:int -> ?aqm:Aqm.t ->
   ?discipline:Link.discipline -> rm:float -> ?seed:int -> ?record_queue:bool ->
   ?initial_queue_bytes:int -> ?t0:float -> ?faults:Fault.plan ->
-  ?monitor_period:float -> ?backend:Event_queue.backend ->
-  duration:float -> flow_spec list -> config
-(** @raise Invalid_argument on malformed parameters, including ack-policy
-    parameters ([Delayed] count < 1 or timeout <= 0, [Aggregate] period
-    <= 0) and non-positive [size_bytes]. *)
+  ?monitor_period:float -> duration:float -> flow_spec list -> config
+(** @raise Invalid_argument naming the field on an empty flow list, a
+    [Constant] rate that is not finite and positive ([Piecewise] rates
+    may be 0), [duration] not finite and positive, [rm] not finite and
+    >= 0, a non-finite [t0], negative [initial_queue_bytes], a
+    non-positive [monitor_period], or any flow failing the checks of
+    {!flow}.  NaN fails every check. *)
 
 type t
 

@@ -1177,6 +1177,95 @@ let prop_vegas_columnar_trace_equiv =
       drive_pair ~name:"vegas" (Vegas.make ())
         (Vegas.make_in cols).Cca.cca events)
 
+(* Both constructors of Reno, Copa and Vegas reject the same params, and
+   the error names the field.  Unchecked, a NaN init_cwnd_packets left a
+   Reno or Copa flow at 130 500 bytes against 5 628 000 for a default
+   Copa, a 43:1 "starvation" that was only a bad number; Copa with a
+   NaN, zero or negative delta and Vegas with alpha > beta ran too. *)
+let test_params_rejected () =
+  let reno p =
+    ( "Reno",
+      (fun () -> ignore (Reno.make ~params:p ())),
+      fun () ->
+        ignore (Reno.make_in ~params:p (Columns.create ~nfields:Reno.nfields ()))
+    )
+  in
+  let copa p =
+    ( "Copa",
+      (fun () -> ignore (Copa.make ~params:p ())),
+      fun () ->
+        ignore (Copa.make_in ~params:p (Columns.create ~nfields:Copa.nfields ()))
+    )
+  in
+  let vegas p =
+    ( "Vegas",
+      (fun () -> ignore (Vegas.make ~params:p ())),
+      fun () ->
+        ignore
+          (Vegas.make_in ~params:p (Columns.create ~nfields:Vegas.nfields ())) )
+  in
+  let rejects (name, field, (m, make, make_in)) =
+    List.iter
+      (fun (ctor, f) ->
+        match f () with
+        | () -> Alcotest.failf "%s: %s accepted" name ctor
+        | exception Invalid_argument msg ->
+            Alcotest.(check bool)
+              (Printf.sprintf "%s: %S names %s" name msg field)
+              true
+              (String.starts_with ~prefix:(ctor ^ ": " ^ field) msg))
+      [ (m ^ ".make", make); (m ^ ".make_in", make_in) ]
+  in
+  let r = Reno.default_params
+  and c = Copa.default_params
+  and v = Vegas.default_params in
+  List.iter rejects
+    [
+      ("reno init_cwnd nan", "init_cwnd_packets",
+       reno { r with init_cwnd_packets = nan });
+      ("reno init_cwnd 0", "init_cwnd_packets",
+       reno { r with init_cwnd_packets = 0. });
+      ("reno init_cwnd inf", "init_cwnd_packets",
+       reno { r with init_cwnd_packets = infinity });
+      ("reno ssthresh nan", "initial_ssthresh",
+       reno { r with initial_ssthresh = nan });
+      ("reno ssthresh 0", "initial_ssthresh",
+       reno { r with initial_ssthresh = 0. });
+      ("reno mss 0", "mss", reno { r with mss = 0 });
+      ("copa delta nan", "delta", copa { c with delta = nan });
+      ("copa delta 0", "delta", copa { c with delta = 0. });
+      ("copa delta -0.5", "delta", copa { c with delta = -0.5 });
+      ("copa delta inf", "delta", copa { c with delta = infinity });
+      ("copa init_cwnd nan", "init_cwnd_packets",
+       copa { c with init_cwnd_packets = nan });
+      ("copa init_cwnd 0", "init_cwnd_packets",
+       copa { c with init_cwnd_packets = 0. });
+      ("copa mss 0", "mss", copa { c with mss = 0 });
+      ("vegas alpha nan", "alpha", vegas { v with alpha = nan });
+      ("vegas alpha -1", "alpha", vegas { v with alpha = -1. });
+      ("vegas beta nan", "beta", vegas { v with beta = nan });
+      ("vegas alpha 6 > beta 2", "beta", vegas { v with alpha = 6.; beta = 2. });
+      ("vegas gamma nan", "gamma", vegas { v with gamma = nan });
+      ("vegas gamma -1", "gamma", vegas { v with gamma = -1. });
+      ("vegas init_cwnd nan", "init_cwnd_packets",
+       vegas { v with init_cwnd_packets = nan });
+      ("vegas init_cwnd 0", "init_cwnd_packets",
+       vegas { v with init_cwnd_packets = 0. });
+      ("vegas mss 0", "mss", vegas { v with mss = 0 });
+    ];
+  (* The boundaries stay legal in both constructors: Reno slow-starting
+     until its first loss, Copa with no min-RTT memory, Vegas holding a
+     single queue target. *)
+  List.iter
+    (fun (_, make, make_in) ->
+      make ();
+      make_in ())
+    [
+      reno { r with initial_ssthresh = infinity };
+      copa { c with min_rtt_window = 0. };
+      vegas { v with alpha = 3.; beta = 3.; gamma = 0. };
+    ]
+
 (* The churn contract: a reset columnar instance must be indistinguishable
    from a freshly built one even after an arbitrary first incarnation. *)
 let prop_columnar_reset_equals_fresh =
@@ -1329,6 +1418,8 @@ let () =
           qt prop_copa_columnar_trace_equiv;
           qt prop_vegas_columnar_trace_equiv;
           qt prop_columnar_reset_equals_fresh;
+          Alcotest.test_case "constructors reject bad params" `Quick
+            test_params_rejected;
         ] );
       ("fuzz", [ qt prop_cca_fuzz ]);
     ]

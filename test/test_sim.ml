@@ -1,129 +1,8 @@
-(* Tests for the simulation substrate: heap, event queue, rng, stats,
+(* Tests for the simulation substrate: event queue, rng, stats,
    series, jitter, link, flow and network integration. *)
 
 let check_float = Alcotest.(check (float 1e-9))
 let check_float_eps eps = Alcotest.(check (float eps))
-
-(* ------------------------------------------------------------------ *)
-(* Heap                                                                *)
-(* ------------------------------------------------------------------ *)
-
-let test_heap_basic () =
-  let h = Sim.Heap.create ~dummy:0 ~cmp:Int.compare () in
-  Alcotest.(check bool) "empty" true (Sim.Heap.is_empty h);
-  List.iter (Sim.Heap.push h) [ 5; 3; 8; 1; 9; 2 ];
-  Alcotest.(check int) "size" 6 (Sim.Heap.size h);
-  Alcotest.(check (option int)) "peek" (Some 1) (Sim.Heap.peek h);
-  Alcotest.(check (option int)) "pop" (Some 1) (Sim.Heap.pop h);
-  Alcotest.(check (option int)) "pop2" (Some 2) (Sim.Heap.pop h);
-  Alcotest.(check int) "size after" 4 (Sim.Heap.size h)
-
-let test_heap_pop_exn_empty () =
-  let h = Sim.Heap.create ~dummy:0 ~cmp:Int.compare () in
-  Alcotest.check_raises "empty pop_exn"
-    (Invalid_argument "Heap.pop_exn: empty heap") (fun () ->
-      ignore (Sim.Heap.pop_exn h))
-
-let test_heap_clear () =
-  let h = Sim.Heap.create ~dummy:0 ~cmp:Int.compare () in
-  List.iter (Sim.Heap.push h) [ 3; 1; 2 ];
-  Sim.Heap.clear h;
-  Alcotest.(check bool) "empty after clear" true (Sim.Heap.is_empty h);
-  Sim.Heap.push h 9;
-  Alcotest.(check (option int)) "usable after clear" (Some 9) (Sim.Heap.peek h)
-
-let test_heap_to_sorted_preserves () =
-  let h = Sim.Heap.create ~dummy:0 ~cmp:Int.compare () in
-  List.iter (Sim.Heap.push h) [ 4; 2; 7 ];
-  Alcotest.(check (list int)) "sorted" [ 2; 4; 7 ] (Sim.Heap.to_sorted_list h);
-  Alcotest.(check int) "unchanged" 3 (Sim.Heap.size h)
-
-let prop_heap_sorts =
-  QCheck.Test.make ~name:"heap drains in sorted order" ~count:200
-    QCheck.(list int)
-    (fun xs ->
-      let h = Sim.Heap.create ~dummy:0 ~cmp:Int.compare () in
-      List.iter (Sim.Heap.push h) xs;
-      let drained = Sim.Heap.to_sorted_list h in
-      drained = List.sort Int.compare xs)
-
-let prop_heap_interleaved =
-  QCheck.Test.make ~name:"heap peek is minimum under interleaved ops" ~count:200
-    QCheck.(list (pair bool small_int))
-    (fun ops ->
-      let h = Sim.Heap.create ~dummy:0 ~cmp:Int.compare () in
-      let model = ref [] in
-      List.for_all
-        (fun (is_push, x) ->
-          if is_push then begin
-            Sim.Heap.push h x;
-            model := x :: !model;
-            true
-          end
-          else begin
-            let expect =
-              match !model with
-              | [] -> None
-              | l -> Some (List.fold_left min max_int l)
-            in
-            let got = Sim.Heap.pop h in
-            (match got with
-            | Some v ->
-                let rec remove = function
-                  | [] -> []
-                  | y :: rest -> if y = v then rest else y :: remove rest
-                in
-                model := remove !model
-            | None -> ());
-            got = expect
-          end)
-        ops)
-
-(* Regression for a space leak: [pop] used to leave the popped root's
-   replacement duplicated in the vacated tail slot, pinning elements (and
-   anything their closures captured) until the slot was overwritten by a
-   later push.  A drained heap must not reach any popped element. *)
-let test_heap_pop_releases () =
-  let h =
-    Sim.Heap.create ~dummy:(ref 0) ~cmp:(fun a b -> Int.compare !a !b) ()
-  in
-  let n = 8 in
-  let w = Weak.create n in
-  for i = 0 to n - 1 do
-    let r = ref i in
-    Weak.set w i (Some r);
-    Sim.Heap.push h r
-  done;
-  while not (Sim.Heap.is_empty h) do
-    ignore (Sim.Heap.pop h)
-  done;
-  Gc.full_major ();
-  for i = 0 to n - 1 do
-    Alcotest.(check bool)
-      (Printf.sprintf "element %d collected after drain" i)
-      true
-      (Weak.get w i = None)
-  done
-
-let test_heap_clear_releases () =
-  let h =
-    Sim.Heap.create ~dummy:(ref 0) ~cmp:(fun a b -> Int.compare !a !b) ()
-  in
-  let n = 8 in
-  let w = Weak.create n in
-  for i = 0 to n - 1 do
-    let r = ref i in
-    Weak.set w i (Some r);
-    Sim.Heap.push h r
-  done;
-  Sim.Heap.clear h;
-  Gc.full_major ();
-  for i = 0 to n - 1 do
-    Alcotest.(check bool)
-      (Printf.sprintf "element %d collected after clear" i)
-      true
-      (Weak.get w i = None)
-  done
 
 (* ------------------------------------------------------------------ *)
 (* Event queue                                                         *)
@@ -199,6 +78,68 @@ let test_eq_run_until_excludes_future () =
   Sim.Event_queue.run_until eq 4.0;
   Alcotest.(check bool) "future not fired" false !fired;
   Alcotest.(check int) "still pending" 1 (Sim.Event_queue.pending eq)
+
+(* Regression for a space leak: a container that keeps a popped or
+   cancelled entry in its vacated slot pins the entry's closure, and
+   with it whatever the closure captured (packets, flows), until a later
+   insertion overwrites the slot.  Every closure here captures a tracked
+   ref; once the queue has run dry, none may survive a major GC.
+   Rounds of 200 stay below the default threshold, so [wheel_threshold]
+   picks the containers: 0 files near events in the wheel and pops them
+   through the due heap, the default keeps everything in the overflow
+   heap.  Far events land in the overflow heap under both.  Events come
+   four to a wheel tick, so cancels also hit due-heap residents. *)
+let eq_releases_closures ?wheel_threshold () =
+  let rounds = 3 and per_round = 200 in
+  let n = rounds * per_round in
+  let eq = Sim.Event_queue.create ?wheel_threshold () in
+  let tracked = Weak.create n in
+  let track i =
+    let r = ref i in
+    Weak.set tracked i (Some r);
+    fun () -> incr r
+  in
+  let round k =
+    let t0 = Sim.Event_queue.now eq in
+    let at i =
+      if i mod 5 = 0 then t0 +. 1e5 +. float_of_int i
+      else
+        t0 +. (float_of_int (i / 4) *. 1e-3) +. (float_of_int (i mod 4) *. 1e-6)
+    in
+    let cancelled = ref [] in
+    for j = 0 to per_round - 1 do
+      let i = (k * per_round) + j in
+      match i mod 3 with
+      | 0 -> Sim.Event_queue.schedule eq ~at:(at i) (track i)
+      | 1 ->
+          (* re-armed once, then run *)
+          let h = Sim.Event_queue.handle (track i) in
+          Sim.Event_queue.schedule_handle eq h ~at:(at i +. 0.5);
+          Sim.Event_queue.schedule_handle eq h ~at:(at i)
+      | _ ->
+          let h = Sim.Event_queue.handle (track i) in
+          Sim.Event_queue.schedule_handle eq h ~at:(at i);
+          cancelled := h :: !cancelled
+    done;
+    for _ = 1 to 50 do
+      ignore (Sim.Event_queue.step eq)
+    done;
+    List.iter (Sim.Event_queue.cancel eq) !cancelled;
+    Sim.Event_queue.run eq
+  in
+  for k = 0 to rounds - 1 do
+    round k
+  done;
+  Alcotest.(check bool) "wheel allocated iff threshold 0"
+    (wheel_threshold = Some 0)
+    (Sim.Event_queue.wheel_allocated eq);
+  Gc.full_major ();
+  let live = ref 0 in
+  for i = 0 to n - 1 do
+    if Weak.check tracked i then incr live
+  done;
+  Alcotest.(check int) "closures still reachable" 0 !live;
+  ignore (Sys.opaque_identity eq)
 
 (* ------------------------------------------------------------------ *)
 (* Rng                                                                 *)
@@ -1588,28 +1529,6 @@ let test_flow_inspect_series () =
     true
     (Sim.Series.length cwnd >= 15 && Sim.Series.length cwnd <= 25)
 
-let test_network_config_validation () =
-  let mk_cfg ?(flows = [ Sim.Network.flow (Reno.make ()) ]) ?(duration = 1.)
-      ?(rm = 0.01) ?loss_rate () =
-    let flows =
-      match loss_rate with
-      | Some p -> [ Sim.Network.flow ~loss_rate:p (Reno.make ()) ]
-      | None -> flows
-    in
-    Sim.Network.config ~rate:(Sim.Link.Constant 1e6) ~rm ~duration flows
-  in
-  let rejects f = try ignore (f ()); false with Invalid_argument _ -> true in
-  Alcotest.(check bool) "empty flows" true (rejects (fun () -> mk_cfg ~flows:[] ()));
-  Alcotest.(check bool) "zero duration" true (rejects (fun () -> mk_cfg ~duration:0. ()));
-  Alcotest.(check bool) "negative rm" true (rejects (fun () -> mk_cfg ~rm:(-0.1) ()));
-  Alcotest.(check bool) "loss rate 1" true (rejects (fun () -> mk_cfg ~loss_rate:1. ()));
-  Alcotest.(check bool) "stop before start" true
-    (rejects (fun () ->
-         Sim.Network.config ~rate:(Sim.Link.Constant 1e6) ~rm:0.01 ~duration:1.
-           [ Sim.Network.flow ~start_time:5. ~stop_time:4. (Reno.make ()) ]));
-  (* And a valid config passes. *)
-  ignore (mk_cfg ())
-
 let test_network_ack_policy_validation () =
   let mk policy =
     Sim.Network.config ~rate:(Sim.Link.Constant 1e6) ~rm:0.01 ~duration:1.
@@ -1629,6 +1548,154 @@ let test_network_ack_policy_validation () =
   ignore (mk (Sim.Network.Delayed { count = 2; timeout = 0.01 }));
   ignore (mk (Sim.Network.Aggregate { period = 0.02 }));
   ignore (mk Sim.Network.Immediate)
+
+(* Every number is checked NaN-safely and the error names the field.
+   Without the checks a NaN duration ended the run at once with the
+   clock at NaN, a NaN loss_rate ran lossless, NaN stop_time and
+   initial_pacing were ignored, mss = 0 grew memory without bound, a NaN
+   or zero Constant rate delivered nothing, NaN rm, extra_rm, t0 and
+   start_time failed late without naming the field, and a NaN scheduler
+   start let every later event pass the "before now" check.  Per-flow
+   fields are checked by [flow] and again by [config], which also sees
+   specs edited with record syntax. *)
+let test_network_config_validation () =
+  let good = Sim.Network.flow (Reno.make ()) in
+  let cfg ?(rate = Sim.Link.Constant (Sim.Units.mbps 24.)) ?(rm = 0.02) ?t0
+      ?(duration = 2.) ?monitor_period ?initial_queue_bytes
+      ?(flows = [ good ]) () =
+    ignore
+      (Sim.Network.config ~rate ~rm ?t0 ~duration ?monitor_period
+         ?initial_queue_bytes flows)
+  in
+  let rejects (name, fn, field, f) =
+    match f () with
+    | () -> Alcotest.failf "%s accepted" name
+    | exception Invalid_argument msg ->
+        Alcotest.(check bool)
+          (Printf.sprintf "%s: %S names %s" name msg field)
+          true
+          (String.starts_with ~prefix:(fn ^ ": " ^ field) msg)
+  in
+  let config name field f = (name, "Network.config", field, f) in
+  let per_flow =
+    let open Sim.Network in
+    [
+      ( "start_time nan", "start_time",
+        (fun c -> flow ~start_time:nan c),
+        fun s -> { s with start_time = nan } );
+      ( "start_time inf", "start_time",
+        (fun c -> flow ~start_time:infinity c),
+        fun s -> { s with start_time = infinity } );
+      ( "stop_time nan", "stop_time",
+        (fun c -> flow ~stop_time:nan c),
+        fun s -> { s with stop_time = Some nan } );
+      ( "stop_time at start", "stop_time",
+        (fun c -> flow ~start_time:1. ~stop_time:1. c),
+        fun s -> { s with start_time = 1.; stop_time = Some 1. } );
+      ( "extra_rm nan", "extra_rm",
+        (fun c -> flow ~extra_rm:nan c),
+        fun s -> { s with extra_rm = nan } );
+      ( "extra_rm inf", "extra_rm",
+        (fun c -> flow ~extra_rm:infinity c),
+        fun s -> { s with extra_rm = infinity } );
+      ( "extra_rm -1", "extra_rm",
+        (fun c -> flow ~extra_rm:(-1.) c),
+        fun s -> { s with extra_rm = -1. } );
+      ( "jitter_bound nan", "jitter_bound",
+        (fun c -> flow ~jitter_bound:nan c),
+        fun s -> { s with jitter_bound = nan } );
+      ( "jitter_bound -1", "jitter_bound",
+        (fun c -> flow ~jitter_bound:(-1.) c),
+        fun s -> { s with jitter_bound = -1. } );
+      ( "ack timeout nan", "ack_policy",
+        (fun c -> flow ~ack_policy:(Delayed { count = 2; timeout = nan }) c),
+        fun s -> { s with ack_policy = Delayed { count = 2; timeout = nan } } );
+      ( "loss_rate nan", "loss_rate",
+        (fun c -> flow ~loss_rate:nan c),
+        fun s -> { s with loss_rate = nan } );
+      ( "loss_rate -0.1", "loss_rate",
+        (fun c -> flow ~loss_rate:(-0.1) c),
+        fun s -> { s with loss_rate = -0.1 } );
+      ( "loss_rate 1", "loss_rate",
+        (fun c -> flow ~loss_rate:1. c),
+        fun s -> { s with loss_rate = 1. } );
+      ("mss 0", "mss", (fun c -> flow ~mss:0 c), fun s -> { s with mss = 0 });
+      ( "initial_pacing nan", "initial_pacing",
+        (fun c -> flow ~initial_pacing:nan c),
+        fun s -> { s with initial_pacing = Some nan } );
+      ( "initial_pacing 0", "initial_pacing",
+        (fun c -> flow ~initial_pacing:0. c),
+        fun s -> { s with initial_pacing = Some 0. } );
+      ( "initial_pacing inf", "initial_pacing",
+        (fun c -> flow ~initial_pacing:infinity c),
+        fun s -> { s with initial_pacing = Some infinity } );
+      ( "inspect_period nan", "inspect_period",
+        (fun c -> flow ~inspect_period:nan c),
+        fun s -> { s with inspect_period = Some nan } );
+      ( "inspect_period 0", "inspect_period",
+        (fun c -> flow ~inspect_period:0. c),
+        fun s -> { s with inspect_period = Some 0. } );
+      ( "size_bytes 0", "size_bytes",
+        (fun c -> flow ~size_bytes:0 c),
+        fun s -> { s with size_bytes = Some 0 } );
+    ]
+  in
+  List.iter
+    (fun (name, field, via_flow, via_record) ->
+      rejects
+        ( name ^ " (flow)", "Network.flow", field,
+          fun () -> ignore (via_flow (Reno.make ())) );
+      rejects
+        (config (name ^ " (record)") field (fun () ->
+             cfg ~flows:[ via_record good ] ())))
+    per_flow;
+  List.iter rejects
+    [
+      config "no flows" "flows" (fun () -> cfg ~flows:[] ());
+      config "rate nan" "rate" (fun () ->
+          cfg ~rate:(Sim.Link.Constant nan) ());
+      config "rate 0" "rate" (fun () -> cfg ~rate:(Sim.Link.Constant 0.) ());
+      config "rate -1" "rate" (fun () -> cfg ~rate:(Sim.Link.Constant (-1.)) ());
+      config "rate inf" "rate" (fun () ->
+          cfg ~rate:(Sim.Link.Constant infinity) ());
+      config "duration nan" "duration" (fun () -> cfg ~duration:nan ());
+      config "duration inf" "duration" (fun () -> cfg ~duration:infinity ());
+      config "duration 0" "duration" (fun () -> cfg ~duration:0. ());
+      config "rm nan" "rm" (fun () -> cfg ~rm:nan ());
+      config "rm inf" "rm" (fun () -> cfg ~rm:infinity ());
+      config "rm -0.1" "rm" (fun () -> cfg ~rm:(-0.1) ());
+      config "t0 nan" "t0" (fun () -> cfg ~t0:nan ());
+      config "t0 inf" "t0" (fun () -> cfg ~t0:infinity ());
+      config "initial_queue_bytes -1" "initial_queue_bytes" (fun () ->
+          cfg ~initial_queue_bytes:(-1) ());
+      config "monitor_period nan" "monitor_period" (fun () ->
+          cfg ~monitor_period:nan ());
+      config "monitor_period 0" "monitor_period" (fun () ->
+          cfg ~monitor_period:0. ());
+      ( "scheduler start nan", "Event_queue.create", "start",
+        fun () -> ignore (Sim.Event_queue.create ~start:nan ()) );
+      ( "scheduler start inf", "Event_queue.create", "start",
+        fun () -> ignore (Sim.Event_queue.create ~start:infinity ()) );
+      ( "wheel_threshold -1", "Event_queue.create", "wheel_threshold",
+        fun () -> ignore (Sim.Event_queue.create ~wheel_threshold:(-1) ()) );
+    ];
+  (* The boundaries stay legal and run: no propagation delay, no loss,
+     the default unbounded jitter bound, a start before [t0] (clamped to
+     it), a never-reached stop, and a Piecewise rate that pauses at 0. *)
+  let net =
+    Sim.Network.run_config
+      (Sim.Network.config
+         ~rate:
+           (Sim.Link.Piecewise
+              [| (0., Sim.Units.mbps 24.); (1.1, 0.); (1.2, Sim.Units.mbps 24.) |])
+         ~rm:0. ~t0:1. ~duration:0.5
+         [
+           Sim.Network.flow ~start_time:0. ~stop_time:infinity ~loss_rate:0.
+             ~extra_rm:0.01 (Reno.make ());
+         ])
+  in
+  Alcotest.(check bool) "boundary config delivers" true
+    (Sim.Flow.delivered_bytes (Sim.Network.flows net).(0) > 0)
 
 let test_network_deterministic () =
   let mk () =
@@ -1990,10 +2057,11 @@ let prop_series_window_queries_match_naive =
 (* Timer-wheel backend and million-flow scale                          *)
 (* ------------------------------------------------------------------ *)
 
-(* The wheel/heap contract is exact: both backends consume one global
-   sequence number per insertion and compare exactly, so any trace of
-   schedules, cancels, re-arms and interleaved pops must fire in the
-   same order under both. *)
+(* Placement never changes pop order: every insertion consumes one
+   global sequence number and containers compare exactly, so any trace
+   of schedules, cancels, re-arms and interleaved pops must fire in the
+   same order with the wheel live as with everything kept in the
+   overflow heap ([wheel_threshold = max_int], the reference path). *)
 let prop_eq_backend_equivalence =
   QCheck.Test.make
     ~name:"wheel and heap backends pop identically under random traces"
@@ -2003,13 +2071,8 @@ let prop_eq_backend_equivalence =
         Gen.(0 -- 80)
         (triple (int_range 0 4) (int_range 0 7) (int_range 0 200000)))
     (fun ops ->
-      let run backend =
-        (* A low, trace-dependent threshold: 0 forces every insertion
-           through the wheel (cascade coverage); small nonzero values
-           make traces cross it mid-run, mixing overflow-era and
-           wheel-era residents in one queue. *)
-        let wheel_threshold = 7 * List.length ops mod 23 in
-        let eq = Sim.Event_queue.create ~backend ~wheel_threshold () in
+      let run wheel_threshold =
+        let eq = Sim.Event_queue.create ~wheel_threshold () in
         let log = ref [] in
         let handles =
           Array.init 8 (fun i ->
@@ -2043,7 +2106,11 @@ let prop_eq_backend_equivalence =
         Sim.Event_queue.run eq;
         List.rev !log
       in
-      run Sim.Event_queue.Heap = run Sim.Event_queue.Wheel)
+      (* A low, trace-dependent threshold: 0 forces every insertion
+         through the wheel (cascade coverage); small nonzero values make
+         traces cross it mid-run, mixing overflow-era and wheel-era
+         residents in one queue. *)
+      run max_int = run (7 * List.length ops mod 23))
 
 let test_eq_peak_100k_flows () =
   (* The census workload shape at full scale: 100k sized flows armed in
@@ -2072,33 +2139,6 @@ let test_eq_peak_100k_flows () =
     (Sim.Event_queue.pending eq > n / 2);
   check_float "clock at slice horizon" 0.05 (Sim.Event_queue.now eq)
 
-let test_network_backend_equivalence () =
-  (* End-to-end: a full simulation evolves identically under both
-     backends — every component digest except the scheduler's own
-     (whose fold encodes backend-specific structure: the same armed
-     events live in different containers) must agree. *)
-  let cfg backend =
-    Sim.Network.config
-      ~rate:(Sim.Link.Constant (Sim.Units.mbps 24.))
-      ~rm:0.02 ~duration:3. ~backend
-      [
-        Sim.Network.flow (Reno.make ());
-        Sim.Network.flow ~jitter:(Sim.Jitter.Constant 0.005)
-          ~jitter_bound:0.005 (Reno.make ());
-      ]
-  in
-  let fp backend =
-    List.filter
-      (fun (name, _) -> name <> "event-queue")
-      (Sim.Network.fingerprint (Sim.Network.run_config (cfg backend)))
-  in
-  let heap = fp Sim.Event_queue.Heap and wheel = fp Sim.Event_queue.Wheel in
-  List.iter2
-    (fun (n1, d1) (n2, d2) ->
-      Alcotest.(check string) ("component name " ^ n1) n1 n2;
-      Alcotest.(check string) ("digest " ^ n1) d1 d2)
-    heap wheel
-
 let test_flow_table_memory_bounded () =
   (* 10k idle flows in one shared table must cost a bounded number of
      heap words each.  The old eager 1024-slot outstanding rings alone
@@ -2125,6 +2165,149 @@ let test_flow_table_memory_bounded () =
     true (per_flow <= 1000);
   ignore (Sys.opaque_identity flows)
 
+(* Census footprint: one standard E19 cell (columnar Reno, 20 ms ACK
+   jitter, the constants of [Experiments.Exp_census]) at 100 000 flows.
+   The live-words delta while the result is held, over the population,
+   says a million-flow census fits one machine because quiesced flows
+   cost tens of bytes, not a struct of Series; the goodput column alone
+   is 8 bytes/flow.  Measured 8.0 bytes/flow, every flow completed. *)
+let test_census_memory_bounded () =
+  let n = 100_000 in
+  let mss = Cca.default_mss in
+  let rate = Sim.Units.mbps 480. and xm = float_of_int (10 * mss) in
+  let cfg =
+    {
+      Sim.Population.n;
+      duration = Float.max 5. (float_of_int n *. 3. *. xm /. (0.7 *. rate *. 0.6));
+      arrival_frac = 0.6;
+      rate;
+      buffer = None;
+      rm = 0.02;
+      mss;
+      jitter_d = 0.02;
+      seed = 42;
+      key = Printf.sprintf "census/std/reno/jit=20ms/n=%d" n;
+      alpha = 1.5;
+      xm;
+      size_cap = 10_000_000;
+    }
+  in
+  let cols = Columns.create ~nfields:Reno.nfields () in
+  let cca ~slot:_ ~prev =
+    match prev with
+    | Some i -> (
+        match i.Cca.reset with
+        | Some r ->
+            r ();
+            i
+        | None -> assert false)
+    | None -> Reno.make_in cols
+  in
+  Gc.compact ();
+  let base = (Gc.stat ()).Gc.live_words in
+  let r = Sim.Population.run ~cca cfg in
+  Gc.full_major ();
+  let bytes_per_flow =
+    float_of_int (((Gc.stat ()).Gc.live_words - base) * (Sys.word_size / 8))
+    /. float_of_int n
+  in
+  Printf.printf "census: %.1f bytes/flow, %d of %d flows completed\n"
+    bytes_per_flow r.Sim.Population.completed n;
+  Alcotest.(check bool)
+    (Printf.sprintf "%.1f bytes/flow <= 200" bytes_per_flow)
+    true (bytes_per_flow <= 200.);
+  Alcotest.(check bool)
+    (Printf.sprintf "%d of %d flows completed" r.Sim.Population.completed n)
+    true
+    (r.Sim.Population.completed > n / 2);
+  ignore (Sys.opaque_identity r)
+
+(* Optional layers must stay cheap.  [overhead_ratio ~plain ~layered]
+   times the two loops back to back in each of 15 rounds, with a major
+   GC before each run, and returns the median of the per-round ratios
+   layered / plain.  On a shared 2-vCPU host the speed of a core swings
+   by up to 2x within a second, so best-of-N timings of each side can
+   come from different speed phases (best-of-5 read 0.66 to 1.17 on the
+   same code while the other test executables ran); the two runs of a
+   round share a phase, and the median drops the rounds that straddle a
+   switch.  The scenario is a fast link with a short RTT (192 Mbit/s,
+   10 ms, single Reno, no series, 2 s x 4 runs): a checkpoint's or an
+   audit's price scales with the live state it walks, the run's with
+   the packets it simulates, so the ratio is a property of the layer
+   rather than of an idle simulation. *)
+let overhead_ratio ~plain ~layered =
+  plain ();
+  layered ();
+  let time f =
+    Gc.full_major ();
+    let t0 = Unix.gettimeofday () in
+    f ();
+    Unix.gettimeofday () -. t0
+  in
+  let ratios =
+    Array.init 15 (fun _ ->
+        let t_plain = time plain in
+        time layered /. t_plain)
+  in
+  Array.sort Float.compare ratios;
+  ratios.(7)
+
+let overhead_config ?monitor_period () =
+  let rate = Sim.Units.mbps 192. in
+  Sim.Network.config ~rate:(Sim.Link.Constant rate)
+    ~buffer:(Sim.Units.bdp_bytes ~rate ~rtt:0.01) ~rm:0.01 ~duration:2.
+    ?monitor_period
+    [ Sim.Network.flow ~record_series:false (Reno.make ()) ]
+
+let overhead_runs f () =
+  for _ = 1 to 4 do
+    f ()
+  done
+
+(* Snapshot overhead <= 5%: the same run paused every simulated second
+   for a full capture (state hash + closure-carrying serialization).
+   Measured 0.0%. *)
+let test_snapshot_overhead () =
+  let checkpoints = ref 0 in
+  let ratio =
+    overhead_ratio
+      ~plain:
+        (overhead_runs (fun () ->
+             ignore (Sim.Network.run_config (overhead_config ()))))
+      ~layered:
+        (overhead_runs (fun () ->
+             ignore
+               (Sim.Snapshot.run_with_checkpoints ~interval:1.0
+                  ~on_checkpoint:(fun _ -> incr checkpoints)
+                  (Sim.Network.build (overhead_config ())))))
+  in
+  Printf.printf "snapshot overhead ratio %.4f\n" ratio;
+  Alcotest.(check bool) "checkpoints taken" true (!checkpoints > 0);
+  Alcotest.(check bool)
+    (Printf.sprintf "snapshot overhead %.1f%% <= 5%%" (100. *. (ratio -. 1.)))
+    true (ratio <= 1.05)
+
+(* Invariant-monitor overhead <= 10%: the same run auditing every 10 ms
+   of simulated time (clock, queue, jitter and every conservation
+   identity) from the scheduler's step hook.  Measured 2.5%. *)
+let test_monitor_overhead () =
+  let audits = ref 0 in
+  let run monitor_period () =
+    let net = Sim.Network.run_config (overhead_config ?monitor_period ()) in
+    match Sim.Network.invariant net with
+    | Some inv -> audits := !audits + Sim.Invariant.checks_run inv
+    | None -> ()
+  in
+  let ratio =
+    overhead_ratio ~plain:(overhead_runs (run None))
+      ~layered:(overhead_runs (run (Some 0.01)))
+  in
+  Printf.printf "monitor overhead ratio %.4f\n" ratio;
+  Alcotest.(check bool) "audits ran" true (!audits > 0);
+  Alcotest.(check bool)
+    (Printf.sprintf "monitor overhead %.1f%% <= 10%%" (100. *. (ratio -. 1.)))
+    true (ratio <= 1.10)
+
 let test_network_sized_flow_completes () =
   let size = 15_000 in
   let cfg =
@@ -2146,7 +2329,34 @@ let test_network_sized_flow_completes () =
   | None -> Alcotest.fail "no completion time");
   (* Completion quiesces the flow: no timers left re-arming forever. *)
   Alcotest.(check int) "event queue drained" 0
-    (Sim.Event_queue.pending (Sim.Network.event_queue net))
+    (Sim.Event_queue.pending (Sim.Network.event_queue net));
+  (* A small churning population: eight sized flows arriving over the
+     run, with the census's Poisson gaps and Pareto(1.5) sizes.  Its
+     queue never outgrows the wheel threshold, so the wheel is never
+     allocated: few-flow runs stay on the overflow-heap path. *)
+  let master = Sim.Rng.create ~seed:7 in
+  let arrivals = Sim.Rng.stream master ~label:"test/churn/arrivals" in
+  let sizes = Sim.Rng.stream master ~label:"test/churn/sizes" in
+  let t = ref 0. in
+  let specs =
+    List.init 8 (fun _ ->
+        t := !t +. Sim.Rng.exponential arrivals ~mean:0.15;
+        let size =
+          min 10_000_000 (int_of_float (Sim.Rng.pareto sizes ~alpha:1.5 ~xm:15_000.))
+        in
+        Sim.Network.flow ~start_time:(Float.min !t 1.2) ~record_series:false
+          ~size_bytes:size (Reno.make ()))
+  in
+  let churn =
+    Sim.Network.run_config
+      (Sim.Network.config
+         ~rate:(Sim.Link.Constant (Sim.Units.mbps 480.))
+         ~rm:0.02 ~seed:7 ~duration:2. specs)
+  in
+  Alcotest.(check bool) "8-flow churn completes" true
+    (Array.for_all Sim.Flow.completed (Sim.Network.flows churn));
+  Alcotest.(check bool) "8-flow churn never allocates the wheel" false
+    (Sim.Event_queue.wheel_allocated (Sim.Network.event_queue churn))
 
 (* Scripted window driver for the outstanding ring: a stub CCA whose
    window we resize by hand, ACKs delivered oldest-first on command.
@@ -2591,18 +2801,6 @@ let () =
   let qt = QCheck_alcotest.to_alcotest in
   Alcotest.run "sim"
     [
-      ( "heap",
-        [
-          Alcotest.test_case "basic" `Quick test_heap_basic;
-          Alcotest.test_case "pop_exn empty" `Quick test_heap_pop_exn_empty;
-          Alcotest.test_case "clear" `Quick test_heap_clear;
-          Alcotest.test_case "to_sorted preserves" `Quick test_heap_to_sorted_preserves;
-          Alcotest.test_case "pop releases elements" `Quick test_heap_pop_releases;
-          Alcotest.test_case "clear releases elements" `Quick
-            test_heap_clear_releases;
-          qt prop_heap_sorts;
-          qt prop_heap_interleaved;
-        ] );
       ( "event_queue",
         [
           Alcotest.test_case "ordering" `Quick test_eq_ordering;
@@ -2619,6 +2817,11 @@ let () =
           Alcotest.test_case "step hook" `Quick
             test_eq_step_hook_observes_every_step;
           Alcotest.test_case "wheel lazy bypass" `Quick test_eq_wheel_lazy_bypass;
+          Alcotest.test_case "pop and cancel release closures (wheel)" `Quick
+            (eq_releases_closures ~wheel_threshold:0);
+          Alcotest.test_case
+            "pop and cancel release closures (overflow heap)" `Quick
+            (eq_releases_closures ?wheel_threshold:None);
           qt prop_eq_stable_order;
           qt prop_eq_backend_equivalence;
           Alcotest.test_case "peak at 100k flows" `Slow test_eq_peak_100k_flows;
@@ -2761,6 +2964,8 @@ let () =
           Alcotest.test_case "ce propagates" `Quick test_flow_ce_propagates;
           Alcotest.test_case "table memory bounded" `Quick
             test_flow_table_memory_bounded;
+          Alcotest.test_case "census memory bounded" `Slow
+            test_census_memory_bounded;
           qt prop_flow_ring_growth_conservation;
         ] );
       ( "units",
@@ -2791,14 +2996,14 @@ let () =
           Alcotest.test_case "deterministic" `Quick test_network_deterministic;
           Alcotest.test_case "accessor lengths" `Quick test_network_accessor_lengths;
           Alcotest.test_case "start stop" `Quick test_network_flow_start_stop;
-          Alcotest.test_case "backend equivalence" `Quick
-            test_network_backend_equivalence;
           Alcotest.test_case "sized flow completes" `Quick
             test_network_sized_flow_completes;
           Alcotest.test_case "event queue stays small" `Quick
             test_network_event_queue_peak;
           Alcotest.test_case "minor-words budget" `Quick
             test_network_minor_words_budget;
+          Alcotest.test_case "snapshot overhead" `Slow test_snapshot_overhead;
+          Alcotest.test_case "monitor overhead" `Slow test_monitor_overhead;
           qt prop_network_physical_invariants;
         ] );
       ( "population",

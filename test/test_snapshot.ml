@@ -25,6 +25,8 @@ let mk_cca = function
 let base_flow ?jitter ?jitter_bound ?ack_policy ?loss_rate cca_id =
   Sim.Network.flow ?jitter ?jitter_bound ?ack_policy ?loss_rate (mk_cca cca_id)
 
+let wheel_scenario = "wheel-300-staggered"
+
 (* A matrix of deliberately awkward scenarios: CCAs with internal state
    machines, jitter RNG streams, delayed/aggregated ACK timers, random
    loss, AQM marking state, DRR per-flow queues, and fault chains —
@@ -90,6 +92,19 @@ let scenarios : (string * (unit -> Sim.Network.config)) list =
         Sim.Network.config ~rate:(Sim.Link.Constant rate) ~buffer
           ~aqm:(Sim.Aqm.codel ()) ~rm:0.04 ~seed:6 ~duration:2.0
           [ base_flow 0; base_flow 1 ] );
+    (* Enough flows that the event queue outgrows its wheel threshold:
+       the capture carries a live timer wheel and due heap, not just the
+       overflow heap every small scenario stays in.  The matrix asserts
+       the wheel is allocated at the capture point. *)
+    ( wheel_scenario,
+      fun () ->
+        Sim.Network.config
+          ~rate:(Sim.Link.Constant (Sim.Units.mbps 48.))
+          ~buffer ~rm:0.04 ~seed:7 ~duration:2.0
+          (List.init 300 (fun i ->
+               Sim.Network.flow
+                 ~start_time:(float_of_int i *. 0.003)
+                 (mk_cca (if i mod 2 = 0 then 0 else 4)))) );
   ]
 
 (* Observable outcome of a finished run, compared bit-for-bit. *)
@@ -133,7 +148,17 @@ let test_split_run_matrix () =
       Alcotest.(check string)
         (name ^ ": split == straight")
         (run_straight mk) (run_split mk))
-    scenarios
+    scenarios;
+  (* The wheel scenario must keep covering a live wheel: replay it to
+     its capture point (mid-horizon, t = 1 s). *)
+  let net = Sim.Network.build ((List.assoc wheel_scenario scenarios) ()) in
+  Sim.Network.run_to net 1.0;
+  let eq = Sim.Network.event_queue net in
+  Alcotest.(check bool)
+    (Printf.sprintf "%s: wheel allocated at capture (%d pending)"
+       wheel_scenario (Sim.Event_queue.pending eq))
+    true
+    (Sim.Event_queue.wheel_allocated eq)
 
 let test_double_split () =
   (* Snapshot twice (at 1/3 and 2/3) — restores compose. *)
