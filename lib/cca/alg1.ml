@@ -23,6 +23,24 @@ let default_params =
     mss = Cca.default_mss;
   }
 
+(* Every test fails on NaN. *)
+let check_params fn p =
+  if not (Float.is_finite p.rm && p.rm > 0.) then
+    invalid_arg (fn ^ ": rm must be finite and positive");
+  if not (Float.is_finite p.rmax && p.rmax > 0.) then
+    invalid_arg (fn ^ ": rmax must be finite and positive");
+  if not (Float.is_finite p.d_jitter && p.d_jitter > 0.) then
+    invalid_arg (fn ^ ": d_jitter must be finite and positive");
+  if not (Float.is_finite p.s && p.s > 1.) then invalid_arg (fn ^ ": s must be finite and > 1");
+  if not (Float.is_finite p.mu_minus && p.mu_minus > 0.) then
+    invalid_arg (fn ^ ": mu_minus must be finite and positive");
+  if not (Float.is_finite p.a && p.a > 0.) then
+    invalid_arg (fn ^ ": a must be finite and positive");
+  if not (p.b > 0. && p.b < 1.) then invalid_arg (fn ^ ": b must be in (0, 1)");
+  if not (Float.is_finite p.init_rate && p.init_rate > 0.) then
+    invalid_arg (fn ^ ": init_rate must be finite and positive");
+  if p.mss <= 0 then invalid_arg (fn ^ ": mss must be positive")
+
 let target_rate p ~d =
   p.mu_minus *. (p.s ** ((p.rmax -. (d -. p.rm)) /. p.d_jitter))
 
@@ -38,6 +56,7 @@ type state = {
 }
 
 let make ?(params = default_params) () =
+  check_params "Alg1.make" params;
   let s =
     { p = params; rate = params.init_rate; last_rtt = params.rm; next_update = 0. }
   in

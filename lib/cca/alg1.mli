@@ -31,7 +31,15 @@ val default_params : params
 (** D = 10 ms, s = 2, rmax = 100 ms, rm = 50 ms — the paper's running
     example supporting a ~2^10 rate range. *)
 
+val check_params : string -> params -> unit
+(** [check_params fn p] raises [Invalid_argument] with the prefix
+    ["fn: "] and the name of the first bad field unless [rm], [rmax],
+    [d_jitter], [mu_minus], [a] and [init_rate] are finite and positive,
+    [s] is finite and > 1, [b] is in (0, 1) and [mss] is positive.  NaN
+    fails every check.  {!make} and [Ccac.Alg1_check.check] apply it. *)
+
 val make : ?params:params -> unit -> Cca.t
+(** @raise Invalid_argument as {!check_params}. *)
 
 val target_rate : params -> d:float -> float
 (** The rate-delay curve mu(d) = mu_minus * s^((rmax - (d - rm)) / D). *)

@@ -27,6 +27,28 @@ let default_params =
     mss = Cca.default_mss;
   }
 
+(* Every test fails on NaN.  The filter windows follow
+   {!Window.Extremum}: 0 and [infinity] are legal. *)
+let check_params p =
+  let bad what = invalid_arg ("Bbr.make: " ^ what) in
+  if not (Float.is_finite p.quanta_packets && p.quanta_packets >= 0.) then
+    bad "quanta_packets must be finite and >= 0";
+  if not (Float.is_finite p.cwnd_gain && p.cwnd_gain > 0.) then
+    bad "cwnd_gain must be finite and positive";
+  if not (Float.is_finite p.startup_gain && p.startup_gain > 0.) then
+    bad "startup_gain must be finite and positive";
+  if not (p.bw_window_rounds >= 0.) then
+    bad "bw_window_rounds must be >= 0";
+  if not (p.min_rtt_window >= 0.) then
+    bad "min_rtt_window must be >= 0";
+  if not (Float.is_finite p.probe_rtt_duration && p.probe_rtt_duration >= 0.) then
+    bad "probe_rtt_duration must be finite and >= 0";
+  if not (Float.is_finite p.probe_rtt_cwnd_packets && p.probe_rtt_cwnd_packets > 0.)
+  then bad "probe_rtt_cwnd_packets must be finite and positive";
+  if not (Float.is_finite p.init_cwnd_packets && p.init_cwnd_packets > 0.) then
+    bad "init_cwnd_packets must be finite and positive";
+  if p.mss <= 0 then bad "mss must be positive"
+
 type mode = Startup | Drain | Probe_bw | Probe_rtt of float (* exit time *)
 
 let gain_cycle = [| 1.25; 0.75; 1.; 1.; 1.; 1.; 1.; 1. |]
@@ -98,6 +120,7 @@ let check_full_pipe s =
   else s.full_bw_rounds <- s.full_bw_rounds + 1
 
 let make ?(params = default_params) () =
+  check_params params;
   let s =
     {
       p = params;

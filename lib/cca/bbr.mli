@@ -32,6 +32,12 @@ type params = {
 
 val default_params : params
 val make : ?params:params -> unit -> Cca.t
+(** @raise Invalid_argument naming the field unless [quanta_packets] is
+    finite and >= 0; [cwnd_gain], [startup_gain] and
+    [probe_rtt_cwnd_packets] are finite and positive; [bw_window_rounds]
+    and [min_rtt_window] are >= 0 ([infinity] is legal);
+    [probe_rtt_duration] is finite and >= 0; [init_cwnd_packets] is
+    finite and positive and [mss] is positive.  NaN fails every check. *)
 
 val equilibrium_rate_cwnd_limited : params -> rtt:float -> rm:float -> float
 (** §5.2: [alpha / (RTT - 2 Rm)] bytes/s — the cwnd-limited rate-delay map. *)

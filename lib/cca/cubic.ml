@@ -8,6 +8,17 @@ type params = {
 let default_params =
   { c = 0.4; beta = 0.7; init_cwnd_packets = 4.; mss = Cca.default_mss }
 
+(* Every test fails on NaN. *)
+let check_params p =
+  let bad what = invalid_arg ("Cubic.make: " ^ what) in
+  if not (Float.is_finite p.c && p.c > 0.) then
+    bad "c must be finite and positive";
+  if not (p.beta > 0. && p.beta < 1.) then
+    bad "beta must be in (0, 1)";
+  if not (Float.is_finite p.init_cwnd_packets && p.init_cwnd_packets > 0.) then
+    bad "init_cwnd_packets must be finite and positive";
+  if p.mss <= 0 then bad "mss must be positive"
+
 type state = {
   p : params;
   mutable cwnd : float; (* bytes *)
@@ -21,6 +32,7 @@ type state = {
 }
 
 let make ?(params = default_params) () =
+  check_params params;
   let mss = float_of_int params.mss in
   let s =
     {

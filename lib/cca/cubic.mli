@@ -16,3 +16,6 @@ type params = {
 
 val default_params : params
 val make : ?params:params -> unit -> Cca.t
+(** @raise Invalid_argument naming the field unless [c] is finite and
+    positive, [beta] is in (0, 1), [init_cwnd_packets] is finite and
+    positive and [mss] is positive.  NaN fails every check. *)

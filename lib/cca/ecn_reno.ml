@@ -7,6 +7,15 @@ type params = {
 let default_params =
   { init_cwnd_packets = 4.; loss_tolerance = 0.05; mss = Cca.default_mss }
 
+(* Every test fails on NaN. *)
+let check_params p =
+  let bad what = invalid_arg ("Ecn_reno.make: " ^ what) in
+  if not (Float.is_finite p.init_cwnd_packets && p.init_cwnd_packets > 0.) then
+    bad "init_cwnd_packets must be finite and positive";
+  if not (p.loss_tolerance >= 0. && p.loss_tolerance <= 1.) then
+    bad "loss_tolerance must be in [0, 1]";
+  if p.mss <= 0 then bad "mss must be positive"
+
 type state = {
   p : params;
   mutable cwnd : float;
@@ -20,6 +29,7 @@ type state = {
 }
 
 let make ?(params = default_params) () =
+  check_params params;
   let mss = float_of_int params.mss in
   let s =
     {

@@ -22,3 +22,6 @@ type params = {
 
 val default_params : params
 val make : ?params:params -> unit -> Cca.t
+(** @raise Invalid_argument naming the field unless [init_cwnd_packets]
+    is finite and positive, [loss_tolerance] is in \[0, 1\] and [mss] is
+    positive.  NaN fails every check. *)

@@ -8,6 +8,17 @@ type params = {
 let default_params =
   { alpha_packets = 10.; gamma = 0.5; init_cwnd_packets = 4.; mss = Cca.default_mss }
 
+(* Every test fails on NaN. *)
+let check_params p =
+  let bad what = invalid_arg ("Fast_tcp.make: " ^ what) in
+  if not (Float.is_finite p.alpha_packets && p.alpha_packets >= 0.) then
+    bad "alpha_packets must be finite and >= 0";
+  if not (p.gamma > 0. && p.gamma <= 1.) then
+    bad "gamma must be in (0, 1]";
+  if not (Float.is_finite p.init_cwnd_packets && p.init_cwnd_packets > 0.) then
+    bad "init_cwnd_packets must be finite and positive";
+  if p.mss <= 0 then bad "mss must be positive"
+
 type state = {
   p : params;
   mutable cwnd : float; (* bytes *)
@@ -27,6 +38,7 @@ let per_rtt_update s =
   end
 
 let make ?(params = default_params) () =
+  check_params params;
   let s =
     {
       p = params;

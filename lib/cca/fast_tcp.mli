@@ -16,6 +16,9 @@ type params = {
 
 val default_params : params
 val make : ?params:params -> unit -> Cca.t
+(** @raise Invalid_argument naming the field unless [alpha_packets] is
+    finite and >= 0, [gamma] is in (0, 1], [init_cwnd_packets] is finite
+    and positive and [mss] is positive.  NaN fails every check. *)
 
 val equilibrium_rtt : params -> rate:float -> rm:float -> float
 (** [Rm + alpha * mss / C] — the Figure 3 (left) line. *)

@@ -15,6 +15,20 @@ let default_params =
     mss = Cca.default_mss;
   }
 
+(* Every test fails on NaN.  [base_history] follows
+   {!Window.Extremum}: 0 and [infinity] are legal. *)
+let check_params p =
+  let bad what = invalid_arg ("Ledbat.make: " ^ what) in
+  if not (Float.is_finite p.target && p.target > 0.) then
+    bad "target must be finite and positive";
+  if not (Float.is_finite p.gain && p.gain > 0.) then
+    bad "gain must be finite and positive";
+  if not (p.base_history >= 0.) then
+    bad "base_history must be >= 0";
+  if not (Float.is_finite p.init_cwnd_packets && p.init_cwnd_packets > 0.) then
+    bad "init_cwnd_packets must be finite and positive";
+  if p.mss <= 0 then bad "mss must be positive"
+
 type state = {
   p : params;
   mutable cwnd : float;
@@ -23,6 +37,7 @@ type state = {
 }
 
 let make ?(params = default_params) () =
+  check_params params;
   let mss = float_of_int params.mss in
   let s =
     {

@@ -24,6 +24,10 @@ type params = {
 
 val default_params : params
 val make : ?params:params -> unit -> Cca.t
+(** @raise Invalid_argument naming the field unless [target] and [gain]
+    are finite and positive, [base_history] is >= 0 ([infinity] is
+    legal), [init_cwnd_packets] is finite and positive and [mss] is
+    positive.  NaN fails every check. *)
 
 val equilibrium_rtt : params -> rate:float -> rm:float -> float
 (** [Rm + target + mss/C]. *)

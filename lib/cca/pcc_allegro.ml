@@ -21,6 +21,22 @@ let default_params =
     mss = Cca.default_mss;
   }
 
+(* Every test fails on NaN. *)
+let check_params p =
+  let bad what = invalid_arg ("Pcc_allegro.make: " ^ what) in
+  if not (Float.is_finite p.alpha && p.alpha > 0.) then
+    bad "alpha must be finite and positive";
+  if not (p.loss_threshold >= 0. && p.loss_threshold <= 1.) then
+    bad "loss_threshold must be in [0, 1]";
+  if not (p.eps0 > 0. && p.eps0 < 1.) then bad "eps0 must be in (0, 1)";
+  if not (p.eps_max >= p.eps0 && p.eps_max < 1.) then
+    bad "eps_max must be in [eps0, 1)";
+  if not (Float.is_finite p.init_rate && p.init_rate > 0.) then
+    bad "init_rate must be finite and positive";
+  if not (Float.is_finite p.min_rate && p.min_rate > 0.) then
+    bad "min_rate must be finite and positive";
+  if p.mss <= 0 then bad "mss must be positive"
+
 let sigmoid y = 1. /. (1. +. exp y)
 
 let utility p ~rate_mbps ~loss =
@@ -70,6 +86,7 @@ let random_order rng =
   order
 
 let make ?(params = default_params) () =
+  check_params params;
   let s =
     {
       p = params;

@@ -34,5 +34,9 @@ type params = {
 
 val default_params : params
 val make : ?params:params -> unit -> Cca.t
+(** @raise Invalid_argument naming the field unless [alpha] is finite
+    and positive, [loss_threshold] is in \[0, 1\], [eps0] is in (0, 1),
+    [eps_max] is in \[eps0, 1), [init_rate] and [min_rate] are finite and
+    positive and [mss] is positive.  NaN fails every check. *)
 
 val utility : params -> rate_mbps:float -> loss:float -> float

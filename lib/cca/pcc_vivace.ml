@@ -25,6 +25,26 @@ let default_params =
     mss = Cca.default_mss;
   }
 
+(* Every test fails on NaN. *)
+let check_params p =
+  let bad what = invalid_arg ("Pcc_vivace.make: " ^ what) in
+  if not (p.eps > 0. && p.eps < 1.) then bad "eps must be in (0, 1)";
+  if not (Float.is_finite p.throughput_exponent && p.throughput_exponent > 0.) then
+    bad "throughput_exponent must be finite and positive";
+  if not (Float.is_finite p.latency_coeff && p.latency_coeff >= 0.) then
+    bad "latency_coeff must be finite and >= 0";
+  if not (Float.is_finite p.loss_coeff && p.loss_coeff >= 0.) then
+    bad "loss_coeff must be finite and >= 0";
+  if not (Float.is_finite p.theta0 && p.theta0 > 0.) then
+    bad "theta0 must be finite and positive";
+  if not (Float.is_finite p.omega && p.omega > 0.) then
+    bad "omega must be finite and positive";
+  if not (Float.is_finite p.init_rate && p.init_rate > 0.) then
+    bad "init_rate must be finite and positive";
+  if not (Float.is_finite p.min_rate && p.min_rate > 0.) then
+    bad "min_rate must be finite and positive";
+  if p.mss <= 0 then bad "mss must be positive"
+
 let utility p ~rate_mbps ~rtt_gradient ~loss =
   if rate_mbps <= 0. then 0.
   else
@@ -62,6 +82,7 @@ type state = {
 }
 
 let make ?(params = default_params) () =
+  check_params params;
   let s =
     {
       p = params;

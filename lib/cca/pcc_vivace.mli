@@ -32,6 +32,10 @@ type params = {
 
 val default_params : params
 val make : ?params:params -> unit -> Cca.t
+(** @raise Invalid_argument naming the field unless [eps] is in (0, 1);
+    [throughput_exponent], [theta0], [omega], [init_rate] and [min_rate]
+    are finite and positive; [latency_coeff] and [loss_coeff] are finite
+    and >= 0 and [mss] is positive.  NaN fails every check. *)
 
 val utility :
   params -> rate_mbps:float -> rtt_gradient:float -> loss:float -> float

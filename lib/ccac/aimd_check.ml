@@ -57,6 +57,17 @@ let system ~bdp ~buffer ~allow_injected_loss =
 
 let check ~bdp ~buffer ~horizon ?(allow_injected_loss = false) ?(w1_0 = 1.)
     ?(w2_0 = bdp) ?(beam_width = 4096) () =
+  (* Every test fails on NaN; [infinity] is a legal [buffer]. *)
+  let fn = "Aimd_check.check" in
+  if not (Float.is_finite bdp && bdp > 0.) then
+    invalid_arg (fn ^ ": bdp must be finite and positive");
+  if not (buffer >= 0.) then invalid_arg (fn ^ ": buffer must be >= 0");
+  if horizon < 0 then invalid_arg (fn ^ ": horizon must be >= 0");
+  if not (Float.is_finite w1_0 && w1_0 > 0.) then
+    invalid_arg (fn ^ ": w1_0 must be finite and positive");
+  if not (Float.is_finite w2_0 && w2_0 > 0.) then
+    invalid_arg (fn ^ ": w2_0 must be finite and positive");
+  if beam_width < 1 then invalid_arg (fn ^ ": beam_width must be >= 1");
   let sys = system ~bdp ~buffer ~allow_injected_loss ~w1_0 ~w2_0 in
   (* Branching is at most 3 per step; DFS is exact up to ~13 steps even in
      the worst case, and usually much cheaper because overflow is rare. *)

@@ -46,4 +46,8 @@ val check :
   verdict
 (** Initial windows default to (1, bdp) — the worst case of a newcomer
     meeting an incumbent.  DFS is used when the tree has at most ~2e6
-    leaves, otherwise beam search with [beam_width] (default 4096). *)
+    leaves, otherwise beam search with [beam_width] (default 4096).
+    @raise Invalid_argument naming the parameter unless [bdp], [w1_0] and
+    [w2_0] are finite and positive, [buffer] is >= 0 ([infinity] is
+    legal), [horizon] is >= 0 and [beam_width] is >= 1.  NaN fails every
+    check. *)

@@ -30,9 +30,10 @@ let system ~params ~link_rate ~curve ~dynamics ~warmup ~score =
   let p = params in
   let rm = p.Alg1.rm in
   let jitter_levels = [ 0.; p.Alg1.d_jitter /. 2.; p.Alg1.d_jitter ] in
-  let choices _ =
+  let pairs =
     List.concat_map (fun j1 -> List.map (fun j2 -> (j1, j2)) jitter_levels) jitter_levels
   in
+  let choices _ = pairs in
   let update mu d =
     let next =
       if mu < threshold ~params:p ~curve ~d then mu +. p.Alg1.a
@@ -82,6 +83,12 @@ let ratio st =
   else Float.max (st.acked2 /. st.acked1) (st.acked1 /. st.acked2)
 
 let check ~params ~link_rate ~curve ?(dynamics = Aimd) ~horizon ?(beam_width = 512) () =
+  let fn = "Alg1_check.check" in
+  Alg1.check_params fn params;
+  if not (Float.is_finite link_rate && link_rate > 0.) then
+    invalid_arg (fn ^ ": link_rate must be finite and positive");
+  if horizon < 0 then invalid_arg (fn ^ ": horizon must be >= 0");
+  if beam_width < 1 then invalid_arg (fn ^ ": beam_width must be >= 1");
   let warmup = horizon / 2 in
   let ratio_sys = system ~params ~link_rate ~curve ~dynamics ~warmup ~score:ratio in
   let best_ratio = Search.beam_max ratio_sys ~horizon ~width:beam_width in

@@ -49,4 +49,7 @@ val check :
   ?beam_width:int ->
   unit ->
   verdict
-(** [dynamics] defaults to [Aimd] (the published Algorithm 1). *)
+(** [dynamics] defaults to [Aimd] (the published Algorithm 1).
+    @raise Invalid_argument naming the parameter if [params] fails
+    {!Alg1.check_params}, unless [link_rate] is finite and positive,
+    [horizon] is >= 0 and [beam_width] is >= 1.  NaN fails every check. *)

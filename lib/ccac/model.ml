@@ -191,22 +191,19 @@ let utilization ~link_rate ~rm ~warmup st =
 
 let system ~cca ~link_rate ~rm ~big_d ~buffer ~warmup ~score =
   let jitters = [ 0.; big_d /. 2.; big_d ] in
-  let choices st =
-    let backlogged = queue st > 1e-9 in
-    let wastes = if backlogged then [ false ] else [ false; true ] in
+  let moves waste =
     List.concat_map
-      (fun waste ->
+      (fun split_bias ->
         List.concat_map
-          (fun split_bias ->
-            List.concat_map
-              (fun jitter_1 ->
-                List.map
-                  (fun jitter_2 -> { waste; split_bias; jitter_1; jitter_2 })
-                  jitters)
-              jitters)
-          [ `Fifo; `Favor_1; `Favor_2 ])
-      wastes
+          (fun jitter_1 ->
+            List.map (fun jitter_2 -> { waste; split_bias; jitter_1; jitter_2 }) jitters)
+          jitters)
+      [ `Fifo; `Favor_1; `Favor_2 ]
   in
+  (* The alphabet is built once per system, not once per searched state. *)
+  let busy = moves false in
+  let idle = busy @ moves true in
+  let choices st = if queue st > 1e-9 then busy else idle in
   let step st c =
     (* Arrivals this step at the CCAs' current rates, clipped by the
        buffer: bytes beyond it are dropped and become the loss signal. *)
@@ -289,8 +286,20 @@ let system ~cca ~link_rate ~rm ~big_d ~buffer ~warmup ~score =
     score;
   }
 
+(* Every test fails on NaN; [infinity] is a legal [big_d] or [buffer]. *)
+let check_args fn ~link_rate ~rm ~big_d ~buffer ~horizon ~beam_width =
+  if not (Float.is_finite link_rate && link_rate > 0.) then
+    invalid_arg (fn ^ ": link_rate must be finite and positive");
+  if not (Float.is_finite rm && rm > 0.) then
+    invalid_arg (fn ^ ": rm must be finite and positive");
+  if not (big_d >= 0.) then invalid_arg (fn ^ ": big_d must be >= 0");
+  if not (buffer >= 0.) then invalid_arg (fn ^ ": buffer must be >= 0");
+  if horizon < 0 then invalid_arg (fn ^ ": horizon must be >= 0");
+  if beam_width < 1 then invalid_arg (fn ^ ": beam_width must be >= 1")
+
 let max_unfairness ~cca ~link_rate ~rm ~big_d ?buffer ~horizon ?(beam_width = 256) () =
   let buffer = Option.value buffer ~default:infinity in
+  check_args "Model.max_unfairness" ~link_rate ~rm ~big_d ~buffer ~horizon ~beam_width;
   let sys =
     system ~cca ~link_rate ~rm ~big_d ~buffer ~warmup:(horizon / 2)
       ~score:unfairness
@@ -301,6 +310,7 @@ let max_unfairness ~cca ~link_rate ~rm ~big_d ?buffer ~horizon ?(beam_width = 25
 let min_utilization ~cca ~link_rate ~rm ~big_d ?buffer ~horizon ?(beam_width = 256) () =
   let warmup = horizon / 2 in
   let buffer = Option.value buffer ~default:infinity in
+  check_args "Model.min_utilization" ~link_rate ~rm ~big_d ~buffer ~horizon ~beam_width;
   let score st = 1. -. utilization ~link_rate ~rm ~warmup st in
   let sys = system ~cca ~link_rate ~rm ~big_d ~buffer ~warmup ~score in
   let best = Search.beam_max sys ~horizon ~width:beam_width in

@@ -144,7 +144,11 @@ val max_unfairness :
   ?beam_width:int ->
   unit ->
   float * choice list
-(** Beam-search the adversary's best unfairness over [horizon] steps. *)
+(** Beam-search the adversary's best unfairness over [horizon] steps.
+    @raise Invalid_argument naming the parameter unless [link_rate] and
+    [rm] are finite and positive, [big_d] and [buffer] are >= 0
+    ([infinity] is legal for both), [horizon] is >= 0 and [beam_width]
+    is >= 1.  NaN fails every check. *)
 
 val min_utilization :
   cca:'s cca ->
@@ -156,4 +160,5 @@ val min_utilization :
   ?beam_width:int ->
   unit ->
   float
-(** Beam-search the adversary's best under-utilization (single metric). *)
+(** Beam-search the adversary's best under-utilization (single metric).
+    @raise Invalid_argument as {!max_unfairness}. *)

@@ -372,10 +372,16 @@ let build cfg =
     done
   end;
 
-  (* Mid-run buffer renegotiations from the fault plan. *)
+  (* Mid-run buffer renegotiations from the fault plan.  [queue_mark] is
+     the occupancy at the last audit or resize, whichever came later: the
+     most the audit's queue-bound check may allow above the cap.  A
+     resize must set it, because the queue may have grown without bound
+     since the last audit. *)
+  let queue_mark = ref (Link.queued_bytes link) in
   List.iter
     (fun (at, buf) ->
       Event_queue.schedule eq ~at:(Float.max at cfg.t0) (fun () ->
+          queue_mark := Link.queued_bytes link;
           Link.set_buffer link buf))
     (Fault.buffer_events cfg.faults);
 
@@ -390,7 +396,6 @@ let build cfg =
     | Some _ ->
         let inv = Invariant.create () in
         let prev_now = ref cfg.t0 in
-        let prev_queued = ref (Link.queued_bytes link) in
         let prev_jitter = Array.make (Array.length jitters) 0 in
         let audit () =
           let now = Event_queue.now eq in
@@ -416,17 +421,18 @@ let build cfg =
             (offered = delivered + dropped + queued);
           (* Occupancy may exceed the cap only transiently after a buffer
              shrink, and then only while draining: admission control never
-             admits above the cap, so any excess must shrink between
-             audits. *)
+             admits above the cap, so the queue can stand above the cap by
+             no more than it did at the last audit or, if the cap changed
+             since, at the resize. *)
           (match Link.buffer link with
           | None -> ()
           | Some cap ->
               Invariant.check inv ~time:now ~name:"queue-bound"
                 ~detail:(fun () ->
-                  Printf.sprintf "queued %d > buffer %d (previous audit %d)"
-                    queued cap !prev_queued)
-                (queued <= max cap !prev_queued));
-          prev_queued := queued;
+                  Printf.sprintf "queued %d > buffer %d (%d at the last audit or resize)"
+                    queued cap !queue_mark)
+                (queued <= max cap !queue_mark));
+          queue_mark := queued;
           let jitter_delta = ref 0 in
           Array.iteri
             (fun i j -> jitter_delta := !jitter_delta + Jitter.violations j - prev_jitter.(i))

@@ -1266,6 +1266,135 @@ let test_params_rejected () =
       vegas { v with alpha = 3.; beta = 3.; gamma = 0. };
     ]
 
+(* The other eight constructors reject bad params with an error naming
+   the field, NaN included; their defaults and boundary values stay
+   legal. *)
+let test_params_rejected_others () =
+  let mk name make = (name, fun () -> ignore (make ())) in
+  let bbr p = mk "Bbr.make" (Bbr.make ~params:p)
+  and cubic p = mk "Cubic.make" (Cubic.make ~params:p)
+  and fast p = mk "Fast_tcp.make" (Fast_tcp.make ~params:p)
+  and ledbat p = mk "Ledbat.make" (Ledbat.make ~params:p)
+  and vivace p = mk "Pcc_vivace.make" (Pcc_vivace.make ~params:p)
+  and allegro p = mk "Pcc_allegro.make" (Pcc_allegro.make ~params:p)
+  and ecn p = mk "Ecn_reno.make" (Ecn_reno.make ~params:p)
+  and alg1 p = mk "Alg1.make" (Alg1.make ~params:p) in
+  let b = Bbr.default_params
+  and c = Cubic.default_params
+  and f = Fast_tcp.default_params
+  and l = Ledbat.default_params
+  and v = Pcc_vivace.default_params
+  and a = Pcc_allegro.default_params
+  and e = Ecn_reno.default_params
+  and g = Alg1.default_params in
+  List.iter
+    (fun (field, (ctor, make)) ->
+      match make () with
+      | () -> Alcotest.failf "%s accepted a bad %s" ctor field
+      | exception Invalid_argument msg ->
+          Alcotest.(check bool)
+            (Printf.sprintf "%S names %s" msg field)
+            true
+            (String.starts_with ~prefix:(ctor ^ ": " ^ field) msg))
+    [
+      ("quanta_packets", bbr { b with quanta_packets = nan });
+      ("quanta_packets", bbr { b with quanta_packets = -1. });
+      ("cwnd_gain", bbr { b with cwnd_gain = nan });
+      ("cwnd_gain", bbr { b with cwnd_gain = 0. });
+      ("startup_gain", bbr { b with startup_gain = infinity });
+      ("bw_window_rounds", bbr { b with bw_window_rounds = nan });
+      ("bw_window_rounds", bbr { b with bw_window_rounds = -1. });
+      ("min_rtt_window", bbr { b with min_rtt_window = nan });
+      ("probe_rtt_duration", bbr { b with probe_rtt_duration = -0.1 });
+      ("probe_rtt_cwnd_packets", bbr { b with probe_rtt_cwnd_packets = 0. });
+      ("init_cwnd_packets", bbr { b with init_cwnd_packets = nan });
+      ("mss", bbr { b with mss = 0 });
+      ("c", cubic { c with c = nan });
+      ("c", cubic { c with c = 0. });
+      ("beta", cubic { c with beta = nan });
+      ("beta", cubic { c with beta = 1. });
+      ("beta", cubic { c with beta = 0. });
+      ("init_cwnd_packets", cubic { c with init_cwnd_packets = infinity });
+      ("mss", cubic { c with mss = -1 });
+      ("alpha_packets", fast { f with alpha_packets = nan });
+      ("alpha_packets", fast { f with alpha_packets = -1. });
+      ("gamma", fast { f with gamma = nan });
+      ("gamma", fast { f with gamma = 0. });
+      ("gamma", fast { f with gamma = 1.5 });
+      ("init_cwnd_packets", fast { f with init_cwnd_packets = 0. });
+      ("mss", fast { f with mss = 0 });
+      ("target", ledbat { l with target = nan });
+      ("target", ledbat { l with target = 0. });
+      ("gain", ledbat { l with gain = nan });
+      ("gain", ledbat { l with gain = -1. });
+      ("base_history", ledbat { l with base_history = nan });
+      ("base_history", ledbat { l with base_history = -1. });
+      ("init_cwnd_packets", ledbat { l with init_cwnd_packets = nan });
+      ("mss", ledbat { l with mss = 0 });
+      ("eps", vivace { v with eps = nan });
+      ("eps", vivace { v with eps = 0. });
+      ("eps", vivace { v with eps = 1. });
+      ("throughput_exponent", vivace { v with throughput_exponent = nan });
+      ("latency_coeff", vivace { v with latency_coeff = -1. });
+      ("loss_coeff", vivace { v with loss_coeff = nan });
+      ("theta0", vivace { v with theta0 = 0. });
+      ("omega", vivace { v with omega = nan });
+      ("init_rate", vivace { v with init_rate = nan });
+      ("init_rate", vivace { v with init_rate = 0. });
+      ("min_rate", vivace { v with min_rate = infinity });
+      ("mss", vivace { v with mss = 0 });
+      ("alpha", allegro { a with alpha = nan });
+      ("alpha", allegro { a with alpha = 0. });
+      ("loss_threshold", allegro { a with loss_threshold = nan });
+      ("loss_threshold", allegro { a with loss_threshold = 1.5 });
+      ("eps0", allegro { a with eps0 = nan });
+      ("eps0", allegro { a with eps0 = 0. });
+      ("eps_max", allegro { a with eps_max = nan });
+      ("eps_max", allegro { a with eps0 = 0.05; eps_max = 0.01 });
+      ("init_rate", allegro { a with init_rate = -1. });
+      ("min_rate", allegro { a with min_rate = nan });
+      ("mss", allegro { a with mss = 0 });
+      ("init_cwnd_packets", ecn { e with init_cwnd_packets = nan });
+      ("init_cwnd_packets", ecn { e with init_cwnd_packets = 0. });
+      ("loss_tolerance", ecn { e with loss_tolerance = nan });
+      ("loss_tolerance", ecn { e with loss_tolerance = -0.1 });
+      ("loss_tolerance", ecn { e with loss_tolerance = 1.1 });
+      ("mss", ecn { e with mss = 0 });
+      ("rm", alg1 { g with rm = nan });
+      ("rm", alg1 { g with rm = 0. });
+      ("rmax", alg1 { g with rmax = infinity });
+      ("d_jitter", alg1 { g with d_jitter = nan });
+      ("d_jitter", alg1 { g with d_jitter = 0. });
+      ("s", alg1 { g with s = nan });
+      ("s", alg1 { g with s = 1. });
+      ("mu_minus", alg1 { g with mu_minus = -1. });
+      ("a", alg1 { g with a = nan });
+      ("b", alg1 { g with b = nan });
+      ("b", alg1 { g with b = 1. });
+      ("init_rate", alg1 { g with init_rate = 0. });
+      ("mss", alg1 { g with mss = 0 });
+    ];
+  (* Defaults, then the boundaries that stay legal: BBR without quanta
+     and with unbounded filter windows, FAST and LEDBAT at their edges,
+     PCC with no latency or loss penalty and a fixed probe amplitude,
+     ECN-Reno reacting to every loss or none. *)
+  List.iter
+    (fun (_, make) -> make ())
+    [
+      bbr b; cubic c; fast f; ledbat l; vivace v; allegro a; ecn e; alg1 g;
+      bbr { b with quanta_packets = 0.; probe_rtt_duration = 0.;
+                   bw_window_rounds = infinity; min_rtt_window = infinity };
+      bbr { b with bw_window_rounds = 0.; min_rtt_window = 0. };
+      fast { f with alpha_packets = 0.; gamma = 1. };
+      ledbat { l with base_history = infinity };
+      ledbat { l with base_history = 0. };
+      vivace { v with latency_coeff = 0.; loss_coeff = 0. };
+      allegro { a with loss_threshold = 0.; eps_max = a.eps0 };
+      allegro { a with loss_threshold = 1. };
+      ecn { e with loss_tolerance = 0. };
+      ecn { e with loss_tolerance = 1. };
+    ]
+
 (* The churn contract: a reset columnar instance must be indistinguishable
    from a freshly built one even after an arbitrary first incarnation. *)
 let prop_columnar_reset_equals_fresh =
@@ -1316,6 +1445,8 @@ let () =
           Alcotest.test_case "bandwidth sample" `Quick test_bandwidth_sample;
           Alcotest.test_case "bandwidth degenerate" `Quick test_bandwidth_sample_degenerate;
           Alcotest.test_case "stub" `Quick test_stub;
+          Alcotest.test_case "eight constructors reject bad params" `Quick
+            test_params_rejected_others;
         ] );
       ( "mi_ledger",
         [

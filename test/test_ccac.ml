@@ -49,6 +49,206 @@ let prop_beam_never_beats_dfs =
       let beam = Ccac.Search.beam_max toy ~horizon:h ~width:w in
       beam.Ccac.Search.score <= dfs.Ccac.Search.score +. 1e-9)
 
+let alg1_params =
+  { Alg1.default_params with rm = 0.05; rmax = 0.1; d_jitter = 0.01; s = 2.;
+    a = Sim.Units.mbps 0.5 }
+
+(* The beam search as it was first written: expand the whole depth, sort
+   it by descending score (a stable sort, so ties keep generation order)
+   and keep the first [width].  [Search.beam_max] keeps only the
+   survivors as it goes and must select exactly what this selects. *)
+let beam_max_oracle (sys : (_, _) Ccac.Search.system) ~horizon ~width =
+  let expand (state, rev_trace) =
+    match sys.choices state with
+    | [] -> [ (state, rev_trace) ]
+    | cs -> List.map (fun c -> (sys.step state c, c :: rev_trace)) cs
+  in
+  let rec go depth frontier =
+    if depth = horizon then frontier
+    else begin
+      let next = List.concat_map expand frontier in
+      let sorted =
+        List.sort (fun (a, _) (b, _) -> Float.compare (sys.score b) (sys.score a)) next
+      in
+      go (depth + 1) (List.filteri (fun i _ -> i < width) sorted)
+    end
+  in
+  List.fold_left
+    (fun (acc : (_, _) Ccac.Search.best) (state, rev_trace) ->
+      let score = sys.score state in
+      if score > acc.score then { Ccac.Search.state; score; trace = List.rev rev_trace }
+      else acc)
+    { Ccac.Search.state = sys.initial; score = neg_infinity; trace = [] }
+    (go 0 [ (sys.initial, []) ])
+
+let same_best eq (a : (_, _) Ccac.Search.best) (b : (_, _) Ccac.Search.best) =
+  eq a.state b.state
+  && Int64.equal (Int64.bits_of_float a.score) (Int64.bits_of_float b.score)
+  && a.trace = b.trace
+
+(* Random toy systems built to stress the selection order: scores drawn
+   from seven values (so most comparisons tie), including NaN and both
+   infinities; some states are dead ends; branching varies by state. *)
+let toy_of_seed seed =
+  let rng = Random.State.make [| seed |] in
+  let values = [| nan; infinity; neg_infinity; 0.; 1.; 2.; -1. |] in
+  let scores = Array.init 23 (fun _ -> values.(Random.State.int rng 7)) in
+  let dead = Array.init 19 (fun _ -> Random.State.int rng 5 = 0) in
+  let fanout = Array.init 17 (fun _ -> Random.State.int rng 4) in
+  {
+    Ccac.Search.initial = Random.State.int rng 1000;
+    choices =
+      (fun s -> if dead.(s mod 19) then [] else List.init (1 + fanout.(s mod 17)) Fun.id);
+    step = (fun s c -> ((s * 31) + (c * 7) + 3) mod 10007);
+    score = (fun s -> scores.(s mod 23));
+  }
+
+let prop_beam_matches_oracle =
+  QCheck.Test.make ~name:"beam_max selects what sort-then-take selects" ~count:500
+    QCheck.(triple int (int_range 1 8) (int_range 0 6))
+    (fun (seed, width, horizon) ->
+      let sys = toy_of_seed seed in
+      same_best Int.equal
+        (Ccac.Search.beam_max sys ~horizon ~width)
+        (beam_max_oracle sys ~horizon ~width))
+
+(* The same agreement on the Appendix C model, whose float states are
+   compared bit for bit through their marshalled bytes. *)
+let test_beam_matches_oracle_on_model () =
+  let vegas = Ccac.Model.vegas_model ~rm:0.05 ~mss:1500. ~alpha:3. in
+  List.iter
+    (fun (big_d, width) ->
+      let sys =
+        Ccac.Model.system ~cca:vegas ~link_rate:(Sim.Units.mbps 8.) ~rm:0.05 ~big_d
+          ~buffer:infinity ~warmup:4 ~score:Ccac.Model.unfairness
+      in
+      Alcotest.(check bool)
+        (Printf.sprintf "D=%g width %d" big_d width)
+        true
+        (same_best
+           (fun a b -> Marshal.to_string a [] = Marshal.to_string b [])
+           (Ccac.Search.beam_max sys ~horizon:9 ~width)
+           (beam_max_oracle sys ~horizon:9 ~width)))
+    [ (0., 1); (0.05, 7); (0.05, 32) ]
+
+(* Losers are dropped as they are generated, so one search promotes only
+   its survivors.  The sort-then-take search promoted about 5.0M words
+   here; the bounded one about 0.1M.  Bytecode boxes differently, so the
+   budget is checked on native code only. *)
+let test_beam_promotes_little () =
+  if Sys.backend_type = Sys.Native then begin
+    let vegas = Ccac.Model.vegas_model ~rm:0.05 ~mss:1500. ~alpha:3. in
+    let run () =
+      Ccac.Model.max_unfairness ~cca:vegas ~link_rate:(Sim.Units.mbps 8.) ~rm:0.05
+        ~big_d:0.05 ~horizon:10 ()
+    in
+    Gc.full_major ();
+    let before = (Gc.quick_stat ()).Gc.promoted_words in
+    ignore (run ());
+    let promoted = (Gc.quick_stat ()).Gc.promoted_words -. before in
+    Alcotest.(check bool)
+      (Printf.sprintf "%.0f promoted words <= 1e6" promoted)
+      true (promoted <= 1e6)
+  end
+
+(* Every CCAC entry point rejects out-of-range arguments with an error
+   that names the parameter; NaN fails every check. *)
+type model_args = {
+  link_rate : float;
+  rm : float;
+  big_d : float;
+  buffer : float;
+  horizon : int;
+  beam_width : int;
+}
+
+let test_entry_points_reject () =
+  let vegas = Ccac.Model.vegas_model ~rm:0.05 ~mss:1500. ~alpha:3. in
+  let m =
+    { link_rate = Sim.Units.mbps 8.; rm = 0.05; big_d = 0.05; buffer = infinity;
+      horizon = 2; beam_width = 4 }
+  in
+  let unfair a () =
+    ignore
+      (Ccac.Model.max_unfairness ~cca:vegas ~link_rate:a.link_rate ~rm:a.rm
+         ~big_d:a.big_d ~buffer:a.buffer ~horizon:a.horizon ~beam_width:a.beam_width ())
+  in
+  let util a () =
+    ignore
+      (Ccac.Model.min_utilization ~cca:vegas ~link_rate:a.link_rate ~rm:a.rm
+         ~big_d:a.big_d ~buffer:a.buffer ~horizon:a.horizon ~beam_width:a.beam_width ())
+  in
+  let aimd ?(bdp = 10.) ?(buffer = 10.) ?(horizon = 3) ?(w1_0 = 1.) ?(w2_0 = 10.)
+      ?(beam_width = 4) () =
+    ignore (Ccac.Aimd_check.check ~bdp ~buffer ~horizon ~w1_0 ~w2_0 ~beam_width ())
+  in
+  let alg1 ?(params = alg1_params) ?(link_rate = Sim.Units.mbps 10.) ?(horizon = 2)
+      ?(beam_width = 4) () =
+    ignore
+      (Ccac.Alg1_check.check ~params ~link_rate ~curve:Ccac.Alg1_check.Exponential
+         ~horizon ~beam_width ())
+  in
+  let p = alg1_params in
+  let rejects (fn, field, f) =
+    match f () with
+    | () -> Alcotest.failf "%s accepted a bad %s" fn field
+    | exception Invalid_argument msg ->
+        Alcotest.(check bool)
+          (Printf.sprintf "%S names %s" msg field)
+          true
+          (String.starts_with ~prefix:(fn ^ ": " ^ field) msg)
+  in
+  let model_rows fn run =
+    [
+      (fn, "link_rate", run { m with link_rate = nan });
+      (fn, "link_rate", run { m with link_rate = 0. });
+      (fn, "link_rate", run { m with link_rate = infinity });
+      (fn, "rm", run { m with rm = nan });
+      (fn, "rm", run { m with rm = -0.05 });
+      (fn, "rm", run { m with rm = infinity });
+      (fn, "big_d", run { m with big_d = nan });
+      (fn, "big_d", run { m with big_d = -0.01 });
+      (fn, "buffer", run { m with buffer = nan });
+      (fn, "buffer", run { m with buffer = -1. });
+      (fn, "horizon", run { m with horizon = -1 });
+      (fn, "beam_width", run { m with beam_width = 0 });
+    ]
+  in
+  let search f () = ignore (f toy) in
+  List.iter rejects
+    (model_rows "Model.max_unfairness" unfair
+    @ model_rows "Model.min_utilization" util
+    @ [
+        ("Aimd_check.check", "bdp", fun () -> aimd ~bdp:nan ());
+        ("Aimd_check.check", "bdp", fun () -> aimd ~bdp:0. ());
+        ("Aimd_check.check", "bdp", fun () -> aimd ~bdp:infinity ());
+        ("Aimd_check.check", "buffer", fun () -> aimd ~buffer:nan ());
+        ("Aimd_check.check", "buffer", fun () -> aimd ~buffer:(-1.) ());
+        ("Aimd_check.check", "horizon", fun () -> aimd ~horizon:(-1) ());
+        ("Aimd_check.check", "w1_0", fun () -> aimd ~w1_0:nan ());
+        ("Aimd_check.check", "w1_0", fun () -> aimd ~w1_0:0. ());
+        ("Aimd_check.check", "w2_0", fun () -> aimd ~w2_0:infinity ());
+        ("Aimd_check.check", "beam_width", fun () -> aimd ~beam_width:0 ());
+        ("Alg1_check.check", "link_rate", fun () -> alg1 ~link_rate:nan ());
+        ("Alg1_check.check", "link_rate", fun () -> alg1 ~link_rate:(-1.) ());
+        ("Alg1_check.check", "rm", fun () -> alg1 ~params:{ p with rm = nan } ());
+        ("Alg1_check.check", "rm", fun () -> alg1 ~params:{ p with rm = 0. } ());
+        ("Alg1_check.check", "d_jitter", fun () -> alg1 ~params:{ p with d_jitter = nan } ());
+        ("Alg1_check.check", "mu_minus", fun () -> alg1 ~params:{ p with mu_minus = 0. } ());
+        ("Alg1_check.check", "horizon", fun () -> alg1 ~horizon:(-2) ());
+        ("Alg1_check.check", "beam_width", fun () -> alg1 ~beam_width:0 ());
+        ("Search.beam_max", "width", search (Ccac.Search.beam_max ~horizon:2 ~width:0));
+        ("Search.beam_max", "horizon", search (Ccac.Search.beam_max ~horizon:(-1) ~width:2));
+        ("Search.dfs_max", "horizon", search (Ccac.Search.dfs_max ~horizon:(-1)));
+        ("Search.count_leaves", "horizon", search (Ccac.Search.count_leaves ~horizon:(-1)));
+      ]);
+  (* The boundaries stay legal: unbounded buffer and jitter, a zero
+     buffer, no jitter, horizon 0 and a width-1 beam. *)
+  unfair { m with big_d = infinity } ();
+  util { m with buffer = 0.; big_d = 0.; horizon = 0; beam_width = 1 } ();
+  aimd ~buffer:infinity ~horizon:0 ~beam_width:1 ();
+  alg1 ~horizon:0 ~beam_width:1 ()
+
 (* ------------------------------------------------------------------ *)
 (* AIMD check                                                          *)
 (* ------------------------------------------------------------------ *)
@@ -99,9 +299,6 @@ let test_aimd_utilization_positive () =
 (* Alg1 check                                                          *)
 (* ------------------------------------------------------------------ *)
 
-let alg1_params =
-  { Alg1.default_params with rm = 0.05; rmax = 0.1; d_jitter = 0.01; s = 2.;
-    a = Sim.Units.mbps 0.5 }
 
 let test_alg1_survives () =
   let v =
@@ -294,6 +491,12 @@ let () =
           Alcotest.test_case "dead end" `Quick test_dfs_dead_end;
           Alcotest.test_case "count leaves" `Quick test_count_leaves;
           qt prop_beam_never_beats_dfs;
+          qt prop_beam_matches_oracle;
+          Alcotest.test_case "beam matches oracle on model" `Quick
+            test_beam_matches_oracle_on_model;
+          Alcotest.test_case "beam promotes little" `Quick test_beam_promotes_little;
+          Alcotest.test_case "entry points reject bad args" `Quick
+            test_entry_points_reject;
         ] );
       ( "aimd",
         [

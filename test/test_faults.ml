@@ -298,6 +298,66 @@ let test_cca_sanity_clamp () =
         (List.mem_assoc "link-conservation" (Sim.Invariant.by_check inv))
   | None -> Alcotest.fail "monitor requested but absent"
 
+(* Scenario fuzzing (seed 20261017) once reported queue-bound violations
+   on a sound link: the buffer started unbounded, the queue grew between
+   two audits, and a resize then set a cap far below the occupancy.  The
+   link drained correctly; the audit had bounded the excess by the
+   previous audit's occupancy instead of the occupancy at the resize.
+   With [plant], bytes are admitted above the cap just before the next
+   audit (the cap lifted and restored behind the network's back), and
+   the check must still catch them. *)
+let resize_below_occupancy ~plant =
+  let resize_at = 5.0459 and cap = 255_137 in
+  let net =
+    Sim.Network.build
+      (Sim.Network.config ~rate:(Sim.Link.Constant (Sim.Units.mbps 42.8)) ~rm:0.079
+         ~faults:
+           (Sim.Fault.plan
+              [ Sim.Fault.Buffer_resize { at = resize_at; buffer = Some cap } ])
+         ~monitor_period:0.05 ~duration:5.2
+         [ Sim.Network.flow (Reno.make ()) ])
+  in
+  let link = Sim.Network.link net and eq = Sim.Network.event_queue net in
+  let queued_at t =
+    let q = ref 0 in
+    Sim.Event_queue.schedule eq ~at:t (fun () -> q := Sim.Link.queued_bytes link);
+    q
+  in
+  let last_audit = queued_at 5.0 and resize = queued_at (resize_at -. 1e-6) in
+  let next_audit = queued_at (5.05 -. 1e-6) in
+  if plant then
+    Sim.Event_queue.schedule eq ~at:(5.05 -. 2e-6) (fun () ->
+        Sim.Link.set_buffer link None;
+        for _ = 1 to 100 do
+          ignore
+            (Sim.Link.enqueue link
+               { Sim.Packet.flow = Sim.Network.phantom_flow_id; seq = 0; size = 1500;
+                 sent_at = 5.05; delivered_at_send = 0; app_limited = false;
+                 ce = false })
+        done;
+        Sim.Link.set_buffer link (Some cap));
+  ignore (Sim.Network.run net);
+  let trips =
+    match Sim.Network.invariant net with
+    | Some inv -> List.mem_assoc "queue-bound" (Sim.Invariant.by_check inv)
+    | None -> Alcotest.fail "monitor requested but absent"
+  in
+  (!last_audit, !resize, !next_audit, cap, trips)
+
+let test_queue_bound_after_unbounded_growth () =
+  let last_audit, resize, next_audit, cap, trips = resize_below_occupancy ~plant:false in
+  Alcotest.(check bool)
+    (Printf.sprintf "queue grew while unbounded (%d -> %d B)" last_audit resize)
+    true (resize > last_audit);
+  Alcotest.(check bool)
+    (Printf.sprintf "audited above both the cap and the last audit (%d B, cap %d B)"
+       next_audit cap)
+    true
+    (next_audit > cap && next_audit > last_audit);
+  Alcotest.(check bool) "no queue-bound violation" false trips;
+  let _, _, _, _, planted = resize_below_occupancy ~plant:true in
+  Alcotest.(check bool) "planted admission above the cap trips queue-bound" true planted
+
 (* ------------------------------------------------------------------ *)
 (* Chaos harness                                                       *)
 (* ------------------------------------------------------------------ *)
@@ -462,7 +522,11 @@ let () =
             test_fault_runtime_deterministic;
         ] );
       ( "invariant",
-        [ Alcotest.test_case "recorder" `Quick test_invariant_recorder ] );
+        [
+          Alcotest.test_case "recorder" `Quick test_invariant_recorder;
+          Alcotest.test_case "queue bound after unbounded growth" `Quick
+            test_queue_bound_after_unbounded_growth;
+        ] );
       ( "recovery",
         [
           Alcotest.test_case "blackout recovery" `Slow test_blackout_recovery;
