@@ -28,10 +28,18 @@ type flow_spec = {
   mss : float;
 }
 
+(* NaN-safe: each test is written so that NaN fails it. *)
+let require fn ok what = if not ok then invalid_arg (fn ^ ": " ^ what)
+
 let flow ?(start_time = 0.) ?(stop_time = infinity) ?(extra_rm = 0.)
     ?(jitter = fun _ -> 0.) ?(size = infinity) ?(mss = 1500.) law =
-  if mss <= 0. then invalid_arg "Fluid.Engine.flow: mss <= 0";
-  if size <= 0. then invalid_arg "Fluid.Engine.flow: size <= 0";
+  let require = require "Fluid.Engine.flow" in
+  require (Float.is_finite start_time) "start_time must be finite";
+  require (not (Float.is_nan stop_time)) "stop_time must not be NaN";
+  require (Float.is_finite extra_rm && extra_rm >= 0.)
+    "extra_rm must be finite and >= 0";
+  require (size > 0.) "size must be positive";
+  require (Float.is_finite mss && mss > 0.) "mss must be finite and positive";
   { law; start_time; stop_time; extra_rm; jitter; size; mss }
 
 type config = {
@@ -49,9 +57,21 @@ type config = {
 let config ~rate ?(buffer = infinity) ~rm ?dt ?(t0 = 0.) ?measure_from
     ?(initial_queue = 0.) ~duration flows =
   let dt = match dt with Some d -> d | None -> rm /. 8. in
-  if rate <= 0. || rm <= 0. || dt <= 0. || duration < 0. || initial_queue < 0.
-  then invalid_arg "Fluid.Engine.config";
   let measure_from = Option.value measure_from ~default:t0 in
+  let require = require "Fluid.Engine.config" in
+  let positive name x =
+    require (Float.is_finite x && x > 0.) (name ^ " must be finite and positive")
+  in
+  positive "rate" rate;
+  require (buffer >= 0.) "buffer must be >= 0";
+  positive "rm" rm;
+  positive "dt" dt;
+  require (Float.is_finite t0) "t0 must be finite";
+  require (Float.is_finite measure_from) "measure_from must be finite";
+  require (Float.is_finite initial_queue && initial_queue >= 0.)
+    "initial_queue must be finite and >= 0";
+  require (Float.is_finite duration && duration >= 0.)
+    "duration must be finite and >= 0";
   { rate; buffer; rm; dt; t0; duration; measure_from; initial_queue;
     flows = Array.of_list flows }
 

@@ -27,7 +27,11 @@ val flow :
   flow_spec
 (** [jitter] maps absolute sim time to the flow's non-congestive extra
     delay (the model's D element); [size] in bytes ([infinity] = an
-    unbounded stream, the default). *)
+    unbounded stream, the default).
+    @raise Invalid_argument naming the field on a non-finite
+    [start_time], a NaN [stop_time], [extra_rm] not finite and >= 0,
+    [size] not positive, or [mss] not finite and positive.  NaN fails
+    every check. *)
 
 type config = private {
   rate : float;  (** bottleneck, bytes/s *)
@@ -52,6 +56,11 @@ val config :
   duration:float ->
   flow_spec list ->
   config
+(** @raise Invalid_argument naming the field on [rate], [rm] or [dt]
+    not finite and positive, a negative [buffer] ([infinity], the
+    default, is unbounded), a non-finite [t0] or [measure_from], or
+    [initial_queue] or [duration] not finite and >= 0 (a zero
+    [duration] is legal).  NaN fails every check. *)
 
 type t
 

@@ -33,8 +33,15 @@ type flow_spec = {
   mss : float;
 }
 
+(* NaN-safe: each test is written so that NaN fails it. *)
+let require fn ok what = if not ok then invalid_arg (fn ^ ": " ^ what)
+
 let flow ?(jitter = fun _ -> 0.) ?(jitter_bound = infinity) ?(mss = 1500.)
     ~packet_cca law =
+  let require = require "Fluid.Hybrid.flow" in
+  require (jitter_bound >= 0.) "jitter_bound must be >= 0";
+  (* Packet segments run [int_of_float mss]-byte segments. *)
+  require (Float.is_finite mss && mss >= 1.) "mss must be finite and >= 1";
   { law; packet_cca; jitter; jitter_bound; mss }
 
 type config = {
@@ -49,13 +56,26 @@ type config = {
   flows : flow_spec array;
 }
 
+(* An infinite [buffer] is unbounded; [events] outside [0, duration)
+   are ignored. *)
 let config ~rate ?(buffer = infinity) ~rm ?dt ?measure_from ?(events = [])
     ?window ~duration flows =
   let dt = match dt with Some d -> d | None -> rm /. 8. in
   let window = match window with Some w -> w | None -> 50. *. rm in
-  if rate <= 0. || rm <= 0. || dt <= 0. || duration <= 0. || window <= 0. then
-    invalid_arg "Fluid.Hybrid.config";
   let measure_from = Option.value measure_from ~default:0. in
+  let require = require "Fluid.Hybrid.config" in
+  let positive name x =
+    require (Float.is_finite x && x > 0.) (name ^ " must be finite and positive")
+  in
+  positive "rate" rate;
+  require (buffer >= 0.) "buffer must be >= 0";
+  positive "rm" rm;
+  positive "dt" dt;
+  positive "duration" duration;
+  require (Float.is_finite measure_from) "measure_from must be finite";
+  require (List.for_all (fun e -> not (Float.is_nan e)) events)
+    "events must not be NaN";
+  positive "window" window;
   { rate; buffer; rm; dt; duration; measure_from; events; window;
     flows = Array.of_list flows }
 

@@ -14,147 +14,175 @@
    comparison between heap roots.  Heap invariant: every due-heap entry
    has tick <= wheel cursor < tick of every wheel entry, so the due heap
    root is always earlier than anything in the wheel and only the
-   overflow heap needs comparing against. *)
+   overflow heap needs comparing against.
+
+   Containers hold integer ids, never handles.  A per-queue registry maps
+   each id to its handle ([reg]) and to where its entry lives ([loc]).  A
+   handle takes an id when it goes from idle to queued and gives it back,
+   with its registry slot cleared, when it is popped or cancelled.  Heap
+   sifts, wheel cascades and swap-with-last removals therefore move only
+   floats and ints — no [caml_modify] — and no container or vacated slot
+   keeps a fired or cancelled closure alive. *)
 
 type handle = {
-  mutable where : int; (* container: [idle], [in_due], [in_overflow], [in_wheel] *)
-  mutable pos : int; (* heap slot or wheel vec index; [idle] when idle *)
-  mutable wslot : int; (* wheel slot id when [where = in_wheel] *)
+  mutable id : int; (* registry index while queued, [idle] otherwise *)
   mutable action : unit -> unit;
 }
 
 let idle = -1
+
+let handle f = { id = idle; action = f }
+
+let set_action h f =
+  if h.id <> idle then invalid_arg "Event_queue.set_action: handle is queued";
+  h.action <- f
+
+(* Fills free registry slots, so a released id pins nothing. *)
+let dummy_handle = handle ignore
+
+(* A location code ([loc.(id)]) names the container in its low two bits;
+   above them sits the heap index, or the wheel slot (8 bits, below
+   [Timer_wheel.levels * slots_per_level] = 224) and vec index. *)
 let in_due = 0
 let in_overflow = 1
 let in_wheel = 2
-
-let make_handle f = { where = idle; pos = idle; wslot = idle; action = f }
-let handle f = make_handle f
-let set_action h f = h.action <- f
-
-let dummy_handle = make_handle ignore
+let heap_loc tag i = (i lsl 2) lor tag
+let wheel_loc ~slot ~idx = (((idx lsl 8) lor slot) lsl 2) lor in_wheel
+let loc_tag l = l land 3
+let loc_index l = l lsr 2
+let loc_slot l = (l lsr 2) land 0xff
+let loc_idx l = l lsr 10
+let () = assert (Timer_wheel.levels * Timer_wheel.slots_per_level <= 0x100)
 
 type heap = {
-  tag : int; (* written into [handle.where] for entries stored here *)
+  tag : int; (* location tag of entries stored here *)
   mutable htimes : float array; (* unboxed *)
   mutable hseqs : int array;
-  mutable hslots : handle array;
+  mutable hids : int array;
   mutable hsize : int;
 }
 
-let mkheap tag = { tag; htimes = [||]; hseqs = [||]; hslots = [||]; hsize = 0 }
-
-(* (time, seq) lexicographic order; times are validated finite so plain
-   float comparison is exact. *)
-let hless hp i j =
-  let ti = hp.htimes.(i) and tj = hp.htimes.(j) in
-  ti < tj || (ti = tj && hp.hseqs.(i) < hp.hseqs.(j))
+let mkheap tag = { tag; htimes = [||]; hseqs = [||]; hids = [||]; hsize = 0 }
 
 let ensure_room hp =
   let cap = Array.length hp.htimes in
-  if cap = 0 then begin
-    hp.htimes <- Array.make 16 0.;
-    hp.hseqs <- Array.make 16 0;
-    hp.hslots <- Array.make 16 dummy_handle
-  end
-  else if hp.hsize = cap then begin
-    let times = Array.make (2 * cap) 0.
-    and seqs = Array.make (2 * cap) 0
-    and slots = Array.make (2 * cap) dummy_handle in
+  if hp.hsize = cap then begin
+    let ncap = if cap = 0 then 16 else 2 * cap in
+    let times = Array.make ncap 0.
+    and seqs = Array.make ncap 0
+    and ids = Array.make ncap 0 in
     Array.blit hp.htimes 0 times 0 hp.hsize;
     Array.blit hp.hseqs 0 seqs 0 hp.hsize;
-    Array.blit hp.hslots 0 slots 0 hp.hsize;
+    Array.blit hp.hids 0 ids 0 hp.hsize;
     hp.htimes <- times;
     hp.hseqs <- seqs;
-    hp.hslots <- slots
+    hp.hids <- ids
   end
 
-let hswap hp i j =
-  let ti = hp.htimes.(i) and si = hp.hseqs.(i) and hi = hp.hslots.(i) in
-  hp.htimes.(i) <- hp.htimes.(j);
-  hp.hseqs.(i) <- hp.hseqs.(j);
-  hp.hslots.(i) <- hp.hslots.(j);
-  hp.htimes.(j) <- ti;
-  hp.hseqs.(j) <- si;
-  hp.hslots.(j) <- hi;
-  hp.hslots.(i).pos <- i;
-  hp.hslots.(j).pos <- j
-
-let rec sift_up hp i =
-  if i > 0 then begin
-    let parent = (i - 1) / 2 in
-    if hless hp i parent then begin
-      hswap hp i parent;
-      sift_up hp parent
+(* Hole sifts: the sifted entry is read into locals once, each entry it
+   passes moves one step into the hole, and the entry is written where
+   the hole stops.  The decisions are those of a swap sift under the
+   strict (time, seq) order — times are validated finite, so plain float
+   comparison is exact — so the heap layout is the same.  Every moved id
+   gets its new index in [loc].  [sift_up] returns the final index. *)
+let sift_up loc hp i =
+  let times = hp.htimes and seqs = hp.hseqs and ids = hp.hids in
+  let t0 = times.(i) and s0 = seqs.(i) and id0 = ids.(i) in
+  let hole = ref i and moving = ref true in
+  while !moving && !hole > 0 do
+    let h = !hole in
+    let p = (h - 1) lsr 1 in
+    let tp = times.(p) in
+    if t0 < tp || (t0 = tp && s0 < seqs.(p)) then begin
+      times.(h) <- tp;
+      seqs.(h) <- seqs.(p);
+      let idp = ids.(p) in
+      ids.(h) <- idp;
+      loc.(idp) <- heap_loc hp.tag h;
+      hole := p
     end
-  end
+    else moving := false
+  done;
+  let h = !hole in
+  if h <> i then begin
+    times.(h) <- t0;
+    seqs.(h) <- s0;
+    ids.(h) <- id0
+  end;
+  loc.(id0) <- heap_loc hp.tag h;
+  h
 
-let rec sift_down hp i =
-  let l = (2 * i) + 1 and r = (2 * i) + 2 in
-  let smallest = ref i in
-  if l < hp.hsize && hless hp l !smallest then smallest := l;
-  if r < hp.hsize && hless hp r !smallest then smallest := r;
-  if !smallest <> i then begin
-    hswap hp i !smallest;
-    sift_down hp !smallest
-  end
+let sift_down loc hp i =
+  let times = hp.htimes and seqs = hp.hseqs and ids = hp.hids in
+  let n = hp.hsize in
+  let t0 = times.(i) and s0 = seqs.(i) and id0 = ids.(i) in
+  let hole = ref i and moving = ref true in
+  while !moving do
+    let h = !hole in
+    let l = (2 * h) + 1 in
+    if l >= n then moving := false
+    else begin
+      let r = l + 1 in
+      let c =
+        if r < n then begin
+          let tl = times.(l) and tr = times.(r) in
+          if tr < tl || (tr = tl && seqs.(r) < seqs.(l)) then r else l
+        end
+        else l
+      in
+      let tc = times.(c) in
+      if tc < t0 || (tc = t0 && seqs.(c) < s0) then begin
+        times.(h) <- tc;
+        seqs.(h) <- seqs.(c);
+        let idc = ids.(c) in
+        ids.(h) <- idc;
+        loc.(idc) <- heap_loc hp.tag h;
+        hole := c
+      end
+      else moving := false
+    end
+  done;
+  let h = !hole in
+  if h <> i then begin
+    times.(h) <- t0;
+    seqs.(h) <- s0;
+    ids.(h) <- id0
+  end;
+  loc.(id0) <- heap_loc hp.tag h
 
-let hpush hp h ~time ~seq =
+(* [time] arrives boxed from the caller; it is unboxed into the array
+   and the sift reads it from there, never as a float argument. *)
+let hpush loc hp id ~time ~seq =
   ensure_room hp;
   let i = hp.hsize in
   hp.htimes.(i) <- time;
   hp.hseqs.(i) <- seq;
-  hp.hslots.(i) <- h;
-  h.where <- hp.tag;
-  h.pos <- i;
-  hp.hsize <- hp.hsize + 1;
-  sift_up hp i
+  hp.hids.(i) <- id;
+  hp.hsize <- i + 1;
+  ignore (sift_up loc hp i)
 
-(* In-place move of an overflow-resident entry, which stays in the
+(* In-place move of the overflow entry at index [i], which stays in the
    overflow heap whatever its new time: one sift path instead of
    remove + push. *)
-let hmove hp h ~time ~seq =
-  let i = h.pos in
+let hmove loc hp i ~time ~seq =
   hp.htimes.(i) <- time;
   hp.hseqs.(i) <- seq;
-  sift_up hp i;
-  sift_down hp h.pos
+  if sift_up loc hp i = i then sift_down loc hp i
 
-let hremove hp h =
-  let i = h.pos in
-  h.where <- idle;
-  h.pos <- idle;
-  hp.hsize <- hp.hsize - 1;
-  if i < hp.hsize then begin
-    let last = hp.hsize in
+let hremove loc hp i =
+  let last = hp.hsize - 1 in
+  hp.hsize <- last;
+  if i < last then begin
     hp.htimes.(i) <- hp.htimes.(last);
     hp.hseqs.(i) <- hp.hseqs.(last);
-    let moved = hp.hslots.(last) in
-    hp.hslots.(i) <- moved;
-    moved.pos <- i;
-    hp.hslots.(last) <- dummy_handle;
-    sift_up hp i;
-    sift_down hp moved.pos
+    hp.hids.(i) <- hp.hids.(last);
+    if sift_up loc hp i = i then sift_down loc hp i
   end
-  else hp.hslots.(i) <- dummy_handle
 
-let hpop hp =
-  let h = hp.hslots.(0) in
-  h.where <- idle;
-  h.pos <- idle;
-  hp.hsize <- hp.hsize - 1;
-  if hp.hsize > 0 then begin
-    let last = hp.hsize in
-    hp.htimes.(0) <- hp.htimes.(last);
-    hp.hseqs.(0) <- hp.hseqs.(last);
-    let moved = hp.hslots.(last) in
-    hp.hslots.(0) <- moved;
-    moved.pos <- 0;
-    hp.hslots.(last) <- dummy_handle;
-    sift_down hp 0
-  end
-  else hp.hslots.(0) <- dummy_handle;
-  h
+let hpop loc hp =
+  let id = hp.hids.(0) in
+  hremove loc hp 0;
+  id
 
 type t = {
   due : heap;
@@ -163,7 +191,7 @@ type t = {
      [wheel_threshold].  Laziness matters for churny small runs: a wheel
      is ~a thousand words of slot vecs that a 2-flow simulation would pay
      for and never use. *)
-  mutable wheel : handle Timer_wheel.t option;
+  mutable wheel : Timer_wheel.t option;
   wheel_threshold : int;
   mutable now : float;
   mutable next_seq : int;
@@ -174,6 +202,14 @@ type t = {
      which is what keeps tiny populations off the wheel for free. *)
   mutable count : int;
   mutable step_hook : (float -> unit) option;
+  (* The registry, indexed by id.  A free id's [reg] slot holds
+     [dummy_handle] and its [loc] slot the next free id, so released ids
+     are reused last-in first-out and the registry grows only when every
+     id is queued: it is as large as the peak number of pending events,
+     rounded up to a power of two. *)
+  mutable reg : handle array;
+  mutable loc : int array;
+  mutable free_id : int; (* head of the free-id list; [idle] when empty *)
 }
 
 (* Below this many pending events a binary heap (depth <= 8) beats the
@@ -197,19 +233,59 @@ let create ?(wheel_threshold = default_wheel_threshold) ?(start = 0.) () =
     next_seq = 0;
     count = 0;
     step_hook = None;
+    reg = [||];
+    loc = [||];
+    free_id = idle;
   }
+
+(* Called with every id queued: double the registry and put the new ids
+   on the free list, lowest first. *)
+let grow_registry t =
+  let old = Array.length t.reg in
+  let cap = max 16 (2 * old) in
+  let reg = Array.make cap dummy_handle and loc = Array.make cap 0 in
+  Array.blit t.reg 0 reg 0 old;
+  Array.blit t.loc 0 loc 0 old;
+  for id = cap - 1 downto old do
+    loc.(id) <- t.free_id;
+    t.free_id <- id
+  done;
+  t.reg <- reg;
+  t.loc <- loc
+
+let acquire t h =
+  if t.free_id = idle then grow_registry t;
+  let id = t.free_id in
+  t.free_id <- t.loc.(id);
+  t.reg.(id) <- h;
+  h.id <- id;
+  id
+
+(* Take a queued handle's id back once its entry has left every
+   container; the handle is idle again. *)
+let release t h =
+  let id = h.id in
+  t.reg.(id) <- dummy_handle;
+  t.loc.(id) <- t.free_id;
+  t.free_id <- id;
+  h.id <- idle
+
+(* An id means something only in the registry that issued it: a queued
+   handle belongs to this queue iff this registry maps its id back to
+   it. *)
+let owns t h = h.id < Array.length t.reg && t.reg.(h.id) == h
+
+let foreign fn =
+  invalid_arg ("Event_queue." ^ fn ^ ": handle is queued in another queue")
 
 let wheel_of t =
   match t.wheel with
   | Some w -> w
   | None ->
       let w =
-        Timer_wheel.create ~granularity:256e-6 ~start:t.now ~dummy:dummy_handle
-          ~move:(fun h ~slot ~idx ->
-            h.where <- in_wheel;
-            h.wslot <- slot;
-            h.pos <- idx)
-          ~due:(fun h ~time ~seq -> hpush t.due h ~time ~seq)
+        Timer_wheel.create ~granularity:256e-6 ~start:t.now
+          ~move:(fun id ~slot ~idx -> t.loc.(id) <- wheel_loc ~slot ~idx)
+          ~due:(fun id ~time ~seq -> hpush t.loc t.due id ~time ~seq)
           ()
       in
       t.wheel <- Some w;
@@ -228,72 +304,90 @@ let validate t at =
     invalid_arg
       (Printf.sprintf "Event_queue.schedule: time %.9f is before now %.9f" at t.now)
 
-let insert t h ~at =
+(* File a queued id in the container its time belongs to, under a fresh
+   sequence number.  [count] already includes it. *)
+let file t id ~at =
   let seq = t.next_seq in
   t.next_seq <- seq + 1;
-  t.count <- t.count + 1;
-  if t.count <= t.wheel_threshold then hpush t.overflow h ~time:at ~seq
+  if t.count <= t.wheel_threshold then hpush t.loc t.overflow id ~time:at ~seq
   else
-    match Timer_wheel.add (wheel_of t) ~time:at ~seq h with
+    match Timer_wheel.add (wheel_of t) ~time:at ~seq id with
     | Timer_wheel.Placed -> () (* the wheel's move callback filed it *)
-    | Timer_wheel.Due -> hpush t.due h ~time:at ~seq
-    | Timer_wheel.Far -> hpush t.overflow h ~time:at ~seq
+    | Timer_wheel.Due -> hpush t.loc t.due id ~time:at ~seq
+    | Timer_wheel.Far -> hpush t.loc t.overflow id ~time:at ~seq
+
+(* Take a queued id's entry out of its container; the id stays issued. *)
+let detach t id =
+  let l = t.loc.(id) in
+  let tag = loc_tag l in
+  if tag = in_due then hremove t.loc t.due (loc_index l)
+  else if tag = in_overflow then hremove t.loc t.overflow (loc_index l)
+  else
+    match t.wheel with
+    | Some w -> Timer_wheel.remove w ~slot:(loc_slot l) ~idx:(loc_idx l)
+    | None -> assert false
+
+let insert t h ~at =
+  t.count <- t.count + 1;
+  file t (acquire t h) ~at
 
 let schedule t ~at action =
   validate t at;
-  insert t (make_handle action) ~at
+  insert t (handle action) ~at
 
 let schedule_after t ~delay action =
   schedule t ~at:(t.now +. Float.max 0. delay) action
 
 let cancel t h =
-  if h.where = in_due then begin
-    hremove t.due h;
-    t.count <- t.count - 1
-  end
-  else if h.where = in_overflow then begin
-    hremove t.overflow h;
-    t.count <- t.count - 1
-  end
-  else if h.where = in_wheel then begin
-    (match t.wheel with
-    | Some w -> Timer_wheel.remove w ~slot:h.wslot ~idx:h.pos
-    | None -> assert false);
-    h.where <- idle;
-    h.pos <- idle;
+  if h.id <> idle then begin
+    if not (owns t h) then foreign "cancel";
+    detach t h.id;
+    release t h;
     t.count <- t.count - 1
   end
 
 let schedule_handle t h ~at =
   validate t at;
-  if h.where = idle then insert t h ~at
-  else if h.where = in_overflow then begin
-    (* Overflow-resident (small queue or far future): move in place.  A
-       fresh sequence number keeps the FIFO tie-break identical to
-       cancel + re-arm, and leaving a near event in the overflow heap is
-       fine — see [default_wheel_threshold]. *)
-    let seq = t.next_seq in
-    t.next_seq <- seq + 1;
-    hmove t.overflow h ~time:at ~seq
-  end
+  let id = h.id in
+  if id = idle then insert t h ~at
   else begin
-    (* Due- or wheel-resident: the new time may belong to a different
-       container (wheel level, due heap, overflow); cancel + insert
-       re-files it, and both halves are O(1) when wheel-resident. *)
-    cancel t h;
-    insert t h ~at
+    if not (owns t h) then foreign "schedule_handle";
+    let l = t.loc.(id) in
+    if loc_tag l = in_overflow then begin
+      (* Overflow-resident (small queue or far future): move in place.  A
+         fresh sequence number keeps the FIFO tie-break identical to
+         cancel + re-arm, and leaving a near event in the overflow heap is
+         fine — see [default_wheel_threshold]. *)
+      let seq = t.next_seq in
+      t.next_seq <- seq + 1;
+      hmove t.loc t.overflow (loc_index l) ~time:at ~seq
+    end
+    else begin
+      (* Due- or wheel-resident: the new time may belong to a different
+         container (wheel level, due heap, overflow); detach + file
+         re-files it under the same id, and both halves are O(1) when
+         wheel-resident. *)
+      detach t id;
+      file t id ~at
+    end
   end
 
-let is_scheduled h = h.where <> idle
+let is_scheduled h = h.id <> idle
 
 let scheduled_time t h =
-  if h.where = in_due then t.due.htimes.(h.pos)
-  else if h.where = in_overflow then t.overflow.htimes.(h.pos)
-  else if h.where = in_wheel then
-    match t.wheel with
-    | Some w -> Timer_wheel.time_at w ~slot:h.wslot ~idx:h.pos
-    | None -> assert false
-  else infinity
+  let id = h.id in
+  if id = idle then infinity
+  else begin
+    if not (owns t h) then foreign "scheduled_time";
+    let l = t.loc.(id) in
+    let tag = loc_tag l in
+    if tag = in_due then t.due.htimes.(loc_index l)
+    else if tag = in_overflow then t.overflow.htimes.(loc_index l)
+    else
+      match t.wheel with
+      | Some w -> Timer_wheel.time_at w ~slot:(loc_slot l) ~idx:(loc_idx l)
+      | None -> assert false
+  end
 
 let scheduled_at t h =
   let at = scheduled_time t h in
@@ -322,6 +416,14 @@ let source t =
     else t.overflow
   end
 
+(* Pop [hp]'s root and return its handle, already idle so that its
+   action may re-arm it. *)
+let pop t hp =
+  let h = t.reg.(hpop t.loc hp) in
+  release t h;
+  t.count <- t.count - 1;
+  h
+
 let step t =
   let hp = source t in
   if hp.hsize = 0 then false
@@ -334,21 +436,18 @@ let step t =
        than a recurring heap event — one extra resident slot deepens
        every sift path; a predicted branch costs nothing. *)
     (match t.step_hook with None -> () | Some f -> f t.now);
-    let h = hpop hp in
-    t.count <- t.count - 1;
-    h.action ();
+    (pop t hp).action ();
     true
   end
 
 let run_until t horizon =
+  if Float.is_nan horizon then invalid_arg "Event_queue.run_until: horizon is NaN";
   let rec loop () =
     let hp = source t in
     if hp.hsize > 0 && hp.htimes.(0) <= horizon then begin
       if hp.htimes.(0) <> t.now then t.now <- hp.htimes.(0);
       (match t.step_hook with None -> () | Some f -> f t.now);
-      let h = hpop hp in
-      t.count <- t.count - 1;
-      h.action ();
+      (pop t hp).action ();
       loop ()
     end
     else t.now <- Float.max t.now horizon
@@ -361,9 +460,10 @@ let run t = while step t do () done
    sequence, so identical runs produce identical folds, and a marshalled
    copy reproduces the layout exactly.  Actions are closures and cannot
    be content-hashed; the armed times and FIFO sequence numbers pin the
-   schedule, which is what divergence diagnosis needs.  While the wheel
-   is unallocated the due heap is empty, so the fold is the overflow
-   heap's alone. *)
+   schedule, which is what divergence diagnosis needs.  Ids are not
+   folded: they name registry slots, not events.  While the wheel is
+   unallocated the due heap is empty, so the fold is the overflow heap's
+   alone. *)
 let fold_heap buf hp =
   for i = 0 to hp.hsize - 1 do
     Statebuf.f buf hp.htimes.(i);

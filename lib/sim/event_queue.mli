@@ -16,6 +16,18 @@
       the queue.  This is the hot path used by {!Link}, {!Flow} and
       {!Delay_line}.
 
+    Containers hold integer ids, not handles.  Each queue keeps a
+    registry from id to handle and to the entry's location: a handle
+    takes an id when it goes from idle to queued, and gives it back —
+    its registry slot cleared — when it is popped or cancelled.  Ids are
+    reused, so the registry is as large as the peak number of pending
+    events.  Heap sifts, wheel cascades and removals therefore move only
+    floats and ints and write no pointer, and the queue never keeps a
+    fired or cancelled closure alive.  An id means something only in
+    the registry that issued it, so a queued handle belongs to exactly
+    one queue, and every operation that takes a queue and a queued
+    handle checks that the handle is queued there.
+
     Three containers hold the pending events:
 
     - a small "overflow" binary heap (O(log n) arm/cancel) takes every
@@ -89,7 +101,9 @@ val set_step_hook : t -> (float -> unit) option -> unit
 val run_until : t -> float -> unit
 (** Run all events with time <= the horizon, then advance [now] to the
     horizon.  Events scheduled during execution are honored if they fall
-    within the horizon. *)
+    within the horizon.
+    @raise Invalid_argument if the horizon is NaN (the clock would
+    become NaN). *)
 
 val run : t -> unit
 (** Run until the queue is empty.  Diverges if events keep rescheduling. *)
@@ -98,37 +112,46 @@ val run : t -> unit
 
 type handle
 (** A reusable event slot: one callback, at most one queued occurrence.
-    A handle belongs to at most one queue at a time. *)
+    While queued, a handle belongs to the queue that holds it (the one
+    whose registry issued its id); once popped or cancelled it is idle
+    and may be armed in any queue. *)
 
 val handle : (unit -> unit) -> handle
 (** Fresh idle handle with the given callback. *)
 
 val set_action : handle -> (unit -> unit) -> unit
 (** Replace the callback — used to tie knots where the callback must
-    capture a record that itself stores the handle.  Must not be called
-    while the handle is queued. *)
+    capture a record that itself stores the handle.
+    @raise Invalid_argument if the handle is queued. *)
 
 val schedule_handle : t -> handle -> at:float -> unit
 (** Arm the handle at absolute time [at].  If it is already queued it is
     {e moved} to [at] with a fresh sequence number (exactly as if it had
-    been cancelled and re-armed); otherwise it is inserted.  Allocates
-    nothing.
-    @raise Invalid_argument if [at] is in the past or not finite. *)
+    been cancelled and re-armed) and keeps its id; otherwise it takes an
+    id and is inserted.  Allocates nothing.
+    @raise Invalid_argument if [at] is in the past or not finite, or if
+    the handle is queued in another queue. *)
 
 val cancel : t -> handle -> unit
-(** Remove the handle's queued occurrence, if any.  The slot is physically
-    deleted from the heap (not tombstoned), so {!pending} stays honest. *)
+(** Remove the handle's queued occurrence, if any, and free its id.  The
+    entry is physically deleted from its container (not tombstoned), so
+    {!pending} stays honest.  A no-op on an idle handle.
+    @raise Invalid_argument if the handle is queued in another queue. *)
 
 val is_scheduled : handle -> bool
+(** Whether the handle is queued (in any queue). *)
 
 val scheduled_time : t -> handle -> float
-(** Time the handle is armed for; [infinity] when idle.  Allocation-free
-    (unlike {!scheduled_at}). *)
+(** Time the handle is armed for; [infinity] when idle, so no option is
+    built (unlike {!scheduled_at}; the returned float is still boxed).
+    @raise Invalid_argument if the handle is queued in another queue. *)
 
 val scheduled_at : t -> handle -> float option
+(** [scheduled_time] as an option: [None] when idle. *)
 
 val fold_state : Buffer.t -> t -> unit
 (** Append the clock and the armed (time, sequence) pairs to a
     {!Statebuf} encoding — part of the simulator's checkpoint content
-    hash.  Event callbacks are closures and are not folded; two runs of
-    the same binary and configuration produce identical folds. *)
+    hash.  Event callbacks are closures and are not folded, nor are ids,
+    which name registry slots; two runs of the same binary and
+    configuration produce identical folds. *)

@@ -685,7 +685,9 @@ let state_hash t = Statebuf.digest fold_state t
 
 (* --- Running ------------------------------------------------------------- *)
 
-let run_to t time = Event_queue.run_until t.eq (Float.min time (horizon t))
+let run_to t time =
+  if Float.is_nan time then invalid_arg "Network.run_to: time is NaN";
+  Event_queue.run_until t.eq (Float.min time (horizon t))
 let force_audit t = t.audit ()
 
 let finish t =

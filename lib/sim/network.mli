@@ -123,7 +123,8 @@ val run_to : t -> float -> unit
 (** Advance the simulation to [min time horizon] without finalizing:
     the closing audit does not run and the network can be advanced
     further (or serialized) afterwards.  Used by {!Snapshot} to pause at
-    checkpoint boundaries. *)
+    checkpoint boundaries.
+    @raise Invalid_argument if [time] is NaN. *)
 
 val now : t -> float
 (** Current simulation time. *)

@@ -1,11 +1,12 @@
 (* Hierarchical timing wheel (see the .mli for the scheme).
 
    Storage is structure-of-arrays per slot — parallel [times]/[seqs]/
-   [items] vecs indexed by [slot = level * 32 + s] — so the float
-   writes stay unboxed (the PR 3 fbox discipline) and a cancel is a
-   swap-with-last.  Level assignment uses the XOR rule: an entry lives
-   at the 5-bit group of the highest bit in [tick lxor cursor].  Two
-   consequences carry the whole correctness argument:
+   [ids] vecs indexed by [slot = level * 32 + s] — so the float writes
+   stay unboxed, no entry move writes a pointer (the caller's integer
+   ids are immediates), and a cancel is a swap-with-last.  Level
+   assignment uses the XOR rule: an entry lives at the 5-bit group of
+   the highest bit in [tick lxor cursor].  Two consequences carry the
+   whole correctness argument:
 
    - cascades are strictly downward: when the cursor enters a level-l
      block, every entry filed there now agrees with the cursor on all
@@ -29,15 +30,14 @@ let horizon_ticks = 1 lsl (slot_bits * levels)
 
 type placement = Placed | Due | Far
 
-type 'a t = {
+type t = {
   g : float;
   inv_g : float;
-  dummy : 'a;
-  move : 'a -> slot:int -> idx:int -> unit;
-  due : 'a -> time:float -> seq:int -> unit;
+  move : int -> slot:int -> idx:int -> unit;
+  due : int -> time:float -> seq:int -> unit;
   times : float array array; (* [nslots] vecs, grown per slot *)
   seqs : int array array;
-  items : 'a array array;
+  ids : int array array;
   lens : int array;
   bitmaps : int array; (* per level: bit s set iff slot (level,s) non-empty *)
   mutable cursor : int;
@@ -58,19 +58,18 @@ let tick_raw inv_g time =
 
 let tick_of t time = tick_raw t.inv_g time
 
-let create ?(granularity = 1e-6) ~start ~dummy ~move ~due () =
+let create ?(granularity = 1e-6) ~start ~move ~due () =
   if not (granularity > 0. && Float.is_finite granularity) then
     invalid_arg "Timer_wheel.create: granularity must be finite and > 0";
   let inv_g = 1. /. granularity in
   {
     g = granularity;
     inv_g;
-    dummy;
     move;
     due;
     times = Array.make nslots [||];
     seqs = Array.make nslots [||];
-    items = Array.make nslots (Array.make 0 dummy);
+    ids = Array.make nslots [||];
     lens = Array.make nslots 0;
     bitmaps = Array.make levels 0;
     cursor = tick_raw inv_g start;
@@ -93,28 +92,28 @@ let level_of diff =
   else if diff < 0x40000000 then 5
   else 6
 
-let push t ~slot ~time ~seq x =
+let push t ~slot ~time ~seq id =
   let len = t.lens.(slot) in
   let cap = Array.length t.seqs.(slot) in
   if len = cap then begin
     let ncap = if cap = 0 then 8 else cap * 2 in
     let nt = Array.make ncap 0. in
     let ns = Array.make ncap 0 in
-    let ni = Array.make ncap t.dummy in
+    let ni = Array.make ncap 0 in
     Array.blit t.times.(slot) 0 nt 0 len;
     Array.blit t.seqs.(slot) 0 ns 0 len;
-    Array.blit t.items.(slot) 0 ni 0 len;
+    Array.blit t.ids.(slot) 0 ni 0 len;
     t.times.(slot) <- nt;
     t.seqs.(slot) <- ns;
-    t.items.(slot) <- ni
+    t.ids.(slot) <- ni
   end;
   t.times.(slot).(len) <- time;
   t.seqs.(slot).(len) <- seq;
-  t.items.(slot).(len) <- x;
+  t.ids.(slot).(len) <- id;
   t.lens.(slot) <- len + 1;
-  t.move x ~slot ~idx:len
+  t.move id ~slot ~idx:len
 
-let add t ~time ~seq x =
+let add t ~time ~seq id =
   let tk = tick_of t time in
   if tk <= t.cursor then Due
   else begin
@@ -123,7 +122,7 @@ let add t ~time ~seq x =
     else begin
       let l = level_of diff in
       let s = (tk lsr (slot_bits * l)) land slot_mask in
-      push t ~slot:((l lsl slot_bits) lor s) ~time ~seq x;
+      push t ~slot:((l lsl slot_bits) lor s) ~time ~seq id;
       t.bitmaps.(l) <- t.bitmaps.(l) lor (1 lsl s);
       t.size <- t.size + 1;
       if t.memo >= 0 && tk < t.memo then t.memo <- tk;
@@ -137,11 +136,10 @@ let remove t ~slot ~idx =
   if idx < last then begin
     t.times.(slot).(idx) <- t.times.(slot).(last);
     t.seqs.(slot).(idx) <- t.seqs.(slot).(last);
-    let x = t.items.(slot).(last) in
-    t.items.(slot).(idx) <- x;
-    t.move x ~slot ~idx
+    let id = t.ids.(slot).(last) in
+    t.ids.(slot).(idx) <- id;
+    t.move id ~slot ~idx
   end;
-  t.items.(slot).(last) <- t.dummy;
   t.lens.(slot) <- last;
   if last = 0 then begin
     let l = slot lsr slot_bits and s = slot land slot_mask in
@@ -196,14 +194,12 @@ let flush t l s =
     t.lens.(slot) <- 0;
     t.bitmaps.(l) <- t.bitmaps.(l) land lnot (1 lsl s);
     t.size <- t.size - len;
-    let tms = t.times.(slot) and sqs = t.seqs.(slot) and its = t.items.(slot) in
+    let tms = t.times.(slot) and sqs = t.seqs.(slot) and ids = t.ids.(slot) in
     for i = 0 to len - 1 do
-      let x = its.(i) in
-      its.(i) <- t.dummy;
-      let time = tms.(i) and seq = sqs.(i) in
-      match add t ~time ~seq x with
+      let id = ids.(i) and time = tms.(i) and seq = sqs.(i) in
+      match add t ~time ~seq id with
       | Placed -> ()
-      | Due -> t.due x ~time ~seq
+      | Due -> t.due id ~time ~seq
       | Far -> assert false
     done
   end
@@ -215,11 +211,9 @@ let emit t s =
     t.lens.(s) <- 0;
     t.bitmaps.(0) <- t.bitmaps.(0) land lnot (1 lsl s);
     t.size <- t.size - len;
-    let tms = t.times.(s) and sqs = t.seqs.(s) and its = t.items.(s) in
+    let tms = t.times.(s) and sqs = t.seqs.(s) and ids = t.ids.(s) in
     for i = 0 to len - 1 do
-      let x = its.(i) in
-      its.(i) <- t.dummy;
-      t.due x ~time:tms.(i) ~seq:sqs.(i)
+      t.due ids.(i) ~time:tms.(i) ~seq:sqs.(i)
     done
   end
 

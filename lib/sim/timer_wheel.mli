@@ -21,12 +21,15 @@
     store the exact [(time, seq)] pair they were scheduled with, so the
     caller can reproduce a binary heap's FIFO tie-break order exactly.
 
-    The wheel never runs callbacks itself: [move] reports storage
-    relocation (for handle back-pointers) and [due] surrenders entries
-    whose tick the cursor has reached.  Both must not reentrantly mutate
-    the wheel. *)
+    The wheel is monomorphic: an entry's payload is the caller's [int]
+    id (Event_queue's registry index), so storing, relocating or
+    surrendering an entry writes no pointer and a vacated slot retains
+    nothing.  The wheel never runs callbacks itself: [move] reports
+    storage relocation (so the caller can keep an id -> location map)
+    and [due] surrenders entries whose tick the cursor has reached.
+    Both must not reentrantly mutate the wheel. *)
 
-type 'a t
+type t
 
 val slot_bits : int
 (** 5: slots per level = 32, so occupancy bitmaps are plain [int]s. *)
@@ -45,59 +48,58 @@ type placement =
 val create :
   ?granularity:float ->
   start:float ->
-  dummy:'a ->
-  move:('a -> slot:int -> idx:int -> unit) ->
-  due:('a -> time:float -> seq:int -> unit) ->
+  move:(int -> slot:int -> idx:int -> unit) ->
+  due:(int -> time:float -> seq:int -> unit) ->
   unit ->
-  'a t
+  t
 (** [granularity] is the tick width in seconds (default [1e-6]).
-    [start] positions the initial cursor.  [dummy] fills vacated slots
-    so the wheel never retains popped items.  [move x ~slot ~idx] is
-    called whenever [x] is stored or relocated; [remove] takes the same
-    coordinates back.  [due x ~time ~seq] is called from {!advance} for
+    [start] positions the initial cursor.  [move id ~slot ~idx] is
+    called whenever [id] is stored or relocated; [remove] takes the same
+    coordinates back.  [slot] is below [levels * slots_per_level] (224).
+    [due id ~time ~seq] is called from {!advance} for
     every entry whose tick the cursor reached, in unspecified order —
     the caller re-sorts by [(time, seq)] (Event_queue pushes into its
     due heap). *)
 
-val size : 'a t -> int
+val size : t -> int
 (** Entries currently stored in the wheel (excludes [Due]/[Far]). *)
 
-val granularity : 'a t -> float
+val granularity : t -> float
 
-val tick_of : 'a t -> float -> int
+val tick_of : t -> float -> int
 (** The discretisation used for every placement decision:
     [floor (time / granularity)].  Exposed so the caller can compare
     overflow-heap times against wheel ticks in tick space (float
     products of tick * granularity could misorder by an ulp). *)
 
-val cursor : 'a t -> int
+val cursor : t -> int
 (** Current cursor tick.  Entries in the wheel all have
     [tick > cursor]. *)
 
-val add : 'a t -> time:float -> seq:int -> 'a -> placement
+val add : t -> time:float -> seq:int -> int -> placement
 (** O(1).  On [Placed], [move] has been called with the entry's
     location.  On [Due]/[Far] the wheel stores nothing. *)
 
-val remove : 'a t -> slot:int -> idx:int -> unit
+val remove : t -> slot:int -> idx:int -> unit
 (** O(1) cancel by location (as last reported via [move]).  The entry
     occupying the slot's tail is swapped in and gets a [move]
     callback. *)
 
-val time_at : 'a t -> slot:int -> idx:int -> float
-val seq_at : 'a t -> slot:int -> idx:int -> int
+val time_at : t -> slot:int -> idx:int -> float
+val seq_at : t -> slot:int -> idx:int -> int
 
-val next_tick : 'a t -> int
+val next_tick : t -> int
 (** Smallest tick among stored entries; O(1) amortised via an exact
     memo, O(levels * 32 + occupied-slot scan) on recompute.
     Precondition: [size t > 0]. *)
 
-val advance : 'a t -> int -> unit
+val advance : t -> int -> unit
 (** [advance t target] moves the cursor to [target] (which must be
     [> cursor t] and [<= next_tick t] when entries exist — the caller
     advances to exactly the next pending tick), cascading higher-level
     slots downward and emitting every entry with [tick = target] via
     [due]. *)
 
-val fold_state : Buffer.t -> 'a t -> unit
+val fold_state : Buffer.t -> t -> unit
 (** Deterministic digest of cursor + stored [(time, seq)] pairs in
     storage order, for {!Statebuf} fingerprints. *)

@@ -219,6 +219,103 @@ let test_census_config_rejects () =
   ignore (config ~buffer:infinity ~jitter_d:0. ~arrival_frac:1. ());
   ignore (config ~buffer:0. ())
 
+(* The engine and hybrid constructors check every number NaN-safely and
+   name the field.  Before, their checks were [rate <= 0.] and the like,
+   which NaN passes, an error did not say which field was wrong, and
+   [Hybrid.flow] checked nothing. *)
+let test_constructors_reject () =
+  let law = Ccac.Model.reno_fluid in
+  let packet_cca ~cwnd:_ = Reno.make () in
+  let engine_flow ?start_time ?stop_time ?extra_rm ?size ?mss () =
+    ignore (Fluid.Engine.flow ?start_time ?stop_time ?extra_rm ?size ?mss law)
+  in
+  let engine_config ?(rate = 1.25e6) ?buffer ?(rm = 0.04) ?dt ?t0
+      ?measure_from ?initial_queue ?(duration = 1.) () =
+    ignore
+      (Fluid.Engine.config ~rate ?buffer ~rm ?dt ?t0 ?measure_from
+         ?initial_queue ~duration [ Fluid.Engine.flow law ])
+  in
+  let hybrid_flow ?jitter_bound ?mss () =
+    ignore (Fluid.Hybrid.flow ?jitter_bound ?mss ~packet_cca law)
+  in
+  let hybrid_config ?(rate = 1.25e6) ?buffer ?(rm = 0.04) ?dt ?measure_from
+      ?events ?window ?(duration = 1.) () =
+    ignore
+      (Fluid.Hybrid.config ~rate ?buffer ~rm ?dt ?measure_from ?events
+         ?window ~duration
+         [ Fluid.Hybrid.flow ~packet_cca law ])
+  in
+  let ef = "Fluid.Engine.flow" and ec = "Fluid.Engine.config" in
+  let hf = "Fluid.Hybrid.flow" and hc = "Fluid.Hybrid.config" in
+  let rejects (fn, field, case, f) =
+    match f () with
+    | () -> Alcotest.failf "%s %s accepted" fn case
+    | exception Invalid_argument msg ->
+        Alcotest.(check bool)
+          (Printf.sprintf "%s %s: %S names %s" fn case msg field)
+          true
+          (String.starts_with ~prefix:(fn ^ ": " ^ field) msg)
+  in
+  List.iter rejects
+    [
+      (ef, "start_time", "nan", fun () -> engine_flow ~start_time:nan ());
+      (ef, "start_time", "inf", fun () -> engine_flow ~start_time:infinity ());
+      (ef, "stop_time", "nan", fun () -> engine_flow ~stop_time:nan ());
+      (ef, "extra_rm", "nan", fun () -> engine_flow ~extra_rm:nan ());
+      (ef, "extra_rm", "inf", fun () -> engine_flow ~extra_rm:infinity ());
+      (ef, "extra_rm", "-1", fun () -> engine_flow ~extra_rm:(-1.) ());
+      (ef, "size", "nan", fun () -> engine_flow ~size:nan ());
+      (ef, "size", "0", fun () -> engine_flow ~size:0. ());
+      (ef, "mss", "nan", fun () -> engine_flow ~mss:nan ());
+      (ef, "mss", "inf", fun () -> engine_flow ~mss:infinity ());
+      (ef, "mss", "0", fun () -> engine_flow ~mss:0. ());
+      (ec, "rate", "nan", fun () -> engine_config ~rate:nan ());
+      (ec, "rate", "inf", fun () -> engine_config ~rate:infinity ());
+      (ec, "rate", "0", fun () -> engine_config ~rate:0. ());
+      (ec, "buffer", "nan", fun () -> engine_config ~buffer:nan ());
+      (ec, "buffer", "-1", fun () -> engine_config ~buffer:(-1.) ());
+      (ec, "rm", "nan", fun () -> engine_config ~rm:nan ());
+      (ec, "rm", "inf", fun () -> engine_config ~rm:infinity ());
+      (ec, "rm", "0", fun () -> engine_config ~rm:0. ());
+      (ec, "dt", "nan", fun () -> engine_config ~dt:nan ());
+      (ec, "dt", "0", fun () -> engine_config ~dt:0. ());
+      (ec, "t0", "nan", fun () -> engine_config ~t0:nan ());
+      (ec, "measure_from", "nan", fun () -> engine_config ~measure_from:nan ());
+      (ec, "initial_queue", "nan", fun () -> engine_config ~initial_queue:nan ());
+      (ec, "initial_queue", "-1", fun () -> engine_config ~initial_queue:(-1.) ());
+      (ec, "duration", "nan", fun () -> engine_config ~duration:nan ());
+      (ec, "duration", "inf", fun () -> engine_config ~duration:infinity ());
+      (ec, "duration", "-1", fun () -> engine_config ~duration:(-1.) ());
+      (hf, "jitter_bound", "nan", fun () -> hybrid_flow ~jitter_bound:nan ());
+      (hf, "jitter_bound", "-1", fun () -> hybrid_flow ~jitter_bound:(-1.) ());
+      (hf, "mss", "nan", fun () -> hybrid_flow ~mss:nan ());
+      (hf, "mss", "inf", fun () -> hybrid_flow ~mss:infinity ());
+      (hf, "mss", "0.5", fun () -> hybrid_flow ~mss:0.5 ());
+      (hc, "rate", "nan", fun () -> hybrid_config ~rate:nan ());
+      (hc, "rate", "0", fun () -> hybrid_config ~rate:0. ());
+      (hc, "buffer", "nan", fun () -> hybrid_config ~buffer:nan ());
+      (hc, "buffer", "-1", fun () -> hybrid_config ~buffer:(-1.) ());
+      (hc, "rm", "nan", fun () -> hybrid_config ~rm:nan ());
+      (hc, "rm", "0", fun () -> hybrid_config ~rm:0. ());
+      (hc, "dt", "nan", fun () -> hybrid_config ~dt:nan ());
+      (hc, "duration", "nan", fun () -> hybrid_config ~duration:nan ());
+      (hc, "duration", "0", fun () -> hybrid_config ~duration:0. ());
+      (hc, "measure_from", "nan", fun () -> hybrid_config ~measure_from:nan ());
+      (hc, "events", "nan", fun () -> hybrid_config ~events:[ 0.5; nan ] ());
+      (hc, "window", "nan", fun () -> hybrid_config ~window:nan ());
+      (hc, "window", "0", fun () -> hybrid_config ~window:0. ());
+    ];
+  (* The boundaries stay legal: unbounded and empty buffers, an
+     unbounded size, a stop before the start, a zero-length engine run,
+     an unbounded jitter bound and events outside the horizon. *)
+  engine_flow ~size:infinity ~stop_time:(-1.) ();
+  engine_config ~buffer:infinity ~duration:0. ();
+  engine_config ~buffer:0. ~t0:5. ~measure_from:0. ();
+  hybrid_flow ~jitter_bound:infinity ();
+  hybrid_flow ~jitter_bound:0. ~mss:1. ();
+  hybrid_config ~buffer:infinity ~events:[ -1.; 0.5; 10. ] ();
+  hybrid_config ~buffer:0. ()
+
 (* ------------------------------------------------------------------ *)
 (* Cross-validation oracles                                            *)
 (* ------------------------------------------------------------------ *)
@@ -250,6 +347,8 @@ let () =
           Alcotest.test_case "deterministic" `Quick test_engine_deterministic;
           Alcotest.test_case "symmetric fairness" `Quick
             test_engine_symmetric_fairness;
+          Alcotest.test_case "engine and hybrid reject bad input" `Quick
+            test_constructors_reject;
           qt prop_engine_conservation;
         ] );
       ( "census",

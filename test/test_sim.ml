@@ -2139,6 +2139,268 @@ let test_eq_peak_100k_flows () =
     (Sim.Event_queue.pending eq > n / 2);
   check_float "clock at slice horizon" 0.05 (Sim.Event_queue.now eq)
 
+(* ------------------------------------------------------------------ *)
+(* Integer-id registry: reference model, id reuse, misuse              *)
+(* ------------------------------------------------------------------ *)
+
+(* A naive reference scheduler: pending events in a list, the next one
+   found by a linear scan for the least (time, seq).  Labels 0-7 are
+   handles; one-shot events get labels from 100 up. *)
+module Ref_sched = struct
+  type t = {
+    mutable evs : (float * int * int) list; (* (time, seq, label) *)
+    mutable seq : int;
+    mutable now : float;
+  }
+
+  let create () = { evs = []; seq = 0; now = 0. }
+  let remove m label = m.evs <- List.filter (fun (_, _, l) -> l <> label) m.evs
+
+  let add m ~at label =
+    m.evs <- (at, m.seq, label) :: m.evs;
+    m.seq <- m.seq + 1
+
+  let arm m ~at label =
+    remove m label;
+    add m ~at label
+
+  let time_of m label =
+    match List.find_opt (fun (_, _, l) -> l = label) m.evs with
+    | Some (at, _, _) -> at
+    | None -> infinity
+
+  let next m =
+    List.fold_left
+      (fun best ((t, s, _) as e) ->
+        match best with
+        | Some (bt, bs, _) when bt < t || (bt = t && bs < s) -> best
+        | _ -> Some e)
+      None m.evs
+
+  (* Pop the next event if it is due by [horizon]; its label, or None. *)
+  let pop m ~horizon =
+    match next m with
+    | Some (t, s, l) when t <= horizon ->
+        m.evs <- List.filter (fun (_, s', _) -> s' <> s) m.evs;
+        m.now <- t;
+        Some l
+    | _ -> None
+end
+
+(* Offsets from [now]: a tiny set, so events tie, and a wide one whose
+   entries land on every wheel level and, at 1e8 s, beyond the wheel's
+   horizon ([Far]). *)
+let ref_offsets =
+  [| 0.; 0.; 1e-6; 1e-4; 1e-4; 3e-4; 1e-3; 1e-3;
+     0.3; 1.7; 30.; 600.; 2e4; 3e5; 5e6; 1e8 |]
+
+let show_ref_op (op, hi, ti) =
+  let name =
+    match op with
+    | 0 | 1 -> "schedule"
+    | 2 | 3 | 4 -> Printf.sprintf "arm h%d" hi
+    | 5 -> Printf.sprintf "cancel h%d" hi
+    | 6 | 7 -> "step"
+    | _ -> "run_until"
+  in
+  Printf.sprintf "%s +%g" name ref_offsets.(ti)
+
+(* Run one trace on the queue and on the reference model side by side,
+   comparing after every operation: what fired and in which order, the
+   clock, [pending], and [is_scheduled] / [scheduled_time] of every
+   handle.  Returns the first divergence. *)
+let ref_divergence ?wheel_threshold ops =
+  let eq = Sim.Event_queue.create ?wheel_threshold () in
+  let m = Ref_sched.create () in
+  let fired = ref [] in
+  let handles =
+    Array.init 8 (fun i -> Sim.Event_queue.handle (fun () -> fired := i :: !fired))
+  in
+  let expect = ref [] in
+  let check k op =
+    let got = List.rev !fired and want = List.rev !expect in
+    fired := [];
+    expect := [];
+    let bad fmt =
+      Printf.ksprintf
+        (fun s -> Some (Printf.sprintf "op %d (%s): %s" k (show_ref_op op) s))
+        fmt
+    in
+    if got <> want then
+      bad "fired [%s], reference [%s]"
+        (String.concat ";" (List.map string_of_int got))
+        (String.concat ";" (List.map string_of_int want))
+    else if Sim.Event_queue.now eq <> m.Ref_sched.now then
+      bad "now %g, reference %g" (Sim.Event_queue.now eq) m.Ref_sched.now
+    else if Sim.Event_queue.pending eq <> List.length m.Ref_sched.evs then
+      bad "pending %d, reference %d" (Sim.Event_queue.pending eq)
+        (List.length m.Ref_sched.evs)
+    else
+      let rec handle_ok i =
+        if i = Array.length handles then None
+        else
+          let want = Ref_sched.time_of m i in
+          let got = Sim.Event_queue.scheduled_time eq handles.(i) in
+          if Sim.Event_queue.is_scheduled handles.(i) <> Float.is_finite want
+          then bad "h%d is_scheduled disagrees" i
+          else if got <> want then
+            bad "h%d scheduled_time %g, reference %g" i got want
+          else handle_ok (i + 1)
+      in
+      handle_ok 0
+  in
+  let rec go k = function
+    | [] -> None
+    | ((op, hi, ti) as o) :: rest -> (
+        let at = Sim.Event_queue.now eq +. ref_offsets.(ti) in
+        (match op with
+        | 0 | 1 ->
+            let label = 100 + k in
+            Sim.Event_queue.schedule eq ~at (fun () -> fired := label :: !fired);
+            Ref_sched.add m ~at label
+        | 2 | 3 | 4 ->
+            Sim.Event_queue.schedule_handle eq handles.(hi) ~at;
+            Ref_sched.arm m ~at hi
+        | 5 ->
+            Sim.Event_queue.cancel eq handles.(hi);
+            Ref_sched.remove m hi
+        | 6 | 7 -> (
+            ignore (Sim.Event_queue.step eq);
+            match Ref_sched.pop m ~horizon:infinity with
+            | Some l -> expect := l :: !expect
+            | None -> ())
+        | _ ->
+            Sim.Event_queue.run_until eq at;
+            let rec drain () =
+              match Ref_sched.pop m ~horizon:at with
+              | Some l ->
+                  expect := l :: !expect;
+                  drain ()
+              | None -> ()
+            in
+            drain ();
+            m.Ref_sched.now <- Float.max m.Ref_sched.now at);
+        match check k o with None -> go (k + 1) rest | d -> d)
+  in
+  go 0 ops
+
+let prop_eq_matches_reference =
+  QCheck.Test.make ~name:"event queue matches a naive reference scheduler"
+    ~count:200
+    QCheck.(
+      make
+        ~print:(fun ops -> String.concat "; " (List.map show_ref_op ops))
+        Gen.(
+          list_size (0 -- 120)
+            (triple (int_range 0 8) (int_range 0 7) (int_range 0 15))))
+    (fun ops ->
+      List.for_all
+        (fun wheel_threshold ->
+          match ref_divergence ?wheel_threshold ops with
+          | None -> true
+          | Some d ->
+              QCheck.Test.fail_reportf "wheel_threshold %s: %s"
+                (match wheel_threshold with
+                | None -> "default"
+                | Some w -> string_of_int w)
+                d)
+        [ Some 0; Some 2; None; Some max_int ])
+
+(* Ids are recycled: 100 000 one-shot schedule/step cycles with at most 8
+   events pending leave the queue about as large as after the first
+   thousand.  The registry stays at 16 slots; what may still grow is the
+   wheel, whose slot vectors are allocated as the cursor first reaches
+   them (224 slots of at most 8 entries here).  A registry that issued a
+   fresh id per insertion would add some 200 000 words. *)
+let eq_recycles_ids ?wheel_threshold () =
+  let eq = Sim.Event_queue.create ?wheel_threshold () in
+  let fired = ref 0 in
+  let cycle k =
+    let at = Sim.Event_queue.now eq +. (float_of_int (k mod 8) *. 1e-3) in
+    Sim.Event_queue.schedule eq ~at (fun () -> incr fired);
+    if Sim.Event_queue.pending eq >= 8 then ignore (Sim.Event_queue.step eq)
+  in
+  for k = 0 to 999 do
+    cycle k
+  done;
+  let words () = Obj.reachable_words (Obj.repr eq) in
+  let warm = words () in
+  for k = 1000 to 100_999 do
+    cycle k
+  done;
+  let final = words () in
+  Alcotest.(check bool)
+    (Printf.sprintf "reachable words %d after 101k cycles, %d after 1k" final
+       warm)
+    true
+    (final <= warm + 10_000);
+  Alcotest.(check int) "at most 8 pending" 7 (Sim.Event_queue.pending eq);
+  Alcotest.(check int) "every popped event fired" (101_000 - 7) !fired
+
+(* Misuse raises [Invalid_argument] naming what is wrong, and leaves both
+   queues intact.  Before ids, [run_until nan] set the clock to NaN (the
+   next [schedule_after] then failed as "non-finite time"), and
+   cancelling queue A's handle through queue B deleted B's own root and
+   dropped its pending count to 0. *)
+let test_eq_misuse_rejected () =
+  let net () =
+    Sim.Network.build
+      (Sim.Network.config ~rate:(Sim.Link.Constant (Sim.Units.mbps 12.))
+         ~rm:0.02 ~duration:1. [ Sim.Network.flow (Reno.make ()) ])
+  in
+  let cases =
+    [
+      ( "run_until nan", "Event_queue.run_until: horizon is NaN",
+        fun (a, _, _, _, _) -> Sim.Event_queue.run_until a nan );
+      ( "run_to nan", "Network.run_to: time is NaN",
+        fun (_, _, _, _, n) -> Sim.Network.run_to n nan );
+      ( "cancel another queue's handle", "Event_queue.cancel: handle is queued in another queue",
+        fun (_, b, h, _, _) -> Sim.Event_queue.cancel b h );
+      ( "move another queue's handle",
+        "Event_queue.schedule_handle: handle is queued in another queue",
+        fun (_, b, h, _, _) -> Sim.Event_queue.schedule_handle b h ~at:0.5 );
+      ( "time of another queue's handle",
+        "Event_queue.scheduled_time: handle is queued in another queue",
+        fun (_, b, h, _, _) -> ignore (Sim.Event_queue.scheduled_time b h) );
+      ( "set_action on a queued handle", "Event_queue.set_action: handle is queued",
+        fun (_, _, h, _, _) -> Sim.Event_queue.set_action h ignore );
+    ]
+  in
+  List.iter
+    (fun (name, message, misuse) ->
+      let a = Sim.Event_queue.create () and b = Sim.Event_queue.create () in
+      let fired = ref [] in
+      let h = Sim.Event_queue.handle (fun () -> fired := "h" :: !fired) in
+      let g = Sim.Event_queue.handle (fun () -> fired := "g" :: !fired) in
+      Sim.Event_queue.schedule_handle a h ~at:1.;
+      Sim.Event_queue.schedule_handle b g ~at:2.;
+      let n = net () in
+      (match misuse (a, b, h, g, n) with
+      | () -> Alcotest.failf "%s accepted" name
+      | exception Invalid_argument msg ->
+          Alcotest.(check string) (name ^ ": message") message msg);
+      check_float (name ^ ": a's clock") 0. (Sim.Event_queue.now a);
+      check_float (name ^ ": network clock") 0. (Sim.Network.now n);
+      Alcotest.(check (pair int int)) (name ^ ": pending") (1, 1)
+        (Sim.Event_queue.pending a, Sim.Event_queue.pending b);
+      check_float (name ^ ": h's time in a") 1. (Sim.Event_queue.scheduled_time a h);
+      check_float (name ^ ": g's time in b") 2. (Sim.Event_queue.scheduled_time b g);
+      Sim.Event_queue.run a;
+      Sim.Event_queue.run b;
+      Alcotest.(check (list string)) (name ^ ": both fire") [ "h"; "g" ]
+        (List.rev !fired))
+    cases;
+  (* A popped or cancelled handle is idle and may move to another queue. *)
+  let a = Sim.Event_queue.create () and b = Sim.Event_queue.create () in
+  let h = Sim.Event_queue.handle ignore in
+  Sim.Event_queue.schedule_handle a h ~at:1.;
+  Sim.Event_queue.cancel a h;
+  Sim.Event_queue.schedule_handle b h ~at:1.;
+  Sim.Event_queue.run b;
+  Sim.Event_queue.schedule_handle a h ~at:1.;
+  Alcotest.(check (pair int int)) "idle handle re-armed elsewhere" (1, 0)
+    (Sim.Event_queue.pending a, Sim.Event_queue.pending b)
+
 let test_flow_table_memory_bounded () =
   (* 10k idle flows in one shared table must cost a bounded number of
      heap words each.  The old eager 1024-slot outstanding rings alone
@@ -2753,6 +3015,27 @@ let test_population_rejects_bad_config () =
     (Sim.Population.run ~cca:boxed_reno
        { base with rm = 0.; jitter_d = 0.; arrival_frac = 1.; buffer = None })
 
+(* The goodput column is allocated without a fill: every flow writes its
+   own entry once, at completion or in the horizon sweep, and [run]
+   raises unless all n were written.  With [arrival_frac] = 1 the last
+   arrival lands on the horizon itself and is scored by the sweep over
+   a zero lifetime. *)
+let test_population_small_n_goodputs () =
+  List.iter
+    (fun n ->
+      let cfg = { (population_cfg ~n ()) with Sim.Population.arrival_frac = 1. } in
+      let r = Sim.Population.run ~cca:boxed_reno cfg in
+      Alcotest.(check int) (Printf.sprintf "n=%d: one goodput per flow" n) n
+        (Array.length r.Sim.Population.goodputs);
+      Array.iteri
+        (fun i g ->
+          Alcotest.(check bool)
+            (Printf.sprintf "n=%d: goodput %d = %g finite and >= 0" n i g)
+            true
+            (Float.is_finite g && g >= 0.))
+        r.Sim.Population.goodputs)
+    [ 1; 2; 5; 40 ]
+
 let test_population_deterministic () =
   let cfg = population_cfg ~n:800 ~jitter_d:0.02 () in
   let r1 = Sim.Population.run ~cca:boxed_reno cfg in
@@ -2824,6 +3107,11 @@ let () =
             (eq_releases_closures ?wheel_threshold:None);
           qt prop_eq_stable_order;
           qt prop_eq_backend_equivalence;
+          qt prop_eq_matches_reference;
+          Alcotest.test_case "ids recycled" `Quick (eq_recycles_ids ?wheel_threshold:None);
+          Alcotest.test_case "ids recycled (wheel)" `Quick
+            (eq_recycles_ids ~wheel_threshold:0);
+          Alcotest.test_case "misuse rejected" `Quick test_eq_misuse_rejected;
           Alcotest.test_case "peak at 100k flows" `Slow test_eq_peak_100k_flows;
         ] );
       ( "delay_line",
@@ -3011,6 +3299,8 @@ let () =
           Alcotest.test_case "recycles slots" `Quick
             test_population_recycles_slots;
           Alcotest.test_case "deterministic" `Quick test_population_deterministic;
+          Alcotest.test_case "small n goodputs" `Quick
+            test_population_small_n_goodputs;
           Alcotest.test_case "columnar equivalence" `Quick
             test_population_columnar_equivalence;
           Alcotest.test_case "rejects bad config" `Quick
