@@ -72,13 +72,16 @@ type t = {
 }
 
 (** A CCA instance plus its lifecycle hooks, for populations that churn
-    through many short flows.  [reset] re-initializes the instance's
-    state in place so one instance (and its arena row, for columnar
-    constructors like [Reno.make_in]) can serve successive flow
+    through many short flows.  Reno, Copa and Vegas build theirs with
+    [make_in], which keeps the state in one row of a shared
+    {!Columns} arena; their [make] is a one-row [make_in] that returns
+    only [cca].  [reset] re-initializes the instance's state in place so
+    one instance (and its arena row) can serve successive flow
     incarnations without allocating; [None] means the instance is
     single-use and a fresh one must be built per flow.  [release]
-    returns any arena rows to their free list; the instance must not be
-    driven afterwards. *)
+    returns any arena row to its free list, once: the instance must not
+    be driven, reset or released afterwards, and a second [release]
+    raises [Invalid_argument]. *)
 type instance = {
   cca : t;
   reset : (unit -> unit) option;

@@ -25,7 +25,8 @@ type params = {
 
 val default_params : params
 val make : ?params:params -> unit -> Cca.t
-(** @raise Invalid_argument naming the field unless [delta] and
+(** A one-row {!make_in}: the instance gets an arena of its own.
+    @raise Invalid_argument naming the field unless [delta] and
     [init_cwnd_packets] are finite and positive and [mss] is positive
     (NaN fails every check), or if {!Window.Extremum} rejects
     [min_rtt_window] (NaN or negative; 0 is legal).  {!make_in} applies
@@ -35,11 +36,12 @@ val nfields : int
 (** Float cells per instance in the columnar layout. *)
 
 val make_in : ?params:params -> Columns.t -> Cca.instance
-(** Columnar constructor: identical algorithm to {!make} with the float
-    state in one arena row ({!nfields} fields).  Copa is partially
-    columnar — the two windowed-minimum deques stay boxed per instance
-    and are cleared on reset/release.  Trace-equivalent to {!make} —
-    asserted by a qcheck property. *)
+(** The one implementation: the float state in one arena row ({!nfields}
+    fields).  Copa is partially columnar — the two windowed-minimum
+    deques stay boxed per instance and are cleared on reset/release, and
+    their pushes are what [on_ack] allocates.  qcheck properties check
+    it bit for bit against a boxed reference implementation kept in the
+    test suite. *)
 
 val equilibrium_queue_delay : params -> rate:float -> float
 (** [mss / (delta * C)] seconds. *)

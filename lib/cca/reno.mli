@@ -14,7 +14,8 @@ type params = {
 
 val default_params : params
 val make : ?params:params -> unit -> Cca.t
-(** @raise Invalid_argument naming the field unless [init_cwnd_packets]
+(** A one-row {!make_in}: the instance gets an arena of its own.
+    @raise Invalid_argument naming the field unless [init_cwnd_packets]
     is finite and positive, [initial_ssthresh] is positive ([infinity]
     is legal) and [mss] is positive.  NaN fails every check; {!make_in}
     applies the same checks. *)
@@ -23,7 +24,8 @@ val nfields : int
 (** Float cells per instance in the columnar layout. *)
 
 val make_in : ?params:params -> Columns.t -> Cca.instance
-(** Columnar constructor: identical algorithm to {!make}, with all state
-    in one row of the given arena (which must have {!nfields} fields).
+(** The one implementation: all state in one row of the given arena
+    (which must have {!nfields} fields), so [on_ack] allocates nothing.
     The returned instance is resettable and its [release] frees the row.
-    Trace-equivalent to {!make} — asserted by a qcheck property. *)
+    qcheck properties check it bit for bit against a boxed reference
+    implementation kept in the test suite. *)

@@ -21,7 +21,8 @@ type params = {
 val default_params : params
 
 val make : ?params:params -> unit -> Cca.t
-(** @raise Invalid_argument naming the field unless [alpha] and [gamma]
+(** A one-row {!make_in}: the instance gets an arena of its own.
+    @raise Invalid_argument naming the field unless [alpha] and [gamma]
     are finite and >= 0, [beta] is finite and >= [alpha],
     [init_cwnd_packets] is finite and positive and [mss] is positive.
     NaN fails every check; {!make_in} applies the same checks. *)
@@ -30,11 +31,11 @@ val nfields : int
 (** Float cells per instance in the columnar layout. *)
 
 val make_in : ?params:params -> Columns.t -> Cca.instance
-(** Columnar constructor: identical algorithm to {!make} with all the
-    float state (booleans as 0./1. cells, [base_rtt] starting at
-    [infinity]) in one arena row of {!nfields} fields.  Bitwise
-    trace-equivalent to {!make} — asserted by a qcheck property — so
-    Vegas can join the million-flow census cells. *)
+(** The one implementation: all the float state (booleans as 0./1.
+    cells, [base_rtt] starting at [infinity]) in one arena row of
+    {!nfields} fields, so [on_ack] allocates nothing.  qcheck properties
+    check it bit for bit against a boxed reference implementation kept
+    in the test suite. *)
 
 val equilibrium_rtt : params -> rate:float -> rm:float -> float
 (** Analytic equilibrium RTT on an ideal path of the given rate: the §4.1

@@ -1091,14 +1091,16 @@ let test_columns_recycling () =
   let r0 = Columns.alloc c in
   let _r1 = Columns.alloc c in
   Alcotest.(check int) "rows" 2 (Columns.rows c);
-  Columns.set c r0 0 5.;
-  Columns.set c r0 2 7.;
+  let d = Columns.data c in
+  d.((r0 * 3) + 0) <- 5.;
+  d.((r0 * 3) + 2) <- 7.;
   Columns.free c r0;
   Alcotest.(check int) "live" 1 (Columns.live c);
   let r2 = Columns.alloc c in
   Alcotest.(check int) "freed row is recycled" r0 r2;
-  check_float "recycled row zeroed" 0. (Columns.get c r2 0);
-  check_float "recycled row zeroed (last field)" 0. (Columns.get c r2 2);
+  let d = Columns.data c in
+  check_float "recycled row zeroed" 0. d.((r2 * 3) + 0);
+  check_float "recycled row zeroed (last field)" 0. d.((r2 * 3) + 2);
   Alcotest.(check int) "no new rows" 2 (Columns.rows c);
   (* Churn: with a free row available, repeated alloc/free must neither
      add rows nor grow the arena. *)
@@ -1109,6 +1111,37 @@ let test_columns_recycling () =
   done;
   Alcotest.(check int) "capacity stable under churn" cap (Columns.capacity c);
   Alcotest.(check int) "rows stable under churn" 2 (Columns.rows c)
+
+(* [free] refuses a row that is not live.  Unchecked, releasing an
+   instance twice pushed its row onto the free stack twice, and the next
+   two [make_in] calls shared one row: an ACK to one instance moved the
+   other's cwnd from 6000 to 7500 bytes. *)
+let test_columns_free_rejects_dead_row () =
+  let rejects what msg f =
+    match f () with
+    | () -> Alcotest.failf "%s accepted" what
+    | exception Invalid_argument m -> Alcotest.(check string) what msg m
+  in
+  let c = Columns.create ~capacity:1 ~nfields:2 () in
+  let r = Columns.alloc c in
+  Columns.free c r;
+  rejects "double free" "Columns.free: row 0 is not live" (fun () ->
+      Columns.free c r);
+  rejects "never allocated" "Columns.free: row 1 out of range" (fun () ->
+      Columns.free c 1);
+  rejects "negative" "Columns.free: row -1 out of range" (fun () ->
+      Columns.free c (-1));
+  Alcotest.(check int) "live after rejected frees" 0 (Columns.live c);
+  let cols = Columns.create ~capacity:1 ~nfields:Reno.nfields () in
+  let a = Reno.make_in cols in
+  a.Cca.release ();
+  rejects "instance released twice" "Columns.free: row 0 is not live"
+    a.Cca.release;
+  let b = (Reno.make_in cols).Cca.cca and c = (Reno.make_in cols).Cca.cca in
+  Alcotest.(check int) "two live rows" 2 (Columns.live cols);
+  b.Cca.on_ack (ack 0.2);
+  check_float "other instance untouched" 6000. (c.Cca.cwnd ());
+  check_float "acked instance grew" 7500. (b.Cca.cwnd ())
 
 let bits = Int64.bits_of_float
 
@@ -1127,55 +1160,248 @@ let apply_fuzz c ~now ev =
       | Some t when t <= now -> c.Cca.on_timer now
       | Some _ | None -> ())
 
+(* Events 10 ms apart: a trace then spans several of its 1-500 ms RTTs,
+   so the once-per-RTT updates (Copa's velocity, Vegas's window) run and
+   state that survives a faulty reset shows. *)
+let fuzz_step = 0.01
+
 let drive_one c events =
   let now = ref 0.1 in
   List.iter
     (fun ev ->
-      now := !now +. 0.001;
+      now := !now +. fuzz_step;
       apply_fuzz c ~now:!now ev)
     events
 
-(* Feed both instances the same stream; cwnd and pacing must stay
-   bit-identical after every event — the contract that makes columnar
-   census cells byte-identical to the boxed baseline. *)
-let drive_pair ~name a b events =
+(* Fail unless [c] matches the boxed reference [oracle] bit for bit:
+   cwnd, pacing rate and every inspected internal. *)
+let same_as_oracle ~name oracle c =
+  let wa = oracle.Cca.cwnd () and wb = c.Cca.cwnd () in
+  if bits wa <> bits wb then
+    QCheck.Test.fail_reportf "%s cwnd diverged: %h <> %h" name wa wb;
+  (match (oracle.Cca.pacing_rate (), c.Cca.pacing_rate ()) with
+  | None, None -> ()
+  | Some ra, Some rb when bits ra = bits rb -> ()
+  | _ -> QCheck.Test.fail_reportf "%s pacing rate diverged" name);
+  List.iter2
+    (fun (k, va) (k', vb) ->
+      if k <> k' || bits va <> bits vb then
+        QCheck.Test.fail_reportf "%s %s diverged: %h <> %h" name k va vb)
+    (oracle.Cca.inspect ()) (c.Cca.inspect ())
+
+(* Feed the oracle and every instance of [cs] the same stream; each must
+   match the oracle after every event. *)
+let drive_against ~name oracle cs events =
   let now = ref 0.1 in
   List.iter
     (fun ev ->
-      now := !now +. 0.001;
-      apply_fuzz a ~now:!now ev;
-      apply_fuzz b ~now:!now ev;
-      let wa = a.Cca.cwnd () and wb = b.Cca.cwnd () in
-      if bits wa <> bits wb then
-        QCheck.Test.fail_reportf "%s cwnd diverged: %h <> %h" name wa wb;
-      match (a.Cca.pacing_rate (), b.Cca.pacing_rate ()) with
-      | None, None -> ()
-      | Some ra, Some rb when bits ra = bits rb -> ()
-      | _ -> QCheck.Test.fail_reportf "%s pacing rate diverged" name)
+      now := !now +. fuzz_step;
+      apply_fuzz oracle ~now:!now ev;
+      List.iter
+        (fun c ->
+          apply_fuzz c ~now:!now ev;
+          same_as_oracle ~name oracle c)
+        cs)
     events;
   true
 
-let prop_reno_columnar_trace_equiv =
-  QCheck.Test.make ~name:"columnar Reno is trace-equivalent to boxed" ~count:80
-    fuzz_arb
-    (fun events ->
-      let cols = Columns.create ~nfields:Reno.nfields () in
-      drive_pair ~name:"reno" (Reno.make ()) (Reno.make_in cols).Cca.cca events)
+(* Reno, Copa and Vegas: the library constructors, the boxed oracle of
+   [Cca_oracle], and the arena width. *)
+type kind = {
+  kname : string;
+  make : unit -> Cca.t;
+  make_in : Columns.t -> Cca.instance;
+  oracle : unit -> Cca.t;
+  width : int;
+}
 
-let prop_copa_columnar_trace_equiv =
-  QCheck.Test.make ~name:"columnar Copa is trace-equivalent to boxed" ~count:80
-    fuzz_arb
-    (fun events ->
-      let cols = Columns.create ~nfields:Copa.nfields () in
-      drive_pair ~name:"copa" (Copa.make ()) (Copa.make_in cols).Cca.cca events)
+let reno_kind =
+  { kname = "reno"; make = (fun () -> Reno.make ());
+    make_in = (fun c -> Reno.make_in c); oracle = (fun () -> Cca_oracle.reno ());
+    width = Reno.nfields }
 
-let prop_vegas_columnar_trace_equiv =
-  QCheck.Test.make ~name:"columnar Vegas is trace-equivalent to boxed"
+let copa_kind =
+  { kname = "copa"; make = (fun () -> Copa.make ());
+    make_in = (fun c -> Copa.make_in c); oracle = (fun () -> Cca_oracle.copa ());
+    width = Copa.nfields }
+
+let vegas_kind =
+  { kname = "vegas"; make = (fun () -> Vegas.make ());
+    make_in = (fun c -> Vegas.make_in c);
+    oracle = (fun () -> Cca_oracle.vegas ()); width = Vegas.nfields }
+
+let kinds = [ reno_kind; copa_kind; vegas_kind ]
+
+(* The library's one body, reached through [make] and through [make_in]
+   on an arena it shares with another instance (so its row is not row
+   0), must follow the boxed oracle bit for bit. *)
+let prop_trace_equiv k =
+  QCheck.Test.make
+    ~name:(Printf.sprintf "columnar %s is trace-equivalent to boxed"
+             (String.capitalize_ascii k.kname))
     ~count:80 fuzz_arb
     (fun events ->
-      let cols = Columns.create ~nfields:Vegas.nfields () in
-      drive_pair ~name:"vegas" (Vegas.make ())
-        (Vegas.make_in cols).Cca.cca events)
+      let cols = Columns.create ~capacity:1 ~nfields:k.width () in
+      let first = k.make_in cols in
+      let second = k.make_in cols in
+      drive_against ~name:k.kname (k.oracle ())
+        [ k.make (); first.Cca.cca; second.Cca.cca ]
+        events)
+
+let prop_reno_columnar_trace_equiv = prop_trace_equiv reno_kind
+let prop_copa_columnar_trace_equiv = prop_trace_equiv copa_kind
+let prop_vegas_columnar_trace_equiv = prop_trace_equiv vegas_kind
+
+(* Row isolation: up to six instances of one CCA share an arena created
+   with one row of capacity, so it grows mid-trace.  Interleaved,
+   independent fuzz events drive them; instances are released, reset
+   and allocated between events.  After every step each live instance
+   must match its own oracle, the arena must count exactly the live
+   instances, and poisoning the arena's current backing array must show
+   through every live instance's cwnd, so none of them kept an array
+   that a growth replaced.  Single-row tests cannot see a wrong base
+   offset or a stale backing array. *)
+type iso_op =
+  | Iso_drive of int * fuzz_event
+  | Iso_spawn
+  | Iso_release of int
+  | Iso_reset of int
+
+let iso_slots = 6
+
+let iso_arb =
+  let open QCheck.Gen in
+  let slot = int_bound (iso_slots - 1) in
+  QCheck.make
+    ~print:(fun ops -> Printf.sprintf "<%d ops>" (List.length ops))
+    (list_size (int_range 1 200)
+       (frequency
+          [
+            (12, map2 (fun i ev -> Iso_drive (i, ev)) slot fuzz_event_gen);
+            (3, return Iso_spawn);
+            (1, map (fun i -> Iso_release i) slot);
+            (1, map (fun i -> Iso_reset i) slot);
+          ]))
+
+let check_isolated k ops =
+  let cols = Columns.create ~capacity:1 ~nfields:k.width () in
+  let slots = Array.make iso_slots None in
+  let spawn i = slots.(i) <- Some (k.make_in cols, k.oracle ()) in
+  spawn 0;
+  let now = ref 0.1 in
+  List.iter
+    (fun op ->
+      now := !now +. fuzz_step;
+      (match op with
+      | Iso_drive (i, ev) -> (
+          match slots.(i) with
+          | Some (inst, oracle) ->
+              apply_fuzz inst.Cca.cca ~now:!now ev;
+              apply_fuzz oracle ~now:!now ev
+          | None -> ())
+      | Iso_spawn -> (
+          let rec first_free i =
+            if i = iso_slots then None
+            else if slots.(i) = None then Some i
+            else first_free (i + 1)
+          in
+          match first_free 0 with Some i -> spawn i | None -> ())
+      | Iso_release i -> (
+          match slots.(i) with
+          | Some (inst, _) ->
+              inst.Cca.release ();
+              slots.(i) <- None
+          | None -> ())
+      | Iso_reset i -> (
+          match slots.(i) with
+          | Some (inst, _) ->
+              Option.iter (fun r -> r ()) inst.Cca.reset;
+              slots.(i) <- Some (inst, k.oracle ())
+          | None -> ()));
+      let live = ref 0 in
+      Array.iteri
+        (fun i s ->
+          Option.iter
+            (fun (inst, oracle) ->
+              incr live;
+              same_as_oracle
+                ~name:(Printf.sprintf "%s slot %d" k.kname i)
+                oracle inst.Cca.cca)
+            s)
+        slots;
+      if Columns.live cols <> !live then
+        QCheck.Test.fail_reportf "%s: arena counts %d live rows, %d instances"
+          k.kname (Columns.live cols) !live;
+      let d = Columns.data cols in
+      let saved = Array.copy d in
+      Array.fill d 0 (Array.length d) nan;
+      Array.iteri
+        (fun i s ->
+          Option.iter
+            (fun (inst, _) ->
+              if not (Float.is_nan (inst.Cca.cca.Cca.cwnd ())) then
+                QCheck.Test.fail_reportf
+                  "%s slot %d does not read the arena's backing array"
+                  k.kname i)
+            s)
+        slots;
+      Array.blit saved 0 d 0 (Array.length d))
+    ops;
+  true
+
+let prop_columnar_rows_isolated =
+  QCheck.Test.make ~name:"instances sharing a growing arena stay isolated"
+    ~count:60 iso_arb
+    (fun ops -> List.for_all (fun k -> check_isolated k ops) kinds)
+
+(* Minor words per [on_ack], native code only (bytecode boxes every
+   float).  The ACK records are built first: writing a float field of
+   [Cca.ack_info] allocates.  The RTTs cycle over 20-100 ms while time
+   advances 2 ms per ACK, so the trace crosses slow start, congestion
+   avoidance and many once-per-RTT updates.  Reno and Vegas allocate
+   nothing.  Copa reads 8 words: its standing-RTT filter's new window and
+   three filter reads are boxed floats passed to or from [Window]. *)
+let test_on_ack_minor_words_budget () =
+  match Sys.backend_type with
+  | Sys.Native ->
+      let n = 20_000 in
+      let acks =
+        Array.init n (fun i ->
+            ack
+              ~rtt:(0.02 +. (0.01 *. float_of_int (i mod 9)))
+              (0.1 +. (0.002 *. float_of_int i)))
+      in
+      let words f =
+        let w0 = Gc.minor_words () in
+        f ();
+        Gc.minor_words () -. w0
+      in
+      let per_ack (c : Cca.t) =
+        (* A first loss puts Reno in congestion avoidance. *)
+        c.on_loss (loss 0.1);
+        let overhead = words (fun () -> ()) in
+        (words (fun () ->
+             for i = 0 to n - 1 do
+               c.on_ack acks.(i)
+             done)
+        -. overhead)
+        /. float_of_int n
+      in
+      List.iter
+        (fun (k, budget) ->
+          List.iter
+            (fun (ctor, c) ->
+              let w = per_ack c in
+              Alcotest.(check bool)
+                (Printf.sprintf "%s %s: %.2f minor words/ack <= %g" k.kname
+                   ctor w budget)
+                true (w <= budget))
+            [
+              ("make", k.make ());
+              ("make_in", (k.make_in (Columns.create ~nfields:k.width ())).cca);
+            ])
+        [ (reno_kind, 0.); (copa_kind, 10.); (vegas_kind, 0.) ]
+  | Sys.Bytecode | Sys.Other _ -> ()
 
 (* Both constructors of Reno, Copa and Vegas reject the same params, and
    the error names the field.  Unchecked, a NaN init_cwnd_packets left a
@@ -1395,31 +1621,23 @@ let test_params_rejected_others () =
       ecn { e with loss_tolerance = 1. };
     ]
 
-(* The churn contract: a reset columnar instance must be indistinguishable
-   from a freshly built one even after an arbitrary first incarnation. *)
+(* The churn contract: a reset instance must be indistinguishable from a
+   fresh one even after an arbitrary first incarnation. *)
 let prop_columnar_reset_equals_fresh =
   QCheck.Test.make ~name:"reset columnar instance equals a fresh instance"
     ~count:60
     QCheck.(pair fuzz_arb fuzz_arb)
     (fun (warmup, events) ->
       List.for_all
-        (fun (name, fresh, inst) ->
+        (fun k ->
+          let inst = k.make_in (Columns.create ~nfields:k.width ()) in
           drive_one inst.Cca.cca warmup;
           (match inst.Cca.reset with
           | Some r -> r ()
-          | None -> QCheck.Test.fail_reportf "%s: columnar without reset" name);
-          drive_pair ~name inst.Cca.cca (fresh ()) events)
-        [
-          ( "reno",
-            (fun () -> Reno.make ()),
-            Reno.make_in (Columns.create ~nfields:Reno.nfields ()) );
-          ( "copa",
-            (fun () -> Copa.make ()),
-            Copa.make_in (Columns.create ~nfields:Copa.nfields ()) );
-          ( "vegas",
-            (fun () -> Vegas.make ()),
-            Vegas.make_in (Columns.create ~nfields:Vegas.nfields ()) );
-        ])
+          | None ->
+              QCheck.Test.fail_reportf "%s: columnar without reset" k.kname);
+          drive_against ~name:k.kname (k.oracle ()) [ inst.Cca.cca ] events)
+        kinds)
 
 let () =
   Alcotest.run "cca"
@@ -1545,10 +1763,15 @@ let () =
       ( "columnar",
         [
           Alcotest.test_case "arena recycling" `Quick test_columns_recycling;
+          Alcotest.test_case "free rejects a dead row" `Quick
+            test_columns_free_rejects_dead_row;
           qt prop_reno_columnar_trace_equiv;
           qt prop_copa_columnar_trace_equiv;
           qt prop_vegas_columnar_trace_equiv;
           qt prop_columnar_reset_equals_fresh;
+          qt prop_columnar_rows_isolated;
+          Alcotest.test_case "on_ack minor-words budget" `Quick
+            test_on_ack_minor_words_budget;
           Alcotest.test_case "constructors reject bad params" `Quick
             test_params_rejected;
         ] );
