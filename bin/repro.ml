@@ -13,7 +13,8 @@
    jobs that had not completed.  --split-run proves checkpoint fidelity by
    serializing and restoring every simulation at mid-horizon; the output
    must stay byte-identical.  --selftest-shrink and --replay exercise the
-   failing-scenario minimizer end to end. *)
+   failing-scenario minimizer end to end; --export writes the figure
+   series as CSV. *)
 
 open Cmdliner
 
@@ -89,13 +90,31 @@ let split_run_arg =
                byte-identical to a normal run — this is the \
                checkpoint/restore equivalence proof at suite scale.")
 
+(* A numeric converter that rejects values outside [ok]; cmdliner then
+   exits 124 naming the flag.  NaN fails every comparison, so it is
+   rejected by the same test. *)
+let checked conv ~ok ~what =
+  let parse s =
+    match Arg.conv_parser conv s with
+    | Ok v when ok v -> Ok v
+    | Ok _ ->
+        Error (`Msg (Printf.sprintf "invalid value '%s', must be %s" s what))
+    | Error _ as e -> e
+  in
+  Arg.conv (parse, Arg.conv_printer conv)
+
 let deadline_arg =
-  Arg.(value & opt (some float) None & info [ "deadline" ] ~docv:"SECS"
+  let secs =
+    checked Arg.float ~what:"a finite number of seconds > 0"
+      ~ok:(fun d -> d > 0. && Float.is_finite d)
+  in
+  Arg.(value & opt (some secs) None & info [ "deadline" ] ~docv:"SECS"
          ~doc:"Per-attempt wall-clock deadline for each job (forked \
                workers only).")
 
 let max_attempts_arg =
-  Arg.(value & opt int 3 & info [ "max-attempts" ] ~docv:"N"
+  Arg.(value & opt (checked int ~ok:(fun n -> n >= 1) ~what:">= 1") 3
+       & info [ "max-attempts" ] ~docv:"N"
          ~doc:"Supervised attempts per job before it is quarantined.")
 
 let selftest_shrink_arg =
@@ -120,7 +139,8 @@ let allow_failures_arg =
                this flag any quarantined or retry-exhausted job exits 3.")
 
 let fuzz_arg =
-  Arg.(value & opt (some int) None & info [ "fuzz" ] ~docv:"N"
+  Arg.(value & opt (some (checked int ~ok:(fun n -> n >= 0) ~what:">= 0")) None
+       & info [ "fuzz" ] ~docv:"N"
          ~doc:"Ignore the experiment arguments: fuzz $(docv) generated \
                scenarios through every validation oracle (conservation, \
                determinism, rescale metamorphic + the invariant monitor). \
@@ -132,6 +152,15 @@ let fuzz_seed_arg =
          ~doc:"Base seed for --fuzz: scenario $(i,i) of seed $(i,S) is a \
                pure function of (S, i), so a violating (seed, index) pair \
                reproduces anywhere.")
+
+let export_arg =
+  Arg.(value & opt (some string) None & info [ "export" ] ~docv:"DIR"
+         ~doc:"Ignore the experiment arguments: write the numeric series \
+               behind the paper's figures (Figures 1 and 3-7, E10, E14, \
+               E17) as one CSV file each under $(docv), created if \
+               missing.  Honours $(b,--quick).  Exits 1 if a file cannot \
+               be written or the Theorem 1 construction behind Figures \
+               4-6 fails.")
 
 let select keys all =
   Experiments.Registry.select (if all then [] else keys)
@@ -277,18 +306,30 @@ let fuzz ~seed ~n ~cache_dir =
   end
 
 (* --------------------------------------------------------------------- *)
+(* Figure export                                                          *)
+(* --------------------------------------------------------------------- *)
+
+let export ~dir ~quick =
+  match Experiments.Export.figures ~dir ~quick with
+  | Ok paths -> List.iter (Printf.printf "wrote %s\n") paths
+  | Error msg | (exception Sys_error msg) ->
+      prerr_endline ("repro: export: " ^ msg);
+      exit 1
+
+(* --------------------------------------------------------------------- *)
 (* Main driver                                                            *)
 (* --------------------------------------------------------------------- *)
 
 let main keys all quick jobs pool sim_backend no_cache cache_dir check resume
     split_run deadline max_attempts selftest replay_file allow_failures fuzz_n
-    fuzz_seed =
-  match (selftest, replay_file, fuzz_n) with
-  | Some dir, _, _ -> selftest_shrink dir
-  | None, Some file, _ -> replay file
-  | None, None, Some n -> fuzz ~seed:fuzz_seed ~n ~cache_dir
-  | None, None, None when keys = [ "list" ] && not all -> list_keys ()
-  | None, None, None -> (
+    fuzz_seed export_dir =
+  match (selftest, replay_file, fuzz_n, export_dir) with
+  | Some dir, _, _, _ -> selftest_shrink dir
+  | None, Some file, _, _ -> replay file
+  | None, None, Some n, _ -> fuzz ~seed:fuzz_seed ~n ~cache_dir
+  | None, None, None, Some dir -> export ~dir ~quick
+  | None, None, None, None when keys = [ "list" ] && not all -> list_keys ()
+  | None, None, None, None -> (
       match select keys all with
       | Error msg ->
           prerr_endline ("repro: " ^ msg);
@@ -359,6 +400,6 @@ let cmd =
       $ backend_arg $ no_cache_arg
       $ cache_dir_arg $ check_arg $ resume_arg $ split_run_arg $ deadline_arg
       $ max_attempts_arg $ selftest_shrink_arg $ replay_arg
-      $ allow_failures_arg $ fuzz_arg $ fuzz_seed_arg)
+      $ allow_failures_arg $ fuzz_arg $ fuzz_seed_arg $ export_arg)
 
 let () = exit (Cmd.eval cmd)

@@ -243,15 +243,6 @@ let rows_of_cells cs =
           && (heavy || c.completed > c.flows / 2)))
     cs
 
-let run ?(quick = false) ?(backend = Fluid.Backend.Packet) () =
-  rows_of_cells
-    (List.map
-       (fun (variant, cca_name, jitter_d) ->
-         run_cell ~variant ~cca_name ~backend ~jitter_d
-           ~n:(population variant ~quick)
-           ~seed:42)
-       cells)
-
 let plan ~quick ~backend =
   let jobs =
     List.map

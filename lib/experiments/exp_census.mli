@@ -39,19 +39,16 @@ type cell = {
   fallbacks : int;  (** delay-line non-monotone escapes; must be 0 *)
 }
 
-val run : ?quick:bool -> ?backend:Fluid.Backend.t -> unit -> Report.row list
-(** Quick runs 250 flows per cell; full runs 1M per [std] cell and 250k
-    per [heavy] cell.  Each cell prints one ["census {...}"] JSON line
-    on stdout.  [backend] (default [Packet]) selects the substrate;
+val plan :
+  quick:bool ->
+  backend:Fluid.Backend.t ->
+  Runner.Job.t list * (bytes list -> Report.row list)
+(** One job per cell, keys embedding the backend.  Quick runs 250 flows
+    per cell; full runs 1M per [std] cell and 250k per [heavy] cell.
+    The merge prints one ["census {...}"] JSON line per cell on stdout
+    and yields one row per cell.  [backend] selects the substrate;
     [Fluid] and [Hybrid] both run the {!Fluid.Census} port (the census
     has no event schedule to hand a hybrid switcher), whose per-flow
     law state is admitted and released with the flow — peak concurrent
     state rows take the [slots] column, the packet-only counters report
     zero. *)
-
-val plan :
-  quick:bool ->
-  backend:Fluid.Backend.t ->
-  Runner.Job.t list * (bytes list -> Report.row list)
-(** One job per cell, keys embedding the backend; the merge prints the
-    JSON lines and yields the same rows as {!run}. *)

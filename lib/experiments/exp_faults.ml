@@ -101,16 +101,6 @@ let run_one ~duration ~cca_name ~mk ~scenario ~window ~events =
 
 let duration_of ~quick = if quick then 10. else 30.
 
-let measure ?(quick = false) () =
-  let duration = duration_of ~quick in
-  List.concat_map
-    (fun (cca_name, mk) ->
-      List.map
-        (fun (scenario, window, events) ->
-          run_one ~duration ~cca_name ~mk ~scenario ~window ~events)
-        (scenarios ~duration))
-    (ccas ~quick)
-
 let rows_of_outcomes outcomes =
   List.map
     (fun o ->
@@ -131,8 +121,6 @@ let rows_of_outcomes outcomes =
               else ""))
         ~ok:(o.violations = 0 && recovered && ratio > 0.15))
     outcomes
-
-let run ?quick () = rows_of_outcomes (measure ?quick ())
 
 let plan ~quick =
   let duration = duration_of ~quick in

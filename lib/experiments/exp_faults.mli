@@ -22,9 +22,7 @@ type outcome = {
   degraded : int;  (** clamped insane CCA outputs *)
 }
 
-val measure : ?quick:bool -> unit -> outcome list
-val run : ?quick:bool -> unit -> Report.row list
-
 val plan : quick:bool -> Runner.Job.t list * (bytes list -> Report.row list)
 (** One job per (CCA, fault scenario) cell — the natural parallel grain
-    of the matrix; the merge yields the same rows as {!run}. *)
+    of the matrix; each job's payload is its {!outcome}, and the merge
+    yields one row per cell. *)

@@ -136,8 +136,6 @@ let rows_of_entries entries =
        ~ok:(List.length adversarial_worse >= 3));
   ]
 
-let run ?(quick = false) () = rows_of_entries (measure ~quick ())
-
 let plan ~quick =
   let duration = duration_of ~quick in
   let jobs =

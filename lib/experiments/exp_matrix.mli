@@ -29,8 +29,9 @@ type entry = {
 }
 
 val measure : ?quick:bool -> unit -> entry list
-val run : ?quick:bool -> unit -> Report.row list
+(** Every CCA's entry, measured serially in this process: the data behind
+    the exported [e17_matrix.csv]. *)
 
 val plan : quick:bool -> Runner.Job.t list * (bytes list -> Report.row list)
 (** One job per CCA (its four scenarios together); the merge prints the
-    matrix table and yields the same rows as {!run}. *)
+    matrix table and yields the E17a-c rows. *)

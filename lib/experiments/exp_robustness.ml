@@ -2,7 +2,6 @@ type spread = {
   label : string;
   ratios : float list;
   min_ratio : float;
-  max_ratio : float;
 }
 
 let rate = Sim.Units.mbps 120.
@@ -50,15 +49,7 @@ let spread_of label ratios =
     label;
     ratios;
     min_ratio = List.fold_left Float.min infinity ratios;
-    max_ratio = List.fold_left Float.max 0. ratios;
   }
-
-let measure ?(quick = false) () =
-  let seeds, duration = params ~quick in
-  List.map
-    (fun (label, f) ->
-      spread_of label (List.map (fun seed -> f ~seed ~duration) seeds))
-    scenarios
 
 let rows_of_spreads spreads =
   List.map
@@ -73,8 +64,6 @@ let rows_of_spreads spreads =
         ~measured:(Printf.sprintf "ratios {%s}" shown)
         ~ok:(s.min_ratio > threshold))
     spreads
-
-let run ?quick () = rows_of_spreads (measure ?quick ())
 
 let plan ~quick =
   let seeds, duration = params ~quick in

@@ -6,18 +6,8 @@
     poisoning scenario (E2) across several seeds and reports the range of
     starvation ratios: the shape must hold for every seed, not one. *)
 
-type spread = {
-  label : string;
-  ratios : float list;  (** one per seed *)
-  min_ratio : float;
-  max_ratio : float;
-}
-
-val run : ?quick:bool -> unit -> Report.row list
-val measure : ?quick:bool -> unit -> spread list
-
 val plan : quick:bool -> Runner.Job.t list * (bytes list -> Report.row list)
 (** One job per (scenario, seed) pair, so a parallel runner can spread the
     seeds across workers; the merge rebuilds the per-scenario spreads from
-    the job payloads in submission order and yields the same rows as
-    {!run}. *)
+    the job payloads in submission order: one row per scenario, which
+    holds when every seed's ratio clears the scenario's threshold. *)

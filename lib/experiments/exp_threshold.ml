@@ -123,9 +123,6 @@ let rows_of_points ?(backend = Fluid.Backend.Packet) points =
       ~ok:(low < 2. && high > 4. && high > 2. *. low);
   ]
 
-let run ?(quick = false) ?backend () =
-  rows_of_points ?backend (sweep ~quick ?backend ())
-
 let plan ~quick ~backend =
   let multipliers, duration = params ~quick in
   let jobs =

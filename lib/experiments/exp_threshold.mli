@@ -26,15 +26,12 @@ val sweep : ?quick:bool -> ?backend:Fluid.Backend.t -> unit -> point list
     windows around the t=0 start and t=1 jitter activation with fluid
     in between. *)
 
-val run : ?quick:bool -> ?backend:Fluid.Backend.t -> unit -> Report.row list
-(** Checks: the curve is near-fair at D << delta_max and unfair at
-    D >> 2 delta_max, i.e. it crosses the paper's boundary.  The same
-    acceptance shape must hold on every backend. *)
-
 val plan :
   quick:bool ->
   backend:Fluid.Backend.t ->
   Runner.Job.t list * (bytes list -> Report.row list)
 (** One job per sweep point (each point is an independent simulation);
     job keys embed the backend.  The merge reassembles the curve and
-    yields the same rows as {!run}. *)
+    checks it: near-fair at D << delta_max and unfair at
+    D >> 2 delta_max, i.e. it crosses the paper's boundary.  The same
+    acceptance shape must hold on every backend. *)

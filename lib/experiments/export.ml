@@ -1,4 +1,6 @@
-let write_csv ~path ~cols rows =
+let cells = List.map (Printf.sprintf "%.9g")
+
+let write_cells ~path ~cols rows =
   let oc = open_out path in
   Fun.protect
     ~finally:(fun () -> close_out oc)
@@ -7,10 +9,12 @@ let write_csv ~path ~cols rows =
       output_char oc '\n';
       List.iter
         (fun row ->
-          output_string oc
-            (String.concat "," (List.map (Printf.sprintf "%.9g") row));
+          output_string oc (String.concat "," row);
           output_char oc '\n')
         rows)
+
+let write_csv ~path ~cols rows =
+  write_cells ~path ~cols (List.map cells rows)
 
 let series_to_rows ?(stride = 1) s =
   let times = Sim.Series.times s and values = Sim.Series.values s in
@@ -23,11 +27,12 @@ let series_to_rows ?(stride = 1) s =
 let figures ~dir ~quick =
   if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
   let written = ref [] in
-  let emit name cols rows =
+  let emit_cells name cols rows =
     let path = Filename.concat dir (name ^ ".csv") in
-    write_csv ~path ~cols rows;
+    write_cells ~path ~cols rows;
     written := path :: !written
   in
+  let emit name cols rows = emit_cells name cols (List.map cells rows) in
   (* Figure 1: RTT trajectories. *)
   List.iter
     (fun (name, s) ->
@@ -63,37 +68,44 @@ let figures ~dir ~quick =
         [ ("delack", r.cwnd_delack); ("normal", r.cwnd_normal) ])
     (Exp_fig7.series ~quick ());
   (* Figures 4-6 from Theorem 1. *)
-  (match Exp_theorem1.outcome ~quick () with
-  | Error _ -> ()
-  | Ok o ->
-      emit "fig4_probes" [ "rate_mbps"; "d_max_s" ]
-        (List.map
-           (fun (m : Core.Convergence.measurement) ->
-             [ Sim.Units.to_mbps m.rate; m.d_max ])
-           o.Core.Theorem1.pair.Core.Pigeonhole.probes);
-      emit "fig5_c1_rtt" [ "t"; "rtt_s" ]
-        (series_to_rows ~stride:5
-           o.Core.Theorem1.pair.Core.Pigeonhole.m1.Core.Convergence.rtt);
-      emit "fig5_c2_rtt" [ "t"; "rtt_s" ]
-        (series_to_rows ~stride:5
-           o.Core.Theorem1.pair.Core.Pigeonhole.m2.Core.Convergence.rtt);
-      emit "fig6_d_star" [ "t"; "d_star_s" ] (series_to_rows o.Core.Theorem1.d_star));
+  let theorem1 =
+    match Exp_theorem1.outcome ~quick () with
+    | Error e -> Error ("Figures 4-6: the Theorem 1 construction failed: " ^ e)
+    | Ok o ->
+        emit "fig4_probes" [ "rate_mbps"; "d_max_s" ]
+          (List.map
+             (fun (m : Core.Convergence.measurement) ->
+               [ Sim.Units.to_mbps m.rate; m.d_max ])
+             o.Core.Theorem1.pair.Core.Pigeonhole.probes);
+        emit "fig5_c1_rtt" [ "t"; "rtt_s" ]
+          (series_to_rows ~stride:5
+             o.Core.Theorem1.pair.Core.Pigeonhole.m1.Core.Convergence.rtt);
+        emit "fig5_c2_rtt" [ "t"; "rtt_s" ]
+          (series_to_rows ~stride:5
+             o.Core.Theorem1.pair.Core.Pigeonhole.m2.Core.Convergence.rtt);
+        emit "fig6_d_star" [ "t"; "d_star_s" ]
+          (series_to_rows o.Core.Theorem1.d_star);
+        Ok ()
+  in
   (* E14 phase diagram. *)
   emit "e14_phase" [ "jitter_s"; "jitter_over_delta"; "ratio" ]
     (List.map
        (fun (p : Exp_threshold.point) -> [ p.jitter; p.jitter_over_delta; p.ratio ])
        (Exp_threshold.sweep ~quick ()));
-  (* E17 cross-CCA matrix. *)
-  emit "e17_matrix"
-    [ "util"; "p95_rtt_s"; "jain"; "random_jitter_ratio"; "adversarial_ratio" ]
+  (* E17 cross-CCA matrix, one row per CCA. *)
+  emit_cells "e17_matrix"
+    [ "cca"; "util"; "p95_rtt_s"; "jain"; "random_jitter_ratio";
+      "adversarial_ratio" ]
     (List.map
        (fun (e : Exp_matrix.entry) ->
-         [ e.solo_utilization; e.solo_p95_rtt; e.pair_jain; e.jitter_ratio;
-           e.adv_ratio ])
+         e.cca_name
+         :: cells
+              [ e.solo_utilization; e.solo_p95_rtt; e.pair_jain;
+                e.jitter_ratio; e.adv_ratio ])
        (Exp_matrix.measure ~quick ()));
   (* E10 figure-of-merit grid. *)
   emit "e10_merit" [ "jitter_s"; "s"; "vegas"; "exponential" ]
     (List.map
        (fun (r : Core.Ambiguity.merit_row) -> [ r.jitter; r.s; r.vegas; r.exponential ])
        (Exp_alg1.merit_rows ()));
-  List.rev !written
+  Result.map (fun () -> List.rev !written) theorem1

@@ -7,7 +7,6 @@ type experiment = {
   key : string;
   title : string;
   plan : quick:bool -> backend:Fluid.Backend.t -> plan;
-  run : quick:bool -> Report.row list;
 }
 
 let merge_solo key = function
@@ -65,61 +64,42 @@ let planned_backend plan_fn ~quick ~backend =
 let all =
   [
     { key = "fig1"; title = "Figure 1: ideal-path delay convergence";
-      run = (fun ~quick -> Exp_fig1.run ~quick ());
       plan = solo "fig1" (fun ~quick -> Exp_fig1.run ~quick ()) };
     { key = "fig3"; title = "Figures 2-3: rate-delay maps";
-      run = (fun ~quick -> Exp_fig3.run ~quick ());
       plan = solo "fig3" (fun ~quick -> Exp_fig3.run ~quick ()) };
     { key = "copa"; title = "E1-E2: Copa min-RTT poisoning (sec. 5.1)";
-      run = (fun ~quick -> Exp_copa.run ~quick ());
       plan = solo "copa" (fun ~quick -> Exp_copa.run ~quick ()) };
     { key = "bbr"; title = "E3-E4: BBR starvation and +alpha ablation (sec. 5.2)";
-      run = (fun ~quick -> Exp_bbr.run ~quick ());
       plan = solo "bbr" (fun ~quick -> Exp_bbr.run ~quick ()) };
     { key = "vivace"; title = "E5: PCC Vivace ACK aggregation (sec. 5.3)";
-      run = (fun ~quick -> Exp_vivace.run ~quick ());
       plan = solo "vivace" (fun ~quick -> Exp_vivace.run ~quick ()) };
     { key = "fig7"; title = "Figure 7: Reno/Cubic delayed-ACK unfairness";
-      run = (fun ~quick -> Exp_fig7.run ~quick ());
       plan = solo "fig7" (fun ~quick -> Exp_fig7.run ~quick ()) };
     { key = "allegro"; title = "E6: PCC Allegro random loss (sec. 5.4)";
-      run = (fun ~quick -> Exp_allegro.run ~quick ());
       plan = solo "allegro" (fun ~quick -> Exp_allegro.run ~quick ()) };
     { key = "theorem1"; title = "E7 + Figures 4-6: Theorem 1 construction";
-      run = (fun ~quick -> Exp_theorem1.run ~quick ());
       plan = solo "theorem1" (fun ~quick -> Exp_theorem1.run ~quick ()) };
     { key = "theorem2"; title = "E8-E9: Theorems 2-3 constructions";
-      run = (fun ~quick -> Exp_theorem2.run ~quick ());
       plan = solo "theorem2" (fun ~quick -> Exp_theorem2.run ~quick ()) };
     { key = "alg1"; title = "E10-E11: Algorithm 1 and the figure of merit (sec. 6.3)";
-      run = (fun ~quick -> Exp_alg1.run ~quick ());
       plan = solo "alg1" (fun ~quick -> Exp_alg1.run ~quick ()) };
     { key = "ccac"; title = "E12: bounded model checking (appendix C)";
-      run = (fun ~quick -> Exp_ccac.run ~quick ());
       plan = solo "ccac" (fun ~quick -> Exp_ccac.run ~quick ()) };
     { key = "ecn"; title = "E13: explicit signaling avoids starvation (sec. 6.4)";
-      run = (fun ~quick -> Exp_ecn.run ~quick ());
       plan = solo "ecn" (fun ~quick -> Exp_ecn.run ~quick ()) };
     { key = "threshold"; title = "E14: starvation ratio vs jitter (the Theorem 1 boundary)";
-      run = (fun ~quick -> Exp_threshold.run ~quick ());
       plan = planned_backend Exp_threshold.plan };
     { key = "isolation"; title = "E15: DRR isolation vs the shared FIFO (conclusion)";
-      run = (fun ~quick -> Exp_isolation.run ~quick ());
       plan = solo "isolation" (fun ~quick -> Exp_isolation.run ~quick ()) };
     { key = "robustness"; title = "E16: seed robustness of the headline ratios";
-      run = (fun ~quick -> Exp_robustness.run ~quick ());
       plan = planned Exp_robustness.plan };
     { key = "matrix"; title = "E17: cross-CCA summary matrix";
-      run = (fun ~quick -> Exp_matrix.run ~quick ());
       plan = planned Exp_matrix.plan };
     { key = "faults"; title = "E18: fault-scenario matrix (recovery + invariants)";
-      run = (fun ~quick -> Exp_faults.run ~quick ());
       plan = planned Exp_faults.plan };
     { key = "census"; title = "E19: starvation census over a churning flow population";
-      run = (fun ~quick -> Exp_census.run ~quick ());
       plan = planned_backend Exp_census.plan };
     { key = "validate"; title = "V1-V6: validation oracles (queueing, conservation, equilibria, metamorphic, fuzz, fluid backend)";
-      run = (fun ~quick -> Exp_validate.run ~quick ());
       plan =
         solo_backend "validate" (fun ~quick ~backend ->
             Exp_validate.run ~quick ~backend ()) };
@@ -134,16 +114,15 @@ let failing_run ~quick:_ : Report.row list =
 let hidden =
   [
     { key = "selftest-fail"; title = "hidden: deliberately failing job";
-      run = failing_run; plan = solo "selftest-fail" failing_run };
+      plan = solo "selftest-fail" failing_run };
   ]
 
 let find key = List.find_opt (fun e -> e.key = key) (all @ hidden)
 let keys () = List.map (fun e -> e.key) all
 
-(* One place owns the "unknown key" contract: every CLI front end that
-   takes experiment names reports the same error, and the error names
-   what would have worked — a typo should cost one read, not a trip to
-   `list`. *)
+(* One place owns the "unknown key" contract: the error names what
+   would have worked — a typo should cost one read, not a trip to
+   `repro list`. *)
 let select = function
   | [] -> Ok all
   | wanted ->
@@ -238,6 +217,3 @@ let run_selection ?(quick = false) ?(backend = `Fork)
       ([], results) plans
   in
   (rows, stats)
-
-let run_all ?quick ?workers ?cache ?timeout () =
-  run_selection ?quick ?workers ?cache ?timeout all

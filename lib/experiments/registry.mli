@@ -1,15 +1,13 @@
-(** All experiments, keyed by the names the CLI and benchmark harness use.
+(** All experiments, keyed by the names [repro] and the benchmark harness
+    use.
 
-    Each experiment exposes two ways to execute:
-
-    - [run], the historical in-process entry point (used by tests and the
-      per-experiment CLI commands);
-    - [plan], which names the experiment's independent simulations as
-      {!Runner.Job.t} values plus a merge that rebuilds the report rows
-      from the job payloads.  Plans from several experiments can be
-      flattened into one {!Runner.Pool.run} call, which is how
-      [run_selection] parallelizes and caches whole-suite runs while
-      keeping the printed output byte-identical to the serial run. *)
+    An experiment is its [plan]: the experiment's independent simulations
+    as {!Runner.Job.t} values plus a merge that rebuilds the report rows
+    from the job payloads.  Plans from several experiments can be
+    flattened into one {!Runner.Pool.run} call, which is how
+    [run_selection] parallelizes and caches whole-suite runs while
+    keeping the printed output byte-identical to the serial run.  Running
+    one plan in-process is [merge (List.map Runner.Job.force jobs)]. *)
 
 type plan = {
   jobs : Runner.Job.t list;
@@ -28,7 +26,6 @@ type experiment = {
           result must never satisfy a fluid request); packet-only
           experiments ignore it and keep backend-free keys, so they cache
           across backend selections. *)
-  run : quick:bool -> Report.row list;
 }
 
 val all : experiment list
@@ -43,8 +40,7 @@ val keys : unit -> string list
 
 val select : string list -> (experiment list, string) result
 (** Resolve CLI experiment names ([[]] means all).  The error for an
-    unknown key names both the offending keys and every available one —
-    the single message all front ends print. *)
+    unknown key names both the offending keys and every available one. *)
 
 val run_selection :
   ?quick:bool ->
@@ -82,12 +78,3 @@ val run_selection :
     completes; the quarantine still shows in the returned stats.
     @raise Runner.Pool.Job_failed if a job raises or keeps crashing
     (unless [allow_failures]). *)
-
-val run_all :
-  ?quick:bool ->
-  ?workers:int ->
-  ?cache:Runner.Cache.t ->
-  ?timeout:float ->
-  unit ->
-  Report.row list * Runner.Pool.stats
-(** [run_selection] over every experiment. *)

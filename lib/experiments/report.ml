@@ -25,28 +25,5 @@ let print_rows ~title rows =
         (if r.ok then "yes" else "NO"))
     rows
 
-let print_series ~title ~cols data =
-  Printf.printf "\n-- %s --\n" title;
-  Printf.printf "%s\n" (String.concat "\t" cols);
-  List.iter
-    (fun values ->
-      Printf.printf "%s\n" (String.concat "\t" (List.map (Printf.sprintf "%.6g") values)))
-    data
-
-let to_markdown ~title rows =
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf (Printf.sprintf "## %s\n\n" title);
-  Buffer.add_string buf "| id | case | paper | measured | shape holds |\n";
-  Buffer.add_string buf "|---|---|---|---|---|\n";
-  List.iter
-    (fun r ->
-      Buffer.add_string buf
-        (Printf.sprintf "| %s | %s | %s | %s | %s |\n" r.id r.label r.paper
-           r.measured
-           (if r.ok then "yes" else "**NO**")))
-    rows;
-  Buffer.contents buf
-
 let mbps x = Printf.sprintf "%.2f Mbit/s" (Sim.Units.to_mbps x)
 let msec x = Printf.sprintf "%.2f ms" (Sim.Units.to_ms x)
-let all_ok rows = List.for_all (fun r -> r.ok) rows

@@ -1,5 +1,5 @@
-(** Paper-vs-measured reporting shared by the CLI, the benchmark harness
-    and EXPERIMENTS.md generation. *)
+(** Paper-vs-measured reporting shared by [repro] and the benchmark
+    harness. *)
 
 type row = {
   id : string;  (** experiment id from DESIGN.md (E1, F7, ...) *)
@@ -14,18 +14,8 @@ val row : id:string -> label:string -> paper:string -> measured:string -> ok:boo
 val print_rows : title:string -> row list -> unit
 (** Render an aligned ASCII table on stdout. *)
 
-val print_series :
-  title:string -> cols:string list -> float list list -> unit
-(** Print a small numeric table (one row per sample) — the "series" behind
-    a paper figure. *)
-
 val mbps : float -> string
 (** Format bytes/s as "12.3 Mbit/s". *)
 
 val msec : float -> string
 (** Format seconds as "12.3 ms". *)
-
-val all_ok : row list -> bool
-
-val to_markdown : title:string -> row list -> string
-(** Render rows as a GitHub-flavored markdown table (one section). *)

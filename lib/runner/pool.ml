@@ -443,6 +443,10 @@ let run_parallel ~workers ~timeout ?cache ~max_attempts ?heap_ceiling
 
 let run_results ?(backend = `Fork) ?(workers = 1) ?timeout ?cache
     ?(max_attempts = 2) ?heap_ceiling_words ?on_done jobs =
+  (match timeout with
+  | Some t when not (t > 0. && Float.is_finite t) ->
+      invalid_arg "Pool.run_results: timeout must be finite and > 0"
+  | _ -> ());
   if workers <= 1 then run_serial ?cache ?on_done jobs
   else
     match backend with

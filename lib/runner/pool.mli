@@ -96,7 +96,8 @@ val run_results :
     is enforced only on forked workers ([workers >= 2]).  [on_done] fires
     in the parent the moment a job's result lands (cache hit or fresh
     execution, after any cache store) — {!Supervise} uses it to journal
-    completions incrementally so a killed run can resume. *)
+    completions incrementally so a killed run can resume.
+    @raise Invalid_argument if [timeout] is NaN, infinite or [<= 0]. *)
 
 val run :
   ?backend:backend ->
@@ -115,4 +116,5 @@ val run :
     itself fails immediately (it is deterministic).  Implemented on
     {!run_results}: the full matrix runs (and caches) before the first
     failure is raised.
-    @raise Job_failed as described above. *)
+    @raise Job_failed as described above.
+    @raise Invalid_argument on a bad [timeout], as {!run_results}. *)

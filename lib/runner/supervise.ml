@@ -157,6 +157,10 @@ let run ?workers ?(policy = default_policy) ?cache ?journal ?checkpoint_of jobs
     =
   if policy.max_attempts < 1 then
     invalid_arg "Supervise.run: max_attempts must be >= 1";
+  (match policy.deadline with
+  | Some d when not (d > 0. && Float.is_finite d) ->
+      invalid_arg "Supervise.run: deadline must be finite and > 0"
+  | _ -> ());
   let jobs_arr = Array.of_list jobs in
   let n = Array.length jobs_arr in
   let outcomes : outcome option array = Array.make n None in

@@ -65,4 +65,5 @@ val run :
     stats aggregate across waves and fill [retried] (attempts beyond each
     job's first), [quarantined] and [resumed].  Failure records and the
     journal are only persisted when [cache] / [journal] are given.
-    @raise Invalid_argument if [policy.max_attempts < 1]. *)
+    @raise Invalid_argument if [policy.max_attempts < 1], or if
+    [policy.deadline] is NaN, infinite or [<= 0]. *)

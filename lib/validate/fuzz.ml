@@ -236,6 +236,7 @@ let report_to_json r =
     (String.concat ",\n" (List.map violation_to_json r.violations))
 
 let run ?dir ?(log = fun _ -> ()) ~seed ~n () =
+  if n < 0 then invalid_arg "Fuzz.run: n must be >= 0";
   let violations = ref [] in
   let checked = ref 0 in
   for id = 0 to n - 1 do

@@ -48,6 +48,7 @@ val run :
     [<dir>/fuzz-<seed>/scenario-<id>.json] (verdicts + summary) and
     [.../scenario-<id>.repro.bin] (a {!Sim.Shrink} reproducer loadable
     by [repro --replay]).  [log] receives one progress line per
-    violation. *)
+    violation.
+    @raise Invalid_argument if [n < 0]. *)
 
 val report_to_json : report -> string

@@ -1,33 +1,14 @@
 (* Tests for the experiment layer: the report formatting, the registry,
-   and the cheaper experiments end-to-end in quick mode.  The expensive
-   scenario experiments run as `Slow cases (picked up by `dune runtest`
-   but kept out of quick iteration via ALCOTEST_QUICK_TESTS). *)
+   and the experiments end-to-end in quick mode, through the plan and
+   merge `repro` runs.  The expensive scenario experiments run as `Slow
+   cases (picked up by `dune runtest` but kept out of quick iteration via
+   ALCOTEST_QUICK_TESTS). *)
 
 let test_report_row () =
   let r =
     Experiments.Report.row ~id:"X" ~label:"case" ~paper:"p" ~measured:"m" ~ok:true
   in
-  Alcotest.(check string) "id" "X" r.Experiments.Report.id;
-  Alcotest.(check bool) "all_ok true" true (Experiments.Report.all_ok [ r ]);
-  let bad = { r with Experiments.Report.ok = false } in
-  Alcotest.(check bool) "all_ok false" false (Experiments.Report.all_ok [ r; bad ])
-
-let test_report_markdown () =
-  let rows =
-    [
-      Experiments.Report.row ~id:"X1" ~label:"case a" ~paper:"p" ~measured:"m" ~ok:true;
-      Experiments.Report.row ~id:"X2" ~label:"case b" ~paper:"q" ~measured:"n" ~ok:false;
-    ]
-  in
-  let md = Experiments.Report.to_markdown ~title:"T" rows in
-  let contains hay needle =
-    let nh = String.length hay and nn = String.length needle in
-    let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
-    go 0
-  in
-  Alcotest.(check bool) "title" true (contains md "## T");
-  Alcotest.(check bool) "row" true (contains md "| X1 | case a | p | m | yes |");
-  Alcotest.(check bool) "failure bolded" true (contains md "**NO**")
+  Alcotest.(check string) "id" "X" r.Experiments.Report.id
 
 let test_report_formatting () =
   Alcotest.(check string) "mbps" "12.00 Mbit/s"
@@ -134,6 +115,52 @@ let test_repro_list_smoke () =
       lines
   end
 
+(* `repro --export` must write every figure series, each a header plus
+   data, and label each E17 row with its CCA. *)
+let export_files =
+  [ "e10_merit.csv"; "e14_phase.csv"; "e17_matrix.csv"; "fig1_copa.csv";
+    "fig1_vegas.csv"; "fig3_bbr-cwnd.csv"; "fig3_bbr-pacing.csv";
+    "fig3_copa.csv"; "fig3_fast.csv"; "fig3_ledbat.csv";
+    "fig3_pcc-vivace.csv"; "fig3_vegas.csv"; "fig4_probes.csv";
+    "fig5_c1_rtt.csv"; "fig5_c2_rtt.csv"; "fig6_d_star.csv";
+    "fig7_cubic_delack.csv"; "fig7_cubic_normal.csv"; "fig7_reno_delack.csv";
+    "fig7_reno_normal.csv" ]
+
+let test_repro_export () =
+  if not (Sys.file_exists repro_exe) then ()
+  else begin
+    let dir = Filename.temp_file "repro_export" "" in
+    Sys.remove dir;
+    let status =
+      Sys.command
+        (Printf.sprintf "%s --export %s --quick >/dev/null 2>&1" repro_exe
+           (Filename.quote dir))
+    in
+    Alcotest.(check int) "exit 0" 0 status;
+    let files = List.sort String.compare (Array.to_list (Sys.readdir dir)) in
+    Alcotest.(check (list string)) "one file per series" export_files files;
+    let lines f =
+      In_channel.with_open_text (Filename.concat dir f) In_channel.input_all
+      |> String.split_on_char '\n'
+      |> List.filter (fun l -> l <> "")
+    in
+    let first_cell l = List.hd (String.split_on_char ',' l) in
+    List.iter
+      (fun f ->
+        match lines f with
+        | header :: _ :: _ ->
+            Alcotest.(check bool) (f ^ " header is not data") true
+              (float_of_string_opt (first_cell header) = None)
+        | _ -> Alcotest.failf "%s lacks a header or a data row" f)
+      files;
+    Alcotest.(check (list string)) "e17 rows name the CCAs in matrix order"
+      [ "vegas"; "fast"; "copa"; "ledbat"; "bbr"; "vivace"; "reno"; "cubic";
+        "alg1" ]
+      (List.map first_cell (List.tl (lines "e17_matrix.csv")));
+    List.iter (fun f -> Sys.remove (Filename.concat dir f)) files;
+    Sys.rmdir dir
+  end
+
 let test_merit_rows () =
   let rows = Experiments.Exp_alg1.merit_rows () in
   Alcotest.(check int) "3 jitters x 3 s" 9 (List.length rows)
@@ -155,25 +182,18 @@ let run_rows name rows =
         true r.Experiments.Report.ok)
     rows
 
-(* End-to-end experiment runs (quick mode). *)
-let test_exp_ccac () = run_rows "ccac" (Experiments.Exp_ccac.run ~quick:true ())
-let test_exp_fig1 () = run_rows "fig1" (Experiments.Exp_fig1.run ~quick:true ())
-let test_exp_copa () = run_rows "copa" (Experiments.Exp_copa.run ~quick:true ())
-let test_exp_bbr () = run_rows "bbr" (Experiments.Exp_bbr.run ~quick:true ())
-let test_exp_vivace () = run_rows "vivace" (Experiments.Exp_vivace.run ~quick:true ())
-let test_exp_fig7 () = run_rows "fig7" (Experiments.Exp_fig7.run ~quick:true ())
-let test_exp_fig3 () = run_rows "fig3" (Experiments.Exp_fig3.run ~quick:true ())
-let test_exp_theorem1 () = run_rows "theorem1" (Experiments.Exp_theorem1.run ~quick:true ())
-let test_exp_theorem2 () = run_rows "theorem2" (Experiments.Exp_theorem2.run ~quick:true ())
-let test_exp_alg1 () = run_rows "alg1" (Experiments.Exp_alg1.run ~quick:true ())
-let test_exp_allegro () = run_rows "allegro" (Experiments.Exp_allegro.run ~quick:true ())
-let test_exp_ecn () = run_rows "ecn" (Experiments.Exp_ecn.run ~quick:true ())
-let test_exp_threshold () = run_rows "threshold" (Experiments.Exp_threshold.run ~quick:true ())
-let test_exp_isolation () = run_rows "isolation" (Experiments.Exp_isolation.run ~quick:true ())
-let test_exp_robustness () = run_rows "robustness" (Experiments.Exp_robustness.run ~quick:true ())
-let test_exp_matrix () = run_rows "matrix" (Experiments.Exp_matrix.run ~quick:true ())
-let test_exp_faults () = run_rows "faults" (Experiments.Exp_faults.run ~quick:true ())
-let test_exp_census () = run_rows "census" (Experiments.Exp_census.run ~quick:true ())
+(* End-to-end experiment runs (quick mode): the experiment's plan, its
+   jobs forced in this process, then its merge — what `repro` runs. *)
+let run_plan key () =
+  match Experiments.Registry.find key with
+  | None -> Alcotest.failf "%s is not registered" key
+  | Some e ->
+      let p =
+        e.Experiments.Registry.plan ~quick:true ~backend:Fluid.Backend.Packet
+      in
+      run_rows key
+        (p.Experiments.Registry.merge
+           (List.map Runner.Job.force p.Experiments.Registry.jobs))
 
 let test_series_to_rows_stride () =
   let s = Sim.Series.create () in
@@ -279,7 +299,6 @@ let () =
         [
           Alcotest.test_case "row" `Quick test_report_row;
           Alcotest.test_case "formatting" `Quick test_report_formatting;
-          Alcotest.test_case "markdown" `Quick test_report_markdown;
         ] );
       ( "registry",
         [
@@ -289,6 +308,7 @@ let () =
           Alcotest.test_case "keys round-trip plan" `Quick
             test_registry_keys_round_trip_plan;
           Alcotest.test_case "repro list" `Quick test_repro_list_smoke;
+          Alcotest.test_case "repro --export" `Slow test_repro_export;
         ] );
       ( "static",
         [
@@ -297,25 +317,25 @@ let () =
         ] );
       ( "end-to-end",
         [
-          Alcotest.test_case "ccac" `Quick test_exp_ccac;
-          Alcotest.test_case "fig1" `Slow test_exp_fig1;
-          Alcotest.test_case "copa" `Slow test_exp_copa;
-          Alcotest.test_case "bbr" `Slow test_exp_bbr;
-          Alcotest.test_case "vivace" `Slow test_exp_vivace;
-          Alcotest.test_case "fig7" `Slow test_exp_fig7;
-          Alcotest.test_case "fig3" `Slow test_exp_fig3;
-          Alcotest.test_case "theorem1" `Slow test_exp_theorem1;
-          Alcotest.test_case "theorem2" `Slow test_exp_theorem2;
-          Alcotest.test_case "alg1" `Slow test_exp_alg1;
-          Alcotest.test_case "allegro" `Slow test_exp_allegro;
-          Alcotest.test_case "ecn" `Slow test_exp_ecn;
-          Alcotest.test_case "threshold" `Slow test_exp_threshold;
+          Alcotest.test_case "ccac" `Quick (run_plan "ccac");
+          Alcotest.test_case "fig1" `Slow (run_plan "fig1");
+          Alcotest.test_case "copa" `Slow (run_plan "copa");
+          Alcotest.test_case "bbr" `Slow (run_plan "bbr");
+          Alcotest.test_case "vivace" `Slow (run_plan "vivace");
+          Alcotest.test_case "fig7" `Slow (run_plan "fig7");
+          Alcotest.test_case "fig3" `Slow (run_plan "fig3");
+          Alcotest.test_case "theorem1" `Slow (run_plan "theorem1");
+          Alcotest.test_case "theorem2" `Slow (run_plan "theorem2");
+          Alcotest.test_case "alg1" `Slow (run_plan "alg1");
+          Alcotest.test_case "allegro" `Slow (run_plan "allegro");
+          Alcotest.test_case "ecn" `Slow (run_plan "ecn");
+          Alcotest.test_case "threshold" `Slow (run_plan "threshold");
           Alcotest.test_case "threshold escalates" `Slow test_threshold_sweep_escalates;
-          Alcotest.test_case "isolation" `Slow test_exp_isolation;
-          Alcotest.test_case "robustness" `Slow test_exp_robustness;
-          Alcotest.test_case "matrix" `Slow test_exp_matrix;
-          Alcotest.test_case "faults" `Slow test_exp_faults;
-          Alcotest.test_case "census" `Slow test_exp_census;
+          Alcotest.test_case "isolation" `Slow (run_plan "isolation");
+          Alcotest.test_case "robustness" `Slow (run_plan "robustness");
+          Alcotest.test_case "matrix" `Slow (run_plan "matrix");
+          Alcotest.test_case "faults" `Slow (run_plan "faults");
+          Alcotest.test_case "census" `Slow (run_plan "census");
         ] );
       ( "export",
         [

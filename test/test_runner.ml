@@ -510,6 +510,42 @@ let test_supervise_heap_ceiling_quarantines () =
   Alcotest.(check int) "quarantined" 1 stats.Runner.Pool.quarantined;
   Alcotest.(check int) "not retried" 0 stats.Runner.Pool.retried
 
+let contains hay needle =
+  let n = String.length needle and m = String.length hay in
+  let rec at i = i + n <= m && (String.sub hay i n = needle || at (i + 1)) in
+  at 0
+
+(* The numeric parameters behind repro's --deadline, --max-attempts and
+   --fuzz reject out-of-range values, NaN included, before any job runs,
+   naming the parameter. *)
+let test_numeric_arguments_rejected () =
+  let supervise policy () =
+    ignore (Runner.Supervise.run ~policy [ job 1 ])
+  in
+  let cases =
+    [
+      ("max_attempts", supervise (test_policy ~max_attempts:0 ()));
+      ("max_attempts", supervise (test_policy ~max_attempts:(-1) ()));
+      ("n", fun () -> ignore (Validate.Fuzz.run ~seed:1 ~n:(-3) ()));
+    ]
+    @ List.concat_map
+        (fun v ->
+          [
+            ("deadline", supervise (test_policy ~deadline:v ()));
+            ( "timeout",
+              fun () -> ignore (Runner.Pool.run_results ~timeout:v [ job 1 ]) );
+          ])
+        [ 0.; -1.; Float.nan; Float.infinity; Float.neg_infinity ]
+  in
+  List.iter
+    (fun (param, f) ->
+      match f () with
+      | () -> Alcotest.failf "a bad %s was accepted" param
+      | exception Invalid_argument msg ->
+          Alcotest.(check bool) (msg ^ " names " ^ param) true
+            (contains msg param))
+    cases
+
 let test_supervise_backoff_deterministic () =
   let p = Runner.Supervise.default_policy in
   let b1 = Runner.Supervise.backoff p ~key:"k" ~attempt:1 in
@@ -549,6 +585,35 @@ let test_repro_allow_failures_downgrades () =
   else
     Alcotest.(check int) "--allow-failures exits 0" 0
       (run_repro "selftest-fail --no-cache --max-attempts 2 --allow-failures")
+
+(* An out-of-range numeric flag is a command-line error: exit 124 with
+   the flag named on stderr, not an uncaught exception (125), a matrix
+   whose every attempt times out (3) or a silent success (0). *)
+let bad_flags =
+  [
+    ("--max-attempts", "0");
+    ("--deadline", "-1");
+    ("--deadline", "0");
+    ("--deadline", "nan");
+    ("--deadline", "inf");
+    ("--fuzz", "-3");
+  ]
+
+let test_repro_rejects_bad_flag (flag, value) () =
+  if not (Sys.file_exists repro_exe) then Alcotest.skip ()
+  else begin
+    let err = Filename.temp_file "repro_flag" ".err" in
+    let status =
+      Sys.command
+        (Printf.sprintf "%s fig1 --quick --no-cache %s=%s >/dev/null 2>%s"
+           repro_exe flag value (Filename.quote err))
+    in
+    let msg = In_channel.with_open_bin err In_channel.input_all in
+    Sys.remove err;
+    Alcotest.(check int) (flag ^ "=" ^ value ^ " exits 124") 124 status;
+    Alcotest.(check bool) ("the message names " ^ flag) true
+      (contains msg flag)
+  end
 
 (* ------------------------------------------------------------------ *)
 (* Registry plans                                                      *)
@@ -676,6 +741,8 @@ let () =
             test_supervise_heap_ceiling_quarantines;
           Alcotest.test_case "backoff deterministic" `Quick
             test_supervise_backoff_deterministic;
+          Alcotest.test_case "numeric arguments rejected" `Quick
+            test_numeric_arguments_rejected;
         ] );
       ( "registry",
         [
@@ -691,7 +758,14 @@ let () =
             test_repro_quarantine_exits_nonzero;
           Alcotest.test_case "allow-failures downgrades" `Quick
             test_repro_allow_failures_downgrades;
-        ] );
+        ]
+        @ List.map
+            (fun ((flag, value) as case) ->
+              Alcotest.test_case
+                (Printf.sprintf "rejects %s=%s" flag value)
+                `Quick
+                (test_repro_rejects_bad_flag case))
+            bad_flags );
       (* Must stay last: on OCaml 5, Unix.fork is disallowed for the
          rest of the process once any domain has been spawned, so every
          fork-pool suite has to run before the first Domain.spawn.  The
