@@ -7,10 +7,11 @@
    for cached re-runs; the pool's counters go to stderr so the streams can
    be diffed independently.
 
-   When the cache is enabled the matrix runs supervised (Runner.Supervise):
-   each completed job is journaled beside the cache as it lands, so a run
-   killed mid-matrix can be finished with --resume, re-executing only the
-   jobs that had not completed.  --split-run proves checkpoint fidelity by
+   The matrix always runs supervised (Runner.Supervise: deadlines,
+   retries, quarantine).  When the cache is enabled each completed job is
+   journaled beside the cache as it lands, so a run killed mid-matrix can
+   be finished with --resume, re-executing only the jobs that had not
+   completed.  --split-run proves checkpoint fidelity by
    serializing and restoring every simulation at mid-horizon; the output
    must stay byte-identical.  --selftest-shrink and --replay exercise the
    failing-scenario minimizer end to end; --export writes the figure
@@ -34,16 +35,6 @@ let jobs_arg =
   Arg.(value & opt int 1 & info [ "j"; "jobs" ] ~docv:"N"
          ~doc:"Worker processes. 1 runs serially in-process; 0 or negative \
                means one per core.")
-
-let pool_arg =
-  Arg.(value
-       & opt (enum [ ("fork", `Fork); ("domain", `Domain) ]) `Fork
-       & info [ "pool" ] ~docv:"BACKEND"
-           ~doc:"Worker pool backend for -j >= 2: $(b,fork) (isolated \
-                 processes; supervised retries, deadlines, per-job stdout \
-                 capture) or $(b,domain) (shared-memory domains in one \
-                 process; unsupervised, for silent census-style jobs — \
-                 output stays byte-identical to -j 1).")
 
 let backend_arg =
   let backend_conv =
@@ -320,7 +311,7 @@ let export ~dir ~quick =
 (* Main driver                                                            *)
 (* --------------------------------------------------------------------- *)
 
-let main keys all quick jobs pool sim_backend no_cache cache_dir check resume
+let main keys all quick jobs sim_backend no_cache cache_dir check resume
     split_run deadline max_attempts selftest replay_file allow_failures fuzz_n
     fuzz_seed export_dir =
   match (selftest, replay_file, fuzz_n, export_dir) with
@@ -364,9 +355,8 @@ let main keys all quick jobs pool sim_backend no_cache cache_dir check resume
           let t0 = Unix.gettimeofday () in
           let rows, stats =
             try
-              Experiments.Registry.run_selection ~quick ~backend:pool
-                ~sim_backend ~workers ?cache ~policy ?journal ~allow_failures
-                experiments
+              Experiments.Registry.run_selection ~quick ~sim_backend ~workers
+                ?cache ~policy ?journal ~allow_failures experiments
             with Runner.Pool.Job_failed { key; reason } ->
               (* Quarantine / exhausted retries: a distinct exit code so
                  CI can tell "simulator results drifted" (2) from "a job
@@ -396,9 +386,8 @@ let cmd =
   Cmd.v
     (Cmd.info "repro" ~doc)
     Term.(
-      const main $ keys_arg $ all_arg $ quick_arg $ jobs_arg $ pool_arg
-      $ backend_arg $ no_cache_arg
-      $ cache_dir_arg $ check_arg $ resume_arg $ split_run_arg $ deadline_arg
+      const main $ keys_arg $ all_arg $ quick_arg $ jobs_arg $ backend_arg
+      $ no_cache_arg $ cache_dir_arg $ check_arg $ resume_arg $ split_run_arg $ deadline_arg
       $ max_attempts_arg $ selftest_shrink_arg $ replay_arg
       $ allow_failures_arg $ fuzz_arg $ fuzz_seed_arg $ export_arg)
 

@@ -15,9 +15,7 @@ type verdict = {
   exhaustive : bool;
 }
 
-let ratio st =
-  if st.acked1 <= 0. then if st.acked2 > 0. then infinity else 1.
-  else Float.max (st.acked2 /. st.acked1) (st.acked1 /. st.acked2)
+let ratio st = Model.ratio st.acked1 st.acked2
 
 let system ~bdp ~buffer ~allow_injected_loss =
   let deliver st =

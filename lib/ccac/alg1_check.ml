@@ -78,9 +78,7 @@ let system ~params ~link_rate ~curve ~dynamics ~warmup ~score =
     score;
   }
 
-let ratio st =
-  if st.acked1 <= 0. then if st.acked2 > 0. then infinity else 1.
-  else Float.max (st.acked2 /. st.acked1) (st.acked1 /. st.acked2)
+let ratio st = Model.ratio st.acked1 st.acked2
 
 let check ~params ~link_rate ~curve ?(dynamics = Aimd) ~horizon ?(beam_width = 512) () =
   let fn = "Alg1_check.check" in

@@ -1,47 +1,8 @@
-type 's cca = {
-  name : string;
-  init : 's;
-  update : 's -> delay:float -> acked:float -> lost:bool -> 's;
-  rate : 's -> float;
-}
-
-let vegas_model ~rm ~mss ~alpha =
-  {
-    name = "vegas-model";
-    init = 4. *. mss;
-    update =
-      (fun cwnd ~delay ~acked:_ ~lost ->
-        if lost then Float.max (cwnd /. 2.) (2. *. mss)
-        else begin
-          let queued_pkts = cwnd /. mss *. (Float.max 0. (delay -. rm) /. delay) in
-          let next =
-            if queued_pkts < alpha then cwnd +. mss
-            else if queued_pkts > alpha +. 2. then cwnd -. mss
-            else cwnd
-          in
-          Float.max next (2. *. mss)
-        end);
-    rate = (fun cwnd -> cwnd /. rm);
-  }
-
-let aimd_model ~rm ~mss =
-  {
-    name = "aimd-model";
-    init = 4. *. mss;
-    update =
-      (fun cwnd ~delay:_ ~acked:_ ~lost ->
-        if lost then Float.max (cwnd /. 2.) mss else cwnd +. mss);
-    rate = (fun cwnd -> cwnd /. rm);
-  }
-
-(* ------------------------------------------------------------------ *)
-(* Fluid per-RTT update laws.  These drive the discretised fluid
-   backend in [lib/fluid]: the engine calls [f_update] once per
-   observed RTT with the epoch's feedback, and derives the sending
-   rate as cwnd / delay (self-clocking).  Unlike [vegas_model] above,
-   the perceived base RTT here is the running minimum of observed
-   delays, so jitter can poison it — which is the starvation
-   mechanism the threshold sweep measures. *)
+(* Per-RTT update laws.  The fluid backend in [lib/fluid] calls
+   [f_update] once per observed RTT with the running minimum of observed
+   delays as [min_delay], so jitter can poison the base-RTT estimate —
+   the starvation mechanism the threshold sweep measures.  The CCAC
+   model below calls it once per step with the true Rm. *)
 
 type fluid = {
   f_name : string;
@@ -164,9 +125,9 @@ type choice = {
   jitter_2 : float;
 }
 
-type 's state = {
-  cca1 : 's;
-  cca2 : 's;
+type state = {
+  cca1 : float array;
+  cca2 : float array;
   arrived1 : float;
   arrived2 : float;
   served1 : float;  (** physical cumulative service *)
@@ -180,16 +141,33 @@ type 's state = {
 
 let queue st = st.arrived1 +. st.arrived2 -. st.served1 -. st.served2
 
-let unfairness st =
-  let x1 = st.counted1 and x2 = st.counted2 in
+let ratio x1 x2 =
   if x1 <= 0. then if x2 > 0. then infinity else 1.
   else Float.max (x2 /. x1) (x1 /. x2)
+
+let unfairness st = ratio st.counted1 st.counted2
 
 let utilization ~link_rate ~rm ~warmup st =
   let measured = max (st.steps - warmup) 1 in
   (st.counted1 +. st.counted2) /. (link_rate *. rm *. float_of_int measured)
 
-let system ~cca ~link_rate ~rm ~big_d ~buffer ~warmup ~score =
+let system ~law ~mss ~link_rate ~rm ~big_d ~buffer ~warmup ~score =
+  (* The model has no slow start: each flow starts in congestion
+     avoidance at the law's initial window. *)
+  let init () =
+    let s = law.f_init ~mss in
+    law.f_warm s ~cwnd:(law.f_cwnd s);
+    s
+  in
+  let rate s = law.f_cwnd s /. rm in
+  (* Beam branches share states, so a step updates a copy: one array
+     allocation per flow per step.  The base-RTT estimate is the true
+     Rm. *)
+  let update s ~delay ~acked ~lost =
+    let s = Array.copy s in
+    law.f_update s ~mss ~delay ~min_delay:rm ~acked ~lost;
+    s
+  in
   let jitters = [ 0.; big_d /. 2.; big_d ] in
   let moves waste =
     List.concat_map
@@ -207,7 +185,8 @@ let system ~cca ~link_rate ~rm ~big_d ~buffer ~warmup ~score =
   let step st c =
     (* Arrivals this step at the CCAs' current rates, clipped by the
        buffer: bytes beyond it are dropped and become the loss signal. *)
-    let a1_want = cca.rate st.cca1 *. rm and a2_want = cca.rate st.cca2 *. rm in
+    let r1 = rate st.cca1 and r2 = rate st.cca2 in
+    let a1_want = r1 *. rm and a2_want = r2 *. rm in
     let q0 = queue st in
     let room = Float.max 0. (buffer +. (link_rate *. rm) -. q0) in
     let want = a1_want +. a2_want in
@@ -253,24 +232,24 @@ let system ~cca ~link_rate ~rm ~big_d ~buffer ~warmup ~score =
        count toward the fairness/utilization metrics. *)
     let count = st.steps >= warmup in
     {
-      cca1 = cca.update st.cca1 ~delay:d1 ~acked:s1 ~lost:lost1;
-      cca2 = cca.update st.cca2 ~delay:d2 ~acked:s2 ~lost:lost2;
+      cca1 = update st.cca1 ~delay:d1 ~acked:s1 ~lost:lost1;
+      cca2 = update st.cca2 ~delay:d2 ~acked:s2 ~lost:lost2;
       arrived1;
       arrived2;
       served1;
       served2;
       counted1 = (st.counted1 +. if count then s1 else 0.);
       counted2 = (st.counted2 +. if count then s2 else 0.);
-      served1_lag = arrived1 -. (qd *. cca.rate st.cca1);
-      served2_lag = arrived2 -. (qd *. cca.rate st.cca2);
+      served1_lag = arrived1 -. (qd *. r1);
+      served2_lag = arrived2 -. (qd *. r2);
       steps = st.steps + 1;
     }
   in
   {
     Search.initial =
       {
-        cca1 = cca.init;
-        cca2 = cca.init;
+        cca1 = init ();
+        cca2 = init ();
         arrived1 = 0.;
         arrived2 = 0.;
         served1 = 0.;
@@ -287,7 +266,9 @@ let system ~cca ~link_rate ~rm ~big_d ~buffer ~warmup ~score =
   }
 
 (* Every test fails on NaN; [infinity] is a legal [big_d] or [buffer]. *)
-let check_args fn ~link_rate ~rm ~big_d ~buffer ~horizon ~beam_width =
+let check_args fn ~mss ~link_rate ~rm ~big_d ~buffer ~horizon ~beam_width =
+  if not (Float.is_finite mss && mss > 0.) then
+    invalid_arg (fn ^ ": mss must be finite and positive");
   if not (Float.is_finite link_rate && link_rate > 0.) then
     invalid_arg (fn ^ ": link_rate must be finite and positive");
   if not (Float.is_finite rm && rm > 0.) then
@@ -297,21 +278,25 @@ let check_args fn ~link_rate ~rm ~big_d ~buffer ~horizon ~beam_width =
   if horizon < 0 then invalid_arg (fn ^ ": horizon must be >= 0");
   if beam_width < 1 then invalid_arg (fn ^ ": beam_width must be >= 1")
 
-let max_unfairness ~cca ~link_rate ~rm ~big_d ?buffer ~horizon ?(beam_width = 256) () =
+let max_unfairness ~law ~mss ~link_rate ~rm ~big_d ?buffer ~horizon
+    ?(beam_width = 256) () =
   let buffer = Option.value buffer ~default:infinity in
-  check_args "Model.max_unfairness" ~link_rate ~rm ~big_d ~buffer ~horizon ~beam_width;
+  check_args "Model.max_unfairness" ~mss ~link_rate ~rm ~big_d ~buffer ~horizon
+    ~beam_width;
   let sys =
-    system ~cca ~link_rate ~rm ~big_d ~buffer ~warmup:(horizon / 2)
+    system ~law ~mss ~link_rate ~rm ~big_d ~buffer ~warmup:(horizon / 2)
       ~score:unfairness
   in
   let best = Search.beam_max sys ~horizon ~width:beam_width in
   (best.Search.score, best.Search.trace)
 
-let min_utilization ~cca ~link_rate ~rm ~big_d ?buffer ~horizon ?(beam_width = 256) () =
+let min_utilization ~law ~mss ~link_rate ~rm ~big_d ?buffer ~horizon
+    ?(beam_width = 256) () =
   let warmup = horizon / 2 in
   let buffer = Option.value buffer ~default:infinity in
-  check_args "Model.min_utilization" ~link_rate ~rm ~big_d ~buffer ~horizon ~beam_width;
+  check_args "Model.min_utilization" ~mss ~link_rate ~rm ~big_d ~buffer ~horizon
+    ~beam_width;
   let score st = 1. -. utilization ~link_rate ~rm ~warmup st in
-  let sys = system ~cca ~link_rate ~rm ~big_d ~buffer ~warmup ~score in
+  let sys = system ~law ~mss ~link_rate ~rm ~big_d ~buffer ~warmup ~score in
   let best = Search.beam_max sys ~horizon ~width:beam_width in
   1. -. best.Search.score

@@ -1,5 +1,5 @@
 (** The CCAC-style discretized network model, extended to two flows as in
-    Appendix C.
+    Appendix C, and the per-RTT CCA laws it searches over.
 
     Time advances in steps of one Rm.  The model tracks per-flow cumulative
     arrivals A_i and service S_i (bytes).  Each step the adversary picks:
@@ -14,41 +14,22 @@
       (modeling burst interleaving at the queue);
     - each flow's non-congestive delay from {0, D/2, D} (the §3 element).
 
-    The CCA under test is supplied as a pure update function so states can
-    be shared across search branches.  Two reference models are included:
-    a Vegas-style AIAD-on-delay and a plain AIMD. *)
+    The CCA under test is one of the {!fluid} laws that the fluid backend
+    in [lib/fluid] runs, so the bounded search and that backend cannot
+    drift apart. *)
 
-type 's cca = {
-  name : string;
-  init : 's;
-  update : 's -> delay:float -> acked:float -> lost:bool -> 's;
-      (** one Rm's worth of feedback: observed (jitterable) RTT, bytes
-          delivered, and whether the flow physically lost packets to a
-          buffer overflow this step.  Loss is physical — jitter cannot
-          fake it, which is exactly why loss-based CCAs resist the delay
-          adversary (§5.4). *)
-  rate : 's -> float;  (** current sending rate, bytes/s *)
-}
+(** {1 Per-RTT CCA laws}
 
-val vegas_model : rm:float -> mss:float -> alpha:float -> float cca
-(** AIAD toward [alpha] packets of perceived queueing (state = cwnd bytes).
-    The perceived base RTT is the true [rm] — an oracle that only makes
-    the model *harder* to break, so found violations are conservative. *)
-
-val aimd_model : rm:float -> mss:float -> float cca
-(** +1 packet per Rm, halve on physical loss.  State = cwnd bytes.
-    Delay-blind, so the jitter adversary cannot touch it directly. *)
-
-(** {1 Fluid per-RTT update laws}
-
-    These seed the discretised fluid backend in [lib/fluid].  The
-    engine owns the clock: it tracks each flow's observed delay
-    (propagation + queueing + jitter) and running minimum, groups
-    feedback into one-RTT epochs, and calls [f_update] once per epoch.
-    State is a plain float array so the engine can keep millions of
-    flows in flat storage.  Unlike [vegas_model] above, the base-RTT
-    estimate is the running min of observed delays — jitter can poison
-    it, which is what the starvation threshold measures. *)
+    One set of laws serves both callers.  The fluid engines in
+    [lib/fluid] own the clock: they track each flow's observed delay
+    (propagation + queueing + jitter) and running minimum, group feedback
+    into one-RTT epochs, and call [f_update] once per epoch with that
+    running minimum as [min_delay] — jitter can poison it, which is what
+    the starvation threshold measures.  The CCAC model below calls
+    [f_update] once per step with the true Rm as [min_delay], an oracle
+    that only makes the model {e harder} to break, so found violations
+    are conservative.  State is a plain float array so the engines can
+    keep millions of flows in flat storage. *)
 
 type fluid = {
   f_name : string;
@@ -63,14 +44,14 @@ type fluid = {
     lost:bool ->
     unit;
       (** advance one RTT epoch in place: [delay] is the epoch's
-          observed RTT, [min_delay] the running minimum, [acked] the
+          observed RTT, [min_delay] the base-RTT estimate, [acked] the
           bytes delivered during the epoch, [lost] whether the flow
           saw drops this epoch. *)
   f_cwnd : float array -> float;  (** current window, bytes *)
   f_warm : float array -> cwnd:float -> unit;
       (** seed the state from an externally observed window (bytes) —
-          the hybrid backend's packet->fluid translation.  Exits slow
-          start. *)
+          the hybrid backend's packet->fluid translation, and the CCAC
+          model's start.  Exits slow start. *)
 }
 
 val reno_fluid : fluid
@@ -91,6 +72,8 @@ val fluid_of_name : string -> fluid
 (** "reno" | "vegas" | "copa" (case-insensitive) with default
     parameters; raises [Invalid_argument] otherwise. *)
 
+(** {1 The two-flow model} *)
+
 (** Adversary move for one step. *)
 type choice = {
   waste : bool;  (** waste spare capacity this step (queue must be empty) *)
@@ -99,9 +82,9 @@ type choice = {
   jitter_2 : float;
 }
 
-type 's state = {
-  cca1 : 's;
-  cca2 : 's;
+type state = {
+  cca1 : float array;  (** flow 1's law state; never mutated once built *)
+  cca2 : float array;
   arrived1 : float;  (** cumulative bytes *)
   arrived2 : float;
   served1 : float;  (** physical cumulative service *)
@@ -114,28 +97,41 @@ type 's state = {
 }
 
 val system :
-  cca:'s cca ->
+  law:fluid ->
+  mss:float ->
   link_rate:float ->
   rm:float ->
   big_d:float ->
   buffer:float ->
   warmup:int ->
-  score:('s state -> float) ->
-  ('s state, choice) Search.system
-(** Build a searchable system.  [buffer] (bytes; pass [infinity] for the
-    unbounded ideal queue) bounds the physical queue; arrivals beyond it
-    are dropped and reported to the CCA as loss.  [score] is evaluated on
-    final states; service is only credited to the metrics after [warmup]
-    steps (throughput is an eventual property). *)
+  score:(state -> float) ->
+  (state, choice) Search.system
+(** Build a searchable system in which both flows run [law].  Each flow
+    starts from [f_init], warm-started with [f_warm] at that window (the
+    model has no slow start), and sends at [f_cwnd s /. rm].  Each step
+    copies a flow's state and applies one [f_update] with the observed
+    (jittered) delay, [~min_delay:rm], the bytes served and whether the
+    flow physically lost packets to a buffer overflow.  Loss is physical
+    — jitter cannot fake it, which is exactly why loss-based CCAs resist
+    the delay adversary (§5.4).  [buffer] (bytes; pass [infinity] for
+    the unbounded ideal queue) bounds the physical queue; arrivals
+    beyond it are dropped.  [score] is evaluated on final states;
+    service is only credited to the metrics after [warmup] steps
+    (throughput is an eventual property). *)
 
-val unfairness : 's state -> float
-(** max ratio of the counted (post-warmup) services, with infinity for
-    starvation. *)
+val ratio : float -> float -> float
+(** [ratio x1 x2] is the larger of [x2 /. x1] and [x1 /. x2] for two
+    cumulative services: [infinity] when exactly one is zero (starvation),
+    1 when both are.  The unfairness metric of every CCAC check. *)
 
-val utilization : link_rate:float -> rm:float -> warmup:int -> 's state -> float
+val unfairness : state -> float
+(** [ratio] of the counted (post-warmup) services. *)
+
+val utilization : link_rate:float -> rm:float -> warmup:int -> state -> float
 
 val max_unfairness :
-  cca:'s cca ->
+  law:fluid ->
+  mss:float ->
   link_rate:float ->
   rm:float ->
   big_d:float ->
@@ -145,13 +141,14 @@ val max_unfairness :
   unit ->
   float * choice list
 (** Beam-search the adversary's best unfairness over [horizon] steps.
-    @raise Invalid_argument naming the parameter unless [link_rate] and
-    [rm] are finite and positive, [big_d] and [buffer] are >= 0
-    ([infinity] is legal for both), [horizon] is >= 0 and [beam_width]
-    is >= 1.  NaN fails every check. *)
+    @raise Invalid_argument naming the parameter unless [mss],
+    [link_rate] and [rm] are finite and positive, [big_d] and [buffer]
+    are >= 0 ([infinity] is legal for both), [horizon] is >= 0 and
+    [beam_width] is >= 1.  NaN fails every check. *)
 
 val min_utilization :
-  cca:'s cca ->
+  law:fluid ->
+  mss:float ->
   link_rate:float ->
   rm:float ->
   big_d:float ->

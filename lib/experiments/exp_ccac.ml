@@ -2,17 +2,18 @@ let model_rows ~quick =
   let rm = 0.05 and mss = 1500. in
   let link_rate = Sim.Units.mbps 8. in
   let horizon = if quick then 30 else 40 in
-  let vegas = Ccac.Model.vegas_model ~rm ~mss ~alpha:3. in
-  let aimd = Ccac.Model.aimd_model ~rm ~mss in
+  let vegas = Ccac.Model.vegas_fluid ~alpha:3. ~beta:5. () in
   let u_vegas, _ =
-    Ccac.Model.max_unfairness ~cca:vegas ~link_rate ~rm ~big_d:rm ~horizon ()
+    Ccac.Model.max_unfairness ~law:vegas ~mss ~link_rate ~rm ~big_d:rm ~horizon ()
   in
   let util_vegas =
-    Ccac.Model.min_utilization ~cca:vegas ~link_rate ~rm ~big_d:rm ~horizon ()
+    Ccac.Model.min_utilization ~law:vegas ~mss ~link_rate ~rm ~big_d:rm ~horizon ()
   in
   let bdp = link_rate *. rm in
   let aimd_run big_d =
-    fst (Ccac.Model.max_unfairness ~cca:aimd ~link_rate ~rm ~big_d ~buffer:bdp ~horizon ())
+    fst
+      (Ccac.Model.max_unfairness ~law:Ccac.Model.reno_fluid ~mss ~link_rate ~rm
+         ~big_d ~buffer:bdp ~horizon ())
   in
   let u_aimd_0 = aimd_run 0. and u_aimd_j = aimd_run rm in
   [

@@ -11,7 +11,7 @@
    (arena-row) CCA state, which is what lets the full census put one
    million flows through one machine.  Jobs are silent — each cell's
    JSON line and the report table are printed by the merge in the parent
-   — so -j 1, forked and domain-parallel runs are byte-identical. *)
+   — so -j 1 and forked runs are byte-identical. *)
 
 type cell = {
   variant : string; (* "std" | "heavy" *)
@@ -84,12 +84,6 @@ let columnar_factory cca_name =
         (match prev with Some i -> recycle i | None -> Vegas.make_in cols)
   | name -> invalid_arg ("census: no columnar factory for " ^ name)
 
-let fluid_law = function
-  | "copa" -> Ccac.Model.copa_fluid ()
-  | "reno" -> Ccac.Model.reno_fluid
-  | "vegas" -> Ccac.Model.vegas_fluid ()
-  | name -> invalid_arg ("census: no fluid law for " ^ name)
-
 let cell_key ~variant ~cca_name ~backend ~jitter_d ~n =
   Printf.sprintf "census/%s/%s/jit=%gms/n=%d/backend=%s" variant.v_name
     cca_name (jitter_d *. 1e3) n
@@ -149,7 +143,7 @@ let run_cell_fluid ~variant ~cca_name ~backend ~jitter_d ~n ~seed =
          ~arrival_frac ~rate
          ?buffer:(Option.map float_of_int variant.v_buffer)
          ~rm ~mss:(float_of_int mss) ~jitter_d ~alpha ~xm
-         ~size_cap:(float_of_int size_cap) (fluid_law cca_name))
+         ~size_cap:(float_of_int size_cap) (Ccac.Model.fluid_of_name cca_name))
   in
   if r.Fluid.Census.conservation_error > 1. +. (1e-6 *. r.Fluid.Census.offered_bytes)
   then
@@ -196,7 +190,7 @@ let cells =
 
 (* One JSON line per cell; every numeric field is finite by construction
    ({!Sim.Stats.ratio_summary} never emits [inf]).  Printed by the merge,
-   not the job, so cells can run on the domain pool. *)
+   not the job, so a cached cell replays the same bytes. *)
 let print_cell c =
   Printf.printf
     "census {\"variant\":\"%s\",\"cca\":\"%s\",\"backend\":\"%s\",\

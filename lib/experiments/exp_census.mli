@@ -21,8 +21,7 @@
     on {!Sim.Population} (slot recycling, columnar CCA state,
     concurrency-bounded memory), the workload DESIGN.md §13 exists for.
     Cell jobs are silent — JSON lines and tables are printed by the
-    merge in the parent — so serial, forked and domain-parallel runs
-    are byte-identical. *)
+    merge in the parent — so serial and forked runs are byte-identical. *)
 
 type cell = {
   variant : string;  (** ["std"] or ["heavy"] *)

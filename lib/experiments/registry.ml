@@ -141,56 +141,34 @@ let rec take_drop n = function
       let taken, left = take_drop (n - 1) rest in
       (x :: taken, left)
 
-let run_selection ?(quick = false) ?(backend = `Fork)
-    ?(sim_backend = Fluid.Backend.Packet) ?(workers = 1) ?cache ?timeout
-    ?policy ?journal ?(allow_failures = false) experiments =
+let run_selection ?(quick = false) ?(sim_backend = Fluid.Backend.Packet)
+    ?(workers = 1) ?cache ?(policy = Runner.Supervise.default_policy) ?journal
+    ?(allow_failures = false) experiments =
   let plans =
     List.map (fun e -> (e, e.plan ~quick ~backend:sim_backend)) experiments
   in
   let jobs = List.concat_map (fun (_, p) -> p.jobs) plans in
-  let results, stats =
-    match (backend, policy, journal) with
-    (* The domain backend is unsupervised by construction (no process
-       boundary to retry or deadline across), so it always takes the
-       plain pool path, whatever policy/journal the caller set up. *)
-    | `Domain, _, _ | `Fork, None, None ->
-        let results, stats =
-          Runner.Pool.run ~backend ~workers ?timeout ?cache jobs
-        in
-        (List.map (fun (out, payload) -> (out, Some payload)) results, stats)
-    | `Fork, _, _ ->
-        (* Supervised path: retries/quarantine/resume.  The merge layer
-           needs every payload, so a quarantined job is a hard failure
-           here unless [allow_failures] — but only after the rest of the
-           matrix completed (and cached), so a re-run only re-executes
-           the stragglers. *)
-        let policy =
-          match policy with
-          | Some p -> p
-          | None ->
-              { Runner.Supervise.default_policy with deadline = timeout }
-        in
-        let outcomes, stats =
-          Runner.Supervise.run ~workers ~policy ?cache ?journal jobs
-        in
-        let results =
-          List.map2
-            (fun j outcome ->
-              match outcome with
-              | Runner.Supervise.Done { out; payload } -> (out, Some payload)
-              | Runner.Supervise.Quarantined { reason; _ } ->
-                  if allow_failures then begin
-                    Printf.eprintf "runner: job %s quarantined: %s\n"
-                      (Runner.Job.key j) reason;
-                    ("", None)
-                  end
-                  else
-                    raise
-                      (Runner.Pool.Job_failed
-                         { key = Runner.Job.key j; reason }))
-            jobs outcomes
-        in
-        (results, stats)
+  let outcomes, stats =
+    Runner.Supervise.run ~workers ~policy ?cache ?journal jobs
+  in
+  (* The merge layer needs every payload, so a quarantined job is a hard
+     failure unless [allow_failures] — but only after the rest of the
+     matrix completed (and cached), so a re-run only re-executes the
+     stragglers. *)
+  let results =
+    List.map2
+      (fun j outcome ->
+        match outcome with
+        | Runner.Supervise.Done { out; payload } -> (out, Some payload)
+        | Runner.Supervise.Quarantined { reason; _ } ->
+            if allow_failures then begin
+              Printf.eprintf "runner: job %s quarantined: %s\n"
+                (Runner.Job.key j) reason;
+              ("", None)
+            end
+            else
+              raise (Runner.Pool.Job_failed { key = Runner.Job.key j; reason }))
+      jobs outcomes
   in
   (* Replay each experiment's captured stdout in job order, then merge and
      print its table: the byte stream is the same whether the jobs ran

@@ -4,7 +4,7 @@
     An experiment is its [plan]: the experiment's independent simulations
     as {!Runner.Job.t} values plus a merge that rebuilds the report rows
     from the job payloads.  Plans from several experiments can be
-    flattened into one {!Runner.Pool.run} call, which is how
+    flattened into one {!Runner.Supervise.run} call, which is how
     [run_selection] parallelizes and caches whole-suite runs while
     keeping the printed output byte-identical to the serial run.  Running
     one plan in-process is [merge (List.map Runner.Job.force jobs)]. *)
@@ -44,37 +44,32 @@ val select : string list -> (experiment list, string) result
 
 val run_selection :
   ?quick:bool ->
-  ?backend:Runner.Pool.backend ->
   ?sim_backend:Fluid.Backend.t ->
   ?workers:int ->
   ?cache:Runner.Cache.t ->
-  ?timeout:float ->
   ?policy:Runner.Supervise.policy ->
   ?journal:string ->
   ?allow_failures:bool ->
   experiment list ->
   Report.row list * Runner.Pool.stats
-(** Run the given experiments through one job pool ([workers] defaults to
-    1 = serial in-process), printing each experiment's output and table in
-    registry order; returns the concatenated rows and the pool counters.
-    Output is byte-identical for any worker count and for cached re-runs.
+(** Run the given experiments as one supervised job matrix
+    ({!Runner.Supervise.run}; [workers] defaults to 1 = serial
+    in-process), printing each experiment's output and table in registry
+    order; returns the concatenated rows and the pool counters.  Output
+    is byte-identical for any worker count and for cached re-runs.
+    [sim_backend] (default [Packet]) is the simulation substrate handed
+    to each experiment's plan — the [repro --backend] flag.
 
-    [backend] selects how [workers >= 2] are realized (see
-    {!Runner.Pool.backend}); [`Domain] runs the plain unsupervised pool
-    regardless of [policy]/[journal], since supervision is built on the
-    process boundary.  [sim_backend] (default [Packet]) is the simulation
-    substrate handed to each experiment's plan — the [repro --backend]
-    flag.
-
-    Giving [policy] and/or [journal] routes the matrix through
-    {!Runner.Supervise.run}: per-attempt deadlines and heap ceilings,
-    retries with backoff, failure records, and journal-based resume
-    (jobs journaled done with intact cache entries are replayed, not
-    re-executed).  The merge layer needs every payload, so a quarantined
-    job still raises — but only after the rest of the matrix completed
-    and cached its results, so a subsequent run re-executes only the
-    stragglers.  With [allow_failures] a quarantine instead skips the
-    whole owning experiment (notice on stderr, no rows) and the run
-    completes; the quarantine still shows in the returned stats.
-    @raise Runner.Pool.Job_failed if a job raises or keeps crashing
-    (unless [allow_failures]). *)
+    Every call is supervised, with [policy] (default
+    {!Runner.Supervise.default_policy}) setting per-attempt deadlines,
+    heap ceilings and retries with backoff; failure records land in
+    [cache] and a [journal] enables resume (jobs journaled done with
+    intact cache entries are replayed, not re-executed).  The merge
+    layer needs every payload, so a quarantined job raises — but only
+    after the rest of the matrix completed and cached its results, so a
+    subsequent run re-executes only the stragglers.  With
+    [allow_failures] a quarantine instead skips the whole owning
+    experiment (notice on stderr, no rows) and the run completes; the
+    quarantine still shows in the returned stats.
+    @raise Runner.Pool.Job_failed if a job is quarantined (unless
+    [allow_failures]). *)

@@ -8,7 +8,7 @@
     makes serial and parallel executions byte-identical and lets results
     be cached on disk.
 
-    Keys must be unique within one {!Pool.run} call and stable across
+    Keys must be unique within one {!Pool.run_results} call and stable across
     program runs: the on-disk cache addresses entries by
     [digest (code version, key)], so a key must encode every parameter
     that affects the result (seed, duration, quick flag, scenario...). *)

@@ -8,8 +8,6 @@ type stats = {
   resumed : int;
 }
 
-type backend = [ `Fork | `Domain ]
-
 exception Job_failed of { key : string; reason : string }
 exception Heap_ceiling_exceeded of { limit : int; reached : int }
 
@@ -179,88 +177,7 @@ let run_serial ?cache ?(on_done = fun _ -> ()) jobs =
       resumed = 0;
     } )
 
-(* ------------------------------------------------------------------ *)
-(* Domain-based backend                                                *)
-(* ------------------------------------------------------------------ *)
-
-(* Shared-memory parallelism for jobs that are *silent* on stdout: fd
-   redirection is process-global, so per-job stdout capture cannot work
-   across concurrent domains — fresh jobs report "" and the cache records
-   "".  Census-style jobs print nothing (their tables are built by the
-   merge in the parent), which is what keeps -j 1, fork and domain runs
-   byte-identical.  Crash isolation, per-attempt timeouts and heap
-   ceilings remain fork-only — a domain that dies takes the process with
-   it — so [`Fork] stays the fallback for untrusted jobs.
-
-   Each [results] slot is written by exactly one domain and read by the
-   parent only after [Domain.join], which establishes the happens-before
-   edge; the only shared mutable cell during the run is the [Atomic] work
-   counter. *)
-let run_domains ~workers ?cache ?(on_done = fun _ -> ()) jobs_list =
-  let jobs = Array.of_list jobs_list in
-  let n = Array.length jobs in
-  let results : (bytes, string) result option array = Array.make n None in
-  let outs = Array.make n "" in
-  let hits = ref 0 in
-  let todo = ref [] in
-  for i = n - 1 downto 0 do
-    match Option.bind cache (fun c -> Cache.find c ~key:(Job.key jobs.(i))) with
-    | Some (out, payload) ->
-        results.(i) <- Some (Ok payload);
-        outs.(i) <- out;
-        incr hits;
-        on_done jobs.(i)
-    | None -> todo := i :: !todo
-  done;
-  let todo = Array.of_list !todo in
-  let next = Atomic.make 0 in
-  let work () =
-    let rec loop () =
-      let k = Atomic.fetch_and_add next 1 in
-      if k < Array.length todo then begin
-        let i = todo.(k) in
-        results.(i) <-
-          Some
-            (try Ok (Job.force jobs.(i))
-             with e -> Error (Printexc.to_string e));
-        loop ()
-      end
-    in
-    loop ()
-  in
-  let helpers =
-    Array.init
-      (max 0 (min (workers - 1) (Array.length todo - 1)))
-      (fun _ -> Domain.spawn work)
-  in
-  work ();
-  Array.iter Domain.join helpers;
-  (* Merge parent-side, in job order: cache stores and completion
-     callbacks happen in the same deterministic order as a serial run. *)
-  let executed = ref 0 in
-  Array.iter
-    (fun i ->
-      match results.(i) with
-      | Some (Ok payload) ->
-          incr executed;
-          Option.iter
-            (fun c -> Cache.store c ~key:(Job.key jobs.(i)) ~stdout:"" ~payload)
-            cache;
-          on_done jobs.(i)
-      | Some (Error _) | None -> ())
-    todo;
-  ( Array.to_list (Array.mapi (fun i r -> (outs.(i), Option.get r)) results),
-    {
-      jobs = n;
-      cache_hits = !hits;
-      executed = !executed;
-      respawns = 0;
-      retried = 0;
-      quarantined = 0;
-      resumed = 0;
-    } )
-
-let run_parallel ~workers ~timeout ?cache ~max_attempts ?heap_ceiling
+let run_parallel ~workers ~timeout ?cache ?heap_ceiling
     ?(on_done = fun _ -> ()) jobs_list =
   let jobs = Array.of_list jobs_list in
   let n = Array.length jobs in
@@ -293,7 +210,6 @@ let run_parallel ~workers ~timeout ?cache ~max_attempts ?heap_ceiling
   if !remaining = 0 then finish ()
   else begin
     let n_workers = max 1 (min workers !remaining) in
-    let attempts = Array.make n 0 in
     (* Writes to a dead worker must surface as EPIPE, not kill the parent. *)
     let old_sigpipe =
       try Some (Sys.signal Sys.sigpipe Sys.Signal_ignore)
@@ -345,9 +261,8 @@ let run_parallel ~workers ~timeout ?cache ~max_attempts ?heap_ceiling
     Fun.protect ~finally:cleanup (fun () ->
         let slots = Array.init n_workers (fun _ -> spawn ()) in
         (* A failed job records an [Error] in its slot and the matrix
-           keeps going — the caller decides whether one failure poisons
-           the whole run ({!run}) or gets retried/quarantined
-           ({!Supervise}). *)
+           keeps going; retrying or quarantining it is {!Supervise}'s
+           call. *)
         let fail ?(out = "") i reason =
           results.(i) <- Some (out, Error reason);
           decr remaining
@@ -357,7 +272,6 @@ let run_parallel ~workers ~timeout ?cache ~max_attempts ?heap_ceiling
           | None -> ()
           | Some i ->
               let w = slots.(k) in
-              attempts.(i) <- attempts.(i) + 1;
               w.current <- Some i;
               w.started <- Unix.gettimeofday ();
               (try write_frame w.to_w (Marshal.to_bytes i [])
@@ -368,11 +282,7 @@ let run_parallel ~workers ~timeout ?cache ~max_attempts ?heap_ceiling
           let job = w.current in
           w.current <- None;
           kill_worker w;
-          (match job with
-          | Some i ->
-              if attempts.(i) >= max_attempts then fail i reason
-              else Queue.add i queue
-          | None -> ());
+          Option.iter (fun i -> fail i reason) job;
           slots.(k) <- spawn ();
           dispatch k
         in
@@ -393,8 +303,8 @@ let run_parallel ~workers ~timeout ?cache ~max_attempts ?heap_ceiling
                     crash k (Printf.sprintf "timed out after %.1f s" tmo))
                 slots
           | None -> ());
-          (* A timeout (or crash) that exhausted a job's attempts may
-             have just recorded the last outstanding result. *)
+          (* A timeout may have just recorded the last outstanding
+             result. *)
           if !remaining > 0 then begin
           let busy =
             Array.to_list slots |> List.filter (fun w -> w.current <> None)
@@ -419,8 +329,8 @@ let run_parallel ~workers ~timeout ?cache ~max_attempts ?heap_ceiling
                     let resp : response = Marshal.from_bytes frame 0 in
                     match resp.r_res with
                     | Error msg ->
-                        (* The job itself raised: deterministic, no
-                           retry.  The worker is still healthy. *)
+                        (* The job itself raised; the worker is still
+                           healthy. *)
                         fail ~out:resp.r_out resp.r_idx msg;
                         w.current <- None;
                         dispatch k
@@ -441,32 +351,13 @@ let run_parallel ~workers ~timeout ?cache ~max_attempts ?heap_ceiling
         finish ())
   end
 
-let run_results ?(backend = `Fork) ?(workers = 1) ?timeout ?cache
-    ?(max_attempts = 2) ?heap_ceiling_words ?on_done jobs =
+let run_results ?(workers = 1) ?timeout ?cache ?heap_ceiling_words ?on_done
+    jobs =
   (match timeout with
   | Some t when not (t > 0. && Float.is_finite t) ->
       invalid_arg "Pool.run_results: timeout must be finite and > 0"
   | _ -> ());
   if workers <= 1 then run_serial ?cache ?on_done jobs
   else
-    match backend with
-    | `Fork ->
-        run_parallel ~workers ~timeout ?cache ~max_attempts
-          ?heap_ceiling:heap_ceiling_words ?on_done jobs
-    | `Domain -> run_domains ~workers ?cache ?on_done jobs
-
-let run ?backend ?workers ?timeout ?cache ?max_attempts ?heap_ceiling_words
-    jobs =
-  let results, stats =
-    run_results ?backend ?workers ?timeout ?cache ?max_attempts
-      ?heap_ceiling_words jobs
-  in
-  let results =
-    List.map2
-      (fun j (out, res) ->
-        match res with
-        | Ok payload -> (out, payload)
-        | Error reason -> raise (Job_failed { key = Job.key j; reason }))
-      jobs results
-  in
-  (results, stats)
+    run_parallel ~workers ~timeout ?cache ?heap_ceiling:heap_ceiling_words
+      ?on_done jobs

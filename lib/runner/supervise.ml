@@ -245,7 +245,7 @@ let run ?workers ?(policy = default_policy) ?cache ?journal ?checkpoint_of jobs
            must leave breadcrumbs for every job that actually finished. *)
         let results, stats =
           Pool.run_results ?workers ?timeout:policy.deadline ?cache
-            ~max_attempts:1 ?heap_ceiling_words:policy.heap_ceiling_words
+            ?heap_ceiling_words:policy.heap_ceiling_words
             ~on_done:(fun j -> journal_done (Job.key j))
             wave_jobs
         in

@@ -1,8 +1,9 @@
 (** Supervised job execution: deadlines, heap ceilings, retries with
     backoff, quarantine, failure records and crash-resume.
 
-    A supervised run drives {!Pool.run_results} in waves through a small
-    state machine per job:
+    This is the runner's only retry loop: {!Pool.run_results} attempts
+    each job once, and a supervised run drives it in waves through a
+    small state machine per job:
 
     {v pending -> running -> done
                         \-> retrying (capped exponential backoff + jitter)

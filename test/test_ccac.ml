@@ -112,15 +112,17 @@ let prop_beam_matches_oracle =
         (Ccac.Search.beam_max sys ~horizon ~width)
         (beam_max_oracle sys ~horizon ~width))
 
+(* The Vegas law of experiment E12g: AIAD toward 3..5 queued packets. *)
+let vegas = Ccac.Model.vegas_fluid ~alpha:3. ~beta:5. ()
+
 (* The same agreement on the Appendix C model, whose float states are
    compared bit for bit through their marshalled bytes. *)
 let test_beam_matches_oracle_on_model () =
-  let vegas = Ccac.Model.vegas_model ~rm:0.05 ~mss:1500. ~alpha:3. in
   List.iter
     (fun (big_d, width) ->
       let sys =
-        Ccac.Model.system ~cca:vegas ~link_rate:(Sim.Units.mbps 8.) ~rm:0.05 ~big_d
-          ~buffer:infinity ~warmup:4 ~score:Ccac.Model.unfairness
+        Ccac.Model.system ~law:vegas ~mss:1500. ~link_rate:(Sim.Units.mbps 8.)
+          ~rm:0.05 ~big_d ~buffer:infinity ~warmup:4 ~score:Ccac.Model.unfairness
       in
       Alcotest.(check bool)
         (Printf.sprintf "D=%g width %d" big_d width)
@@ -137,10 +139,9 @@ let test_beam_matches_oracle_on_model () =
    budget is checked on native code only. *)
 let test_beam_promotes_little () =
   if Sys.backend_type = Sys.Native then begin
-    let vegas = Ccac.Model.vegas_model ~rm:0.05 ~mss:1500. ~alpha:3. in
     let run () =
-      Ccac.Model.max_unfairness ~cca:vegas ~link_rate:(Sim.Units.mbps 8.) ~rm:0.05
-        ~big_d:0.05 ~horizon:10 ()
+      Ccac.Model.max_unfairness ~law:vegas ~mss:1500. ~link_rate:(Sim.Units.mbps 8.)
+        ~rm:0.05 ~big_d:0.05 ~horizon:10 ()
     in
     Gc.full_major ();
     let before = (Gc.quick_stat ()).Gc.promoted_words in
@@ -154,6 +155,7 @@ let test_beam_promotes_little () =
 (* Every CCAC entry point rejects out-of-range arguments with an error
    that names the parameter; NaN fails every check. *)
 type model_args = {
+  mss : float;
   link_rate : float;
   rm : float;
   big_d : float;
@@ -163,20 +165,21 @@ type model_args = {
 }
 
 let test_entry_points_reject () =
-  let vegas = Ccac.Model.vegas_model ~rm:0.05 ~mss:1500. ~alpha:3. in
   let m =
-    { link_rate = Sim.Units.mbps 8.; rm = 0.05; big_d = 0.05; buffer = infinity;
-      horizon = 2; beam_width = 4 }
+    { mss = 1500.; link_rate = Sim.Units.mbps 8.; rm = 0.05; big_d = 0.05;
+      buffer = infinity; horizon = 2; beam_width = 4 }
   in
   let unfair a () =
     ignore
-      (Ccac.Model.max_unfairness ~cca:vegas ~link_rate:a.link_rate ~rm:a.rm
-         ~big_d:a.big_d ~buffer:a.buffer ~horizon:a.horizon ~beam_width:a.beam_width ())
+      (Ccac.Model.max_unfairness ~law:vegas ~mss:a.mss ~link_rate:a.link_rate
+         ~rm:a.rm ~big_d:a.big_d ~buffer:a.buffer ~horizon:a.horizon
+         ~beam_width:a.beam_width ())
   in
   let util a () =
     ignore
-      (Ccac.Model.min_utilization ~cca:vegas ~link_rate:a.link_rate ~rm:a.rm
-         ~big_d:a.big_d ~buffer:a.buffer ~horizon:a.horizon ~beam_width:a.beam_width ())
+      (Ccac.Model.min_utilization ~law:vegas ~mss:a.mss ~link_rate:a.link_rate
+         ~rm:a.rm ~big_d:a.big_d ~buffer:a.buffer ~horizon:a.horizon
+         ~beam_width:a.beam_width ())
   in
   let aimd ?(bdp = 10.) ?(buffer = 10.) ?(horizon = 3) ?(w1_0 = 1.) ?(w2_0 = 10.)
       ?(beam_width = 4) () =
@@ -200,6 +203,10 @@ let test_entry_points_reject () =
   in
   let model_rows fn run =
     [
+      (fn, "mss", run { m with mss = nan });
+      (fn, "mss", run { m with mss = 0. });
+      (fn, "mss", run { m with mss = -1. });
+      (fn, "mss", run { m with mss = infinity });
       (fn, "link_rate", run { m with link_rate = nan });
       (fn, "link_rate", run { m with link_rate = 0. });
       (fn, "link_rate", run { m with link_rate = infinity });
@@ -343,31 +350,29 @@ let model_mss = 1500.
 let model_rate = Sim.Units.mbps 8.
 
 let test_model_vegas_ideal () =
-  let vegas = Ccac.Model.vegas_model ~rm:model_rm ~mss:model_mss ~alpha:3. in
   let u, _ =
-    Ccac.Model.max_unfairness ~cca:vegas ~link_rate:model_rate ~rm:model_rm
-      ~big_d:0. ~horizon:30 ()
+    Ccac.Model.max_unfairness ~law:vegas ~mss:model_mss ~link_rate:model_rate
+      ~rm:model_rm ~big_d:0. ~horizon:30 ()
   in
   let util =
-    Ccac.Model.min_utilization ~cca:vegas ~link_rate:model_rate ~rm:model_rm
-      ~big_d:0. ~horizon:30 ()
+    Ccac.Model.min_utilization ~law:vegas ~mss:model_mss ~link_rate:model_rate
+      ~rm:model_rm ~big_d:0. ~horizon:30 ()
   in
   Alcotest.(check bool) "fair on ideal path" true (u < 1.5);
   Alcotest.(check bool) "efficient on ideal path" true (util > 0.9)
 
 let test_model_vegas_jitter_hurts () =
-  let vegas = Ccac.Model.vegas_model ~rm:model_rm ~mss:model_mss ~alpha:3. in
   let u0, _ =
-    Ccac.Model.max_unfairness ~cca:vegas ~link_rate:model_rate ~rm:model_rm
-      ~big_d:0. ~horizon:40 ()
+    Ccac.Model.max_unfairness ~law:vegas ~mss:model_mss ~link_rate:model_rate
+      ~rm:model_rm ~big_d:0. ~horizon:40 ()
   in
   let u_jitter, _ =
-    Ccac.Model.max_unfairness ~cca:vegas ~link_rate:model_rate ~rm:model_rm
-      ~big_d:model_rm ~horizon:40 ()
+    Ccac.Model.max_unfairness ~law:vegas ~mss:model_mss ~link_rate:model_rate
+      ~rm:model_rm ~big_d:model_rm ~horizon:40 ()
   in
   let util_jitter =
-    Ccac.Model.min_utilization ~cca:vegas ~link_rate:model_rate ~rm:model_rm
-      ~big_d:model_rm ~horizon:40 ()
+    Ccac.Model.min_utilization ~law:vegas ~mss:model_mss ~link_rate:model_rate
+      ~rm:model_rm ~big_d:model_rm ~horizon:40 ()
   in
   Alcotest.(check bool) "jitter raises unfairness" true (u_jitter > u0 +. 0.5);
   Alcotest.(check bool) "jitter breaks efficiency" true (util_jitter < 0.8)
@@ -376,16 +381,15 @@ let test_model_aimd_delay_blind () =
   (* The paper's sec. 5.4 point: loss-based AIMD is immune to pure delay
      jitter because loss is a physical event.  The adversary's best
      scores must be identical with and without jitter. *)
-  let aimd = Ccac.Model.aimd_model ~rm:model_rm ~mss:model_mss in
   let bdp = model_rate *. model_rm in
   let run big_d =
     let u, _ =
-      Ccac.Model.max_unfairness ~cca:aimd ~link_rate:model_rate ~rm:model_rm
-        ~big_d ~buffer:bdp ~horizon:40 ()
+      Ccac.Model.max_unfairness ~law:Ccac.Model.reno_fluid ~mss:model_mss
+        ~link_rate:model_rate ~rm:model_rm ~big_d ~buffer:bdp ~horizon:40 ()
     in
     let util =
-      Ccac.Model.min_utilization ~cca:aimd ~link_rate:model_rate ~rm:model_rm
-        ~big_d ~buffer:bdp ~horizon:40 ()
+      Ccac.Model.min_utilization ~law:Ccac.Model.reno_fluid ~mss:model_mss
+        ~link_rate:model_rate ~rm:model_rm ~big_d ~buffer:bdp ~horizon:40 ()
     in
     (u, util)
   in
@@ -395,14 +399,14 @@ let test_model_aimd_delay_blind () =
   Alcotest.(check (float 1e-9)) "utilization unchanged" util0 utilj;
   Alcotest.(check bool) "bounded" true (Float.is_finite u0 && u0 < 5.)
 
+let model_system ~big_d =
+  Ccac.Model.system ~law:vegas ~mss:model_mss ~link_rate:model_rate ~rm:model_rm
+    ~big_d ~buffer:infinity ~warmup:0 ~score:Ccac.Model.unfairness
+
 let test_model_waste_requires_empty_queue () =
   (* With a backlogged queue the adversary may not waste: the choices list
      must shrink accordingly. *)
-  let vegas = Ccac.Model.vegas_model ~rm:model_rm ~mss:model_mss ~alpha:3. in
-  let sys =
-    Ccac.Model.system ~cca:vegas ~link_rate:model_rate ~rm:model_rm ~big_d:0.01
-      ~buffer:infinity ~warmup:0 ~score:Ccac.Model.unfairness
-  in
+  let sys = model_system ~big_d:0.01 in
   let initial_choices = List.length (sys.Ccac.Search.choices sys.Ccac.Search.initial) in
   (* Step forward without waste until a queue builds. *)
   let no_waste =
@@ -417,12 +421,9 @@ let test_model_waste_requires_empty_queue () =
   Alcotest.(check int) "backlogged: no waste (3x3x3)" 27 later_choices
 
 let test_model_conservation () =
-  (* served <= arrived always; queue never negative. *)
-  let vegas = Ccac.Model.vegas_model ~rm:model_rm ~mss:model_mss ~alpha:3. in
-  let sys =
-    Ccac.Model.system ~cca:vegas ~link_rate:model_rate ~rm:model_rm ~big_d:0.02
-      ~buffer:infinity ~warmup:0 ~score:Ccac.Model.unfairness
-  in
+  (* served <= arrived always; queue never negative; a step never
+     mutates the state it started from (beam branches share it). *)
+  let sys = model_system ~big_d:0.02 in
   let choice =
     { Ccac.Model.waste = false; split_bias = `Favor_2; jitter_1 = 0.02; jitter_2 = 0. }
   in
@@ -433,31 +434,111 @@ let test_model_conservation () =
       Alcotest.(check bool) "served2 <= arrived2" true (st.served2 <= st.arrived2 +. 1e-9);
       Alcotest.(check bool) "queue nonneg" true
         (st.arrived1 +. st.arrived2 -. st.served1 -. st.served2 >= -1e-9);
-      go (sys.Ccac.Search.step st choice) (n - 1)
+      let before = Marshal.to_string st [] in
+      let next = sys.Ccac.Search.step st choice in
+      Alcotest.(check bool) "step leaves its input intact" true
+        (Marshal.to_string st [] = before);
+      go next (n - 1)
     end
   in
   go sys.Ccac.Search.initial 30
 
+(* One model step of a law: warm-start at [cwnd], copy, then update with
+   the true Rm as the base-RTT estimate.  Returns the new window. *)
+let law_step (law : Ccac.Model.fluid) ~mss ~rm cwnd ~delay ~acked ~lost =
+  let s = law.f_init ~mss in
+  law.f_warm s ~cwnd;
+  let s' = Array.copy s in
+  law.f_update s' ~mss ~delay ~min_delay:rm ~acked ~lost;
+  law.f_cwnd s'
+
 let test_model_cca_updates () =
-  let vegas = Ccac.Model.vegas_model ~rm:0.05 ~mss:1500. ~alpha:3. in
-  (* Loss halves. *)
-  let w = 30000. in
-  let after_loss = vegas.Ccac.Model.update w ~delay:0.05 ~acked:1500. ~lost:true in
-  Alcotest.(check (float 1.)) "vegas halves on loss" 15000. after_loss;
+  let step law ~delay ~lost =
+    law_step law ~mss:1500. ~rm:0.05 30000. ~delay ~acked:1500. ~lost
+  in
+  Alcotest.(check (float 1.)) "vegas halves on loss" 15000.
+    (step vegas ~delay:0.05 ~lost:true);
   (* Below-target queueing grows by one packet. *)
-  let grown = vegas.Ccac.Model.update w ~delay:0.0505 ~acked:1500. ~lost:false in
-  Alcotest.(check (float 1.)) "vegas grows" 31500. grown;
-  let aimd = Ccac.Model.aimd_model ~rm:0.05 ~mss:1500. in
-  Alcotest.(check (float 1.)) "aimd halves on loss" 15000.
-    (aimd.Ccac.Model.update w ~delay:0.5 ~acked:0. ~lost:true);
-  Alcotest.(check (float 1.)) "aimd ignores delay" 31500.
-    (aimd.Ccac.Model.update w ~delay:5.0 ~acked:0. ~lost:false)
+  Alcotest.(check (float 1.)) "vegas grows" 31500.
+    (step vegas ~delay:0.0505 ~lost:false);
+  Alcotest.(check (float 1.)) "reno halves on loss" 15000.
+    (step Ccac.Model.reno_fluid ~delay:0.5 ~lost:true);
+  Alcotest.(check (float 1.)) "reno ignores delay" 31500.
+    (step Ccac.Model.reno_fluid ~delay:5.0 ~lost:false)
+
+(* The per-step updates of the model's former Vegas and AIMD CCAs (state =
+   cwnd bytes, base RTT = the true Rm), kept as the reference the shared
+   laws are checked against. *)
+let old_vegas_update ~rm ~mss ~alpha cwnd ~delay ~lost =
+  if lost then Float.max (cwnd /. 2.) (2. *. mss)
+  else begin
+    let queued_pkts = cwnd /. mss *. (Float.max 0. (delay -. rm) /. delay) in
+    let next =
+      if queued_pkts < alpha then cwnd +. mss
+      else if queued_pkts > alpha +. 2. then cwnd -. mss
+      else cwnd
+    in
+    Float.max next (2. *. mss)
+  end
+
+let old_aimd_update ~mss cwnd ~lost =
+  if lost then Float.max (cwnd /. 2.) mss else cwnd +. mss
+
+let prop_laws_match_old_updates =
+  let gen =
+    QCheck.Gen.(
+      let* mss = float_range 100. 9000. in
+      let* rm = float_range 1e-3 1. in
+      let* pkts = float_range 4. 2000. in
+      (* No queueing, a perceived queue of 0-15 packets (around the Vegas
+         corridor), or any extra delay up to 2 s. *)
+      let* delay =
+        oneof
+          [
+            return rm;
+            map
+              (fun q -> Float.max rm (rm *. pkts /. (pkts -. Float.min q (pkts -. 1.))))
+              (float_range 0. 15.);
+            map (fun extra -> rm +. extra) (float_range 0. 2.);
+          ]
+      in
+      let* acked = float in
+      let* lost = bool in
+      let* alpha = float_range 0.5 10. in
+      return (mss, rm, pkts *. mss, delay, acked, lost, alpha))
+  in
+  let print (mss, rm, cwnd, delay, acked, lost, alpha) =
+    Printf.sprintf "mss=%h rm=%h cwnd=%h delay=%h acked=%h lost=%b alpha=%h" mss
+      rm cwnd delay acked lost alpha
+  in
+  QCheck.Test.make ~name:"law step equals the old model update" ~count:2000
+    (QCheck.make ~print gen)
+    (fun (mss, rm, cwnd, delay, acked, lost, alpha) ->
+      let same a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b) in
+      let law = Ccac.Model.vegas_fluid ~alpha ~beta:(alpha +. 2.) () in
+      same
+        (law_step law ~mss ~rm cwnd ~delay ~acked ~lost)
+        (old_vegas_update ~rm ~mss ~alpha cwnd ~delay ~lost)
+      && same
+           (law_step Ccac.Model.reno_fluid ~mss ~rm cwnd ~delay ~acked ~lost)
+           (old_aimd_update ~mss cwnd ~lost))
+
+(* The one place the laws differ from the old models: a halved window
+   below 2 mss.  The old AIMD floored it at 1 mss, [reno_fluid] floors it
+   at 2 mss, as all three laws do.  E12h never reaches it. *)
+let test_model_reno_floor () =
+  let mss = 1500. and cwnd = 3000. in
+  Alcotest.(check (float 0.)) "old AIMD floor" 1500.
+    (old_aimd_update ~mss cwnd ~lost:true);
+  Alcotest.(check (float 0.)) "reno_fluid floor" 3000.
+    (law_step Ccac.Model.reno_fluid ~mss ~rm:0.05 cwnd ~delay:0.05 ~acked:0.
+       ~lost:true)
 
 let test_model_unfairness_metric () =
   let st =
     {
-      Ccac.Model.cca1 = 0.;
-      cca2 = 0.;
+      Ccac.Model.cca1 = [||];
+      cca2 = [||];
       arrived1 = 0.;
       arrived2 = 0.;
       served1 = 0.;
@@ -473,6 +554,7 @@ let test_model_unfairness_metric () =
   let starved = { st with Ccac.Model.counted1 = 0. } in
   Alcotest.(check bool) "starved = infinity" true
     (Ccac.Model.unfairness starved = infinity);
+  Alcotest.(check (float 1e-9)) "both idle = 1" 1. (Ccac.Model.ratio 0. 0.);
   Alcotest.(check (float 1e-9)) "utilization" 0.5
     (Ccac.Model.utilization ~link_rate:200. ~rm:1. ~warmup:5 st)
 
@@ -521,6 +603,8 @@ let () =
             test_model_waste_requires_empty_queue;
           Alcotest.test_case "conservation" `Quick test_model_conservation;
           Alcotest.test_case "cca updates" `Quick test_model_cca_updates;
+          qt prop_laws_match_old_updates;
+          Alcotest.test_case "reno floors at 2 mss" `Quick test_model_reno_floor;
           Alcotest.test_case "metrics" `Quick test_model_unfairness_metric;
           Alcotest.test_case "beam width one" `Quick test_beam_width_one_is_greedy;
         ] );

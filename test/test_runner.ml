@@ -16,6 +16,20 @@ let jobs n = List.init n job
 let decoded results =
   List.map (fun (out, b) -> (out, (Runner.Job.decode b : int))) results
 
+(* [Pool.run_results] with every slot required to be [Ok]. *)
+let run_ok ?workers ?cache js =
+  let results, stats = Runner.Pool.run_results ?workers ?cache js in
+  ( List.map
+      (fun (out, r) ->
+        match r with Ok b -> (out, b) | Error reason -> Alcotest.fail reason)
+      results,
+    stats )
+
+let contains hay needle =
+  let n = String.length needle and m = String.length hay in
+  let rec at i = i + n <= m && (String.sub hay i n = needle || at (i + 1)) in
+  at 0
+
 let fresh_dir prefix =
   let d =
     Filename.concat (Filename.get_temp_dir_name ())
@@ -40,7 +54,7 @@ let rec rm_rf dir =
 (* ------------------------------------------------------------------ *)
 
 let test_serial_order_and_stats () =
-  let results, stats = Runner.Pool.run (jobs 7) in
+  let results, stats = run_ok (jobs 7) in
   let vals = List.map snd (decoded results) in
   Alcotest.(check (list int)) "results in job order"
     [ 0; 1; 4; 9; 16; 25; 36 ] vals;
@@ -50,7 +64,7 @@ let test_serial_order_and_stats () =
   Alcotest.(check int) "respawns" 0 stats.Runner.Pool.respawns
 
 let test_serial_captures_stdout () =
-  let results, _ = Runner.Pool.run [ job 5 ] in
+  let results, _ = run_ok [ job 5 ] in
   match results with
   | [ (out, _) ] ->
       Alcotest.(check string) "captured text" "job 5 starts\n..\njob 5 done\n" out
@@ -61,114 +75,67 @@ let test_serial_captures_stdout () =
 (* ------------------------------------------------------------------ *)
 
 let test_parallel_matches_serial () =
-  let serial, _ = Runner.Pool.run (jobs 20) in
-  let parallel, stats = Runner.Pool.run ~workers:4 (jobs 20) in
+  let serial, _ = run_ok (jobs 20) in
+  let parallel, stats = run_ok ~workers:4 (jobs 20) in
   Alcotest.(check (list (pair string int)))
     "same (stdout, result) in same order" (decoded serial) (decoded parallel);
   Alcotest.(check int) "executed" 20 stats.Runner.Pool.executed;
   Alcotest.(check int) "respawns" 0 stats.Runner.Pool.respawns
 
 let test_more_workers_than_jobs () =
-  let results, stats = Runner.Pool.run ~workers:16 (jobs 3) in
+  let results, stats = run_ok ~workers:16 (jobs 3) in
   Alcotest.(check (list int)) "results" [ 0; 1; 4 ]
     (List.map snd (decoded results));
   Alcotest.(check int) "executed" 3 stats.Runner.Pool.executed
 
 let test_empty_job_list () =
-  let results, stats = Runner.Pool.run ~workers:4 [] in
+  let results, stats = run_ok ~workers:4 [] in
   Alcotest.(check int) "no results" 0 (List.length results);
   Alcotest.(check int) "no jobs" 0 stats.Runner.Pool.jobs
-
-(* ------------------------------------------------------------------ *)
-(* Domain backend                                                      *)
-(* ------------------------------------------------------------------ *)
-
-(* The domain backend serves silent jobs; payloads must match the fork
-   and serial paths result-for-result, in job order. *)
-let silent_job i =
-  Runner.Job.create ~key:(Printf.sprintf "t/silent/%d" i) (fun () -> i * i + 1)
-
-let silent_jobs n = List.init n silent_job
-
-let test_domain_matches_fork () =
-  let serial, _ = Runner.Pool.run (silent_jobs 20) in
-  let forked, _ = Runner.Pool.run ~workers:4 (silent_jobs 20) in
-  let domains, stats =
-    Runner.Pool.run ~backend:`Domain ~workers:4 (silent_jobs 20)
-  in
-  let vals rs = List.map (fun (_, b) -> (Runner.Job.decode b : int)) rs in
-  Alcotest.(check (list int)) "domain matches serial" (vals serial) (vals domains);
-  Alcotest.(check (list int)) "domain matches fork" (vals forked) (vals domains);
-  Alcotest.(check (list string)) "silent jobs stay silent"
-    (List.map fst serial)
-    (List.map fst domains);
-  Alcotest.(check int) "executed" 20 stats.Runner.Pool.executed;
-  Alcotest.(check int) "no respawns" 0 stats.Runner.Pool.respawns
-
-let test_domain_job_exception () =
-  let bad =
-    Runner.Job.create ~key:"t/domain/bad" (fun () -> failwith "boom")
-  in
-  let results, stats =
-    Runner.Pool.run_results ~backend:`Domain ~workers:2
-      [ silent_job 1; bad; silent_job 2 ]
-  in
-  (match results with
-  | [ (_, Ok a); (_, Error reason); (_, Ok b) ] ->
-      Alcotest.(check int) "first" 2 (Runner.Job.decode a : int);
-      Alcotest.(check int) "third" 5 (Runner.Job.decode b : int);
-      Alcotest.(check bool) "reason mentions boom" true
-        (String.length reason > 0)
-  | _ -> Alcotest.fail "expected Ok/Error/Ok in job order");
-  Alcotest.(check int) "two executed" 2 stats.Runner.Pool.executed
-
-let test_domain_fills_cache () =
-  let dir = fresh_dir "ccstarve_domain_cache" in
-  Fun.protect
-    ~finally:(fun () -> rm_rf dir)
-    (fun () ->
-      let cache = Runner.Cache.create ~dir () in
-      let _, s1 =
-        Runner.Pool.run ~backend:`Domain ~workers:4 ~cache (silent_jobs 8)
-      in
-      Alcotest.(check int) "first run executes" 8 s1.Runner.Pool.executed;
-      (* A fork re-run must be served entirely from the domain-filled
-         cache — the two backends share one result representation. *)
-      let results, s2 = Runner.Pool.run ~workers:4 ~cache (silent_jobs 8) in
-      Alcotest.(check int) "rerun all hits" 8 s2.Runner.Pool.cache_hits;
-      Alcotest.(check int) "rerun executes nothing" 0 s2.Runner.Pool.executed;
-      Alcotest.(check (list int)) "payloads intact"
-        (List.map (fun i -> (i * i) + 1) (List.init 8 Fun.id))
-        (List.map (fun (_, b) -> (Runner.Job.decode b : int)) results))
 
 (* ------------------------------------------------------------------ *)
 (* Failure handling                                                    *)
 (* ------------------------------------------------------------------ *)
 
+(* A raising job fails its own slot; its siblings still deliver. *)
+let check_exception_slot key = function
+  | [ (_, Ok a); (_, Error reason); (_, Ok b) ] ->
+      Alcotest.(check (pair int int)) (key ^ ": siblings deliver") (1, 4)
+        (Runner.Job.decode a, Runner.Job.decode b);
+      Alcotest.(check bool) (key ^ ": reason mentions boom") true
+        (contains reason "boom")
+  | _ -> Alcotest.fail (key ^ ": expected Ok/Error/Ok in job order")
+
 let test_job_exception_serial () =
   let bad =
     Runner.Job.create ~key:"t/raise" (fun () -> if true then failwith "boom" else 0)
   in
-  match Runner.Pool.run [ job 1; bad ] with
-  | exception Runner.Pool.Job_failed { key; reason } ->
-      Alcotest.(check string) "failing key" "t/raise" key;
-      Alcotest.(check bool) "reason mentions boom" true
-        (String.length reason > 0)
-  | _ -> Alcotest.fail "expected Job_failed"
+  let results, stats = Runner.Pool.run_results [ job 1; bad; job 2 ] in
+  check_exception_slot "t/raise" results;
+  Alcotest.(check int) "two executed" 2 stats.Runner.Pool.executed
 
 let test_job_exception_parallel () =
   let bad =
     Runner.Job.create ~key:"t/raise-par" (fun () -> if true then failwith "boom" else 0)
   in
-  match Runner.Pool.run ~workers:2 [ job 1; bad; job 2 ] with
-  | exception Runner.Pool.Job_failed { key; _ } ->
-      Alcotest.(check string) "failing key" "t/raise-par" key
-  | _ -> Alcotest.fail "expected Job_failed"
+  let results, _ = Runner.Pool.run_results ~workers:2 [ job 1; bad; job 2 ] in
+  check_exception_slot "t/raise-par" results
+
+(* No-sleep policy so retry tests don't wait out real backoff. *)
+let test_policy ?deadline ?heap_ceiling_words ?(max_attempts = 3) () =
+  {
+    Runner.Supervise.default_policy with
+    max_attempts;
+    deadline;
+    heap_ceiling_words;
+    sleep = (fun _ -> ());
+  }
 
 let test_crashed_worker_respawns () =
   (* The job SIGKILLs its own worker on the first attempt (marker file
      absent) and succeeds on the retry.  Requires >= 2 workers so the
-     suicide happens in a forked child, never in the test process. *)
+     suicide happens in a forked child, never in the test process.  The
+     pool respawns the worker and fails the slot; supervision retries. *)
   let marker = Filename.temp_file "runner_crash" ".marker" in
   Sys.remove marker;
   let suicidal =
@@ -183,13 +150,19 @@ let test_crashed_worker_respawns () =
   Fun.protect
     ~finally:(fun () -> try Sys.remove marker with Sys_error _ -> ())
     (fun () ->
-      let results, stats =
-        Runner.Pool.run ~workers:2 [ job 1; suicidal; job 2 ]
+      let outcomes, stats =
+        Runner.Supervise.run ~workers:2 ~policy:(test_policy ())
+          [ job 1; suicidal; job 2 ]
       in
       Alcotest.(check (list int)) "all results present" [ 1; 42; 4 ]
-        (List.map snd (decoded results));
+        (List.map
+           (function
+             | Runner.Supervise.Done { payload; _ } -> Runner.Job.decode payload
+             | Runner.Supervise.Quarantined { reason; _ } -> Alcotest.fail reason)
+           outcomes);
       Alcotest.(check bool) "respawned at least once" true
-        (stats.Runner.Pool.respawns >= 1))
+        (stats.Runner.Pool.respawns >= 1);
+      Alcotest.(check int) "one retry" 1 stats.Runner.Pool.retried)
 
 let test_persistent_crash_fails () =
   let suicidal =
@@ -197,10 +170,17 @@ let test_persistent_crash_fails () =
         Unix.kill (Unix.getpid ()) Sys.sigkill;
         0)
   in
-  match Runner.Pool.run ~workers:2 ~max_attempts:2 [ suicidal ] with
-  | exception Runner.Pool.Job_failed { key; _ } ->
-      Alcotest.(check string) "failing key" "t/always-dies" key
-  | _ -> Alcotest.fail "expected Job_failed"
+  let outcomes, stats =
+    Runner.Supervise.run ~workers:2 ~policy:(test_policy ~max_attempts:2 ())
+      [ suicidal ]
+  in
+  (match outcomes with
+  | [ Runner.Supervise.Quarantined { history; _ } ] ->
+      Alcotest.(check int) "quarantined after max_attempts" 2
+        (List.length history)
+  | _ -> Alcotest.fail "expected Quarantined");
+  Alcotest.(check int) "one quarantine" 1 stats.Runner.Pool.quarantined;
+  Alcotest.(check int) "respawned per attempt" 2 stats.Runner.Pool.respawns
 
 let test_timeout_kills_stuck_worker () =
   let stuck =
@@ -208,12 +188,12 @@ let test_timeout_kills_stuck_worker () =
         Unix.sleep 30;
         0)
   in
-  match Runner.Pool.run ~workers:2 ~timeout:0.4 ~max_attempts:1 [ stuck ] with
-  | exception Runner.Pool.Job_failed { key; reason } ->
-      Alcotest.(check string) "failing key" "t/stuck" key;
-      Alcotest.(check bool) "reason mentions timeout" true
-        (String.length reason > 0)
-  | _ -> Alcotest.fail "expected Job_failed"
+  match Runner.Pool.run_results ~workers:2 ~timeout:0.4 [ stuck ] with
+  | [ (_, Error reason) ], stats ->
+      Alcotest.(check bool) "reason mentions the timeout" true
+        (contains reason "timed out");
+      Alcotest.(check int) "worker respawned" 1 stats.Runner.Pool.respawns
+  | _ -> Alcotest.fail "expected an Error slot"
 
 (* ------------------------------------------------------------------ *)
 (* Cache                                                               *)
@@ -253,7 +233,7 @@ let test_cache_version_invalidates () =
 
 let run_with_cache ~dir ~workers n =
   let cache = Runner.Cache.create ~dir ~version:"test" () in
-  Runner.Pool.run ~workers ~cache (jobs n)
+  run_ok ~workers ~cache (jobs n)
 
 let test_cached_rerun_executes_nothing () =
   let dir = fresh_dir "runner_cache_pool" in
@@ -325,18 +305,8 @@ let test_truncated_cache_entry_recomputed () =
 (* Supervision                                                         *)
 (* ------------------------------------------------------------------ *)
 
-(* No-sleep policy so retry tests don't wait out real backoff. *)
-let test_policy ?deadline ?heap_ceiling_words ?(max_attempts = 3) () =
-  {
-    Runner.Supervise.default_policy with
-    max_attempts;
-    deadline;
-    heap_ceiling_words;
-    sleep = (fun _ -> ());
-  }
-
 let test_supervise_matches_plain () =
-  let plain, _ = Runner.Pool.run (jobs 6) in
+  let plain, _ = run_ok (jobs 6) in
   let outcomes, stats =
     Runner.Supervise.run ~policy:(test_policy ()) (jobs 6)
   in
@@ -510,11 +480,6 @@ let test_supervise_heap_ceiling_quarantines () =
   Alcotest.(check int) "quarantined" 1 stats.Runner.Pool.quarantined;
   Alcotest.(check int) "not retried" 0 stats.Runner.Pool.retried
 
-let contains hay needle =
-  let n = String.length needle and m = String.length hay in
-  let rec at i = i + n <= m && (String.sub hay i n = needle || at (i + 1)) in
-  at 0
-
 (* The numeric parameters behind repro's --deadline, --max-attempts and
    --fuzz reject out-of-range values, NaN included, before any job runs,
    naming the parameter. *)
@@ -572,19 +537,26 @@ let repro_exe = "../bin/repro.exe"
 let run_repro args =
   Sys.command (Printf.sprintf "%s %s >/dev/null 2>&1" repro_exe args)
 
-let test_repro_quarantine_exits_nonzero () =
-  if not (Sys.file_exists repro_exe) then
-    Alcotest.skip ()
-  else
-    Alcotest.(check int) "quarantined job exits 3" 3
-      (run_repro "selftest-fail --no-cache --max-attempts 2")
+(* (test name, arguments, expected exit code).  The flags act alike
+   serially and on forked workers: every run is supervised. *)
+let exit_code_cases =
+  List.concat_map
+    (fun (prefix, jobs) ->
+      [
+        ( prefix ^ "quarantine exits nonzero",
+          "selftest-fail --no-cache --max-attempts 2" ^ jobs,
+          3 );
+        ( prefix ^ "allow-failures downgrades",
+          "selftest-fail --no-cache --max-attempts 2 --allow-failures" ^ jobs,
+          0 );
+      ])
+    [ ("", ""); ("-j 2 ", " -j 2") ]
 
-let test_repro_allow_failures_downgrades () =
-  if not (Sys.file_exists repro_exe) then
-    Alcotest.skip ()
+let test_repro_exit_code (_, args, code) () =
+  if not (Sys.file_exists repro_exe) then Alcotest.skip ()
   else
-    Alcotest.(check int) "--allow-failures exits 0" 0
-      (run_repro "selftest-fail --no-cache --max-attempts 2 --allow-failures")
+    Alcotest.(check int) (Printf.sprintf "repro %s exits %d" args code) code
+      (run_repro args)
 
 (* An out-of-range numeric flag is a command-line error: exit 124 with
    the flag named on stderr, not an uncaught exception (125), a matrix
@@ -625,6 +597,16 @@ let plan_keys ~quick ~backend =
       List.map Runner.Job.key
         (e.Experiments.Registry.plan ~quick ~backend).Experiments.Registry.jobs)
     Experiments.Registry.all
+
+(* A call without a policy is supervised too: under [allow_failures] a
+   quarantined job skips its experiment instead of raising. *)
+let test_registry_allow_failures_without_policy () =
+  let failing = Option.get (Experiments.Registry.find "selftest-fail") in
+  let rows, stats =
+    Experiments.Registry.run_selection ~allow_failures:true [ failing ]
+  in
+  Alcotest.(check int) "no rows" 0 (List.length rows);
+  Alcotest.(check int) "quarantined" 1 stats.Runner.Pool.quarantined
 
 let test_registry_plans_cover_all () =
   List.iter
@@ -751,14 +733,14 @@ let () =
           Alcotest.test_case "job keys unique" `Quick test_registry_job_keys_unique;
           Alcotest.test_case "backend keys disjoint" `Quick
             test_registry_backend_keys_disjoint;
+          Alcotest.test_case "allow-failures without a policy" `Quick
+            test_registry_allow_failures_without_policy;
         ] );
       ( "repro-exit-codes",
-        [
-          Alcotest.test_case "quarantine exits nonzero" `Quick
-            test_repro_quarantine_exits_nonzero;
-          Alcotest.test_case "allow-failures downgrades" `Quick
-            test_repro_allow_failures_downgrades;
-        ]
+        List.map
+          (fun ((name, _, _) as case) ->
+            Alcotest.test_case name `Quick (test_repro_exit_code case))
+          exit_code_cases
         @ List.map
             (fun ((flag, value) as case) ->
               Alcotest.test_case
@@ -766,19 +748,4 @@ let () =
                 `Quick
                 (test_repro_rejects_bad_flag case))
             bad_flags );
-      (* Must stay last: on OCaml 5, Unix.fork is disallowed for the
-         rest of the process once any domain has been spawned, so every
-         fork-pool suite has to run before the first Domain.spawn.  The
-         fork runs *inside* these tests are safe because each test
-         forks before it spawns domains (or executes nothing from a
-         warm cache). *)
-      ( "domain",
-        [
-          Alcotest.test_case "matches fork and serial" `Quick
-            test_domain_matches_fork;
-          Alcotest.test_case "job exception isolated to its slot" `Quick
-            test_domain_job_exception;
-          Alcotest.test_case "fills the shared cache" `Quick
-            test_domain_fills_cache;
-        ] );
     ]
