@@ -46,19 +46,6 @@ let default_mss = 1500
 
 let instance_of ?(release = ignore) cca = { cca; reset = None; release }
 
-let make_stub ?(name = "const-cwnd") ~cwnd_bytes () =
-  {
-    name;
-    on_ack = (fun _ -> ());
-    on_loss = (fun _ -> ());
-    on_send = (fun _ -> ());
-    on_timer = (fun _ -> ());
-    next_timer = (fun () -> None);
-    cwnd = (fun () -> cwnd_bytes);
-    pacing_rate = (fun () -> None);
-    inspect = (fun () -> [ ("cwnd", cwnd_bytes) ]);
-  }
-
 let bandwidth_sample (a : ack_info) =
   let interval = a.now -. a.sent_time in
   let bytes = a.delivered_now - a.delivered in

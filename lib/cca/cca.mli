@@ -94,10 +94,6 @@ val default_mss : int
 val instance_of : ?release:(unit -> unit) -> t -> instance
 (** Wrap a boxed, single-use CCA as an {!instance} ([reset = None]). *)
 
-val make_stub : ?name:string -> cwnd_bytes:float -> unit -> t
-(** A trivial CCA with a fixed window and no pacing — the paper's example of
-    a "silly" algorithm that avoids starvation but is not f-efficient. *)
-
 val bandwidth_sample : ack_info -> float
 (** Delivery-rate sample implied by an ACK: bytes delivered between the
     acked packet's send and its acknowledgment, divided by the elapsed

@@ -20,10 +20,6 @@ let length t = t.len
 let pushes t = t.pushes
 let fallbacks t = t.fallbacks
 
-let reset_last_due t =
-  if t.len > 0 then invalid_arg "Delay_line.reset_last_due: line not empty";
-  t.last_due.v <- neg_infinity
-
 let fire t =
   let cap = Array.length t.items in
   let x = t.items.(t.head) in

@@ -1,8 +1,9 @@
-(** Per-flow FIFO delay queue with one outstanding event-queue entry.
+(** FIFO delay queue with one outstanding event-queue entry.
 
     The paper's §3 model makes the bottleneck FIFO and the jitter element
-    non-reordering, so each flow's delivery (and ACK-release) times are
-    monotone non-decreasing.  That means a heap event per packet is
+    non-reordering, so each flow's ACK-release times, and the delivery
+    times of every flow with one propagation delay, are monotone
+    non-decreasing.  That means a heap event per packet is
     unnecessary: queue the pending deliveries in a ring buffer and keep a
     single {!Event_queue.handle} armed for the head's due time.  The event
     queue's size becomes O(flows + link) instead of O(bytes in flight),
@@ -40,14 +41,6 @@ val fallbacks : 'a t -> int
 (** Payloads that took the non-monotone per-packet escape hatch.  Stays 0
     for every jitter policy shipped today (the element clamps releases to
     monotone). *)
-
-val reset_last_due : 'a t -> unit
-(** Forget the monotonicity watermark.  Only legal while the line is
-    empty (nothing queued to overtake): a recycled per-flow line serves
-    a fresh flow whose release times restart below the previous
-    incarnation's watermark, and without the reset every push of the new
-    flow would take the per-packet fallback path.
-    @raise Invalid_argument if the line is non-empty. *)
 
 val fold_state : (Buffer.t -> 'a -> unit) -> Buffer.t -> 'a t -> unit
 (** [fold_state item buf t] appends the queued payloads (via [item], in

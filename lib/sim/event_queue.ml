@@ -389,10 +389,6 @@ let scheduled_time t h =
       | None -> assert false
   end
 
-let scheduled_at t h =
-  let at = scheduled_time t h in
-  if Float.is_finite at then Some at else None
-
 (* Pick the heap holding the globally next event.  If the wheel might
    own it (due heap empty), advance the cursor to the wheel's next
    pending tick — migrating that tick's entries into the due heap —

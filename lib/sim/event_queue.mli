@@ -143,11 +143,8 @@ val is_scheduled : handle -> bool
 
 val scheduled_time : t -> handle -> float
 (** Time the handle is armed for; [infinity] when idle, so no option is
-    built (unlike {!scheduled_at}; the returned float is still boxed).
+    built (the returned float is still boxed).
     @raise Invalid_argument if the handle is queued in another queue. *)
-
-val scheduled_at : t -> handle -> float option
-(** [scheduled_time] as an option: [None] when idle. *)
 
 val fold_state : Buffer.t -> t -> unit
 (** Append the clock and the armed (time, sequence) pairs to a

@@ -22,12 +22,6 @@ module Table = struct
        contract forbids retaining the record beyond the callback. *)
     ack_scratch : Cca.ack_info;
     send_scratch : Cca.send_info;
-    (* Freed rows awaiting reuse (a stack).  A churning population
-       allocates one row per concurrent flow, not per flow ever started:
-       without recycling a million-flow census would grow the table to
-       10^6 rows for a peak concurrency of a few thousand. *)
-    mutable free_rows : int array;
-    mutable nfree : int;
   }
 
   let create ?(capacity = 16) () =
@@ -53,11 +47,8 @@ module Table = struct
           ecn_ce = false;
         };
       send_scratch = { Cca.now = 0.; sent_bytes = 0; inflight = 0 };
-      free_rows = [||];
-      nfree = 0;
     }
 
-  let flows t = t.n
   let capacity t = t.cap
 
   let grow t =
@@ -74,36 +65,13 @@ module Table = struct
     t.done_time <- extend t.done_time nan;
     t.cap <- cap
 
+  (* Rows past [n] still hold the fill values of [create] and [grow]. *)
   let alloc t ~start_time =
-    let ix =
-      if t.nfree > 0 then begin
-        t.nfree <- t.nfree - 1;
-        t.free_rows.(t.nfree)
-      end
-      else begin
-        if t.n = t.cap then grow t;
-        let ix = t.n in
-        t.n <- ix + 1;
-        ix
-      end
-    in
-    t.next_send_time.(ix) <- 0.;
+    if t.n = t.cap then grow t;
+    let ix = t.n in
+    t.n <- ix + 1;
     t.last_progress.(ix) <- start_time;
-    t.srtt.(ix) <- 0.;
-    t.rttvar.(ix) <- 0.;
-    t.done_time.(ix) <- nan;
     ix
-
-  let free t ix =
-    if ix < 0 || ix >= t.n then invalid_arg "Flow.Table.free: row out of range";
-    if t.nfree = Array.length t.free_rows then begin
-      let cap = max 16 (2 * Array.length t.free_rows) in
-      let b = Array.make cap 0 in
-      Array.blit t.free_rows 0 b 0 t.nfree;
-      t.free_rows <- b
-    end;
-    t.free_rows.(t.nfree) <- ix;
-    t.nfree <- t.nfree + 1
 end
 
 (* Per-ACK history the analysis layer reads.  Optional as a group: a
@@ -127,7 +95,6 @@ type t = {
   transmit : Packet.t -> unit;
   mutable start_time : float;
   stop_time : float option;
-  min_rto : float;
   initial_pacing : float option;
   tbl : Table.t;
   ix : int; (* this flow's row in [tbl] *)
@@ -163,6 +130,7 @@ type t = {
 }
 
 let dupack_threshold = 3
+let min_rto = 0.2
 let initial_ring = 16
 
 let id t = t.id
@@ -227,7 +195,7 @@ let stopped t =
   match t.stop_time with Some st -> now t >= st | None -> false
 
 let rto t =
-  Float.max t.min_rto
+  Float.max min_rto
     (t.tbl.Table.srtt.(t.ix) +. (4. *. t.tbl.Table.rttvar.(t.ix)))
 
 (* --- Outstanding-segment ring ------------------------------------------- *)
@@ -475,7 +443,7 @@ let seg_limit_of ~mss size_bytes =
       max 1 ((b + mss - 1) / mss)
 
 let create ~eq ~id ~cca ?(mss = Cca.default_mss) ?(start_time = 0.) ?stop_time
-    ?(min_rto = 0.2) ?initial_pacing ?inspect_period ?(record_series = true)
+    ?initial_pacing ?inspect_period ?(record_series = true)
     ?table ?size_bytes ?on_complete ~transmit () =
   let tbl = match table with Some tb -> tb | None -> Table.create ~capacity:1 () in
   let ix = Table.alloc tbl ~start_time in
@@ -502,7 +470,6 @@ let create ~eq ~id ~cca ?(mss = Cca.default_mss) ?(start_time = 0.) ?stop_time
       transmit;
       start_time;
       stop_time;
-      min_rto;
       initial_pacing;
       tbl;
       ix;

@@ -33,20 +33,11 @@ module Table : sig
   (** Rows are added by {!Flow.create} and the arrays double on demand;
       [capacity] (default 16) merely pre-sizes them. *)
 
-  val flows : t -> int
-  (** Rows ever allocated (monotone; recycled rows are not re-counted). *)
-
   val capacity : t -> int
-  (** Current row capacity of the backing arrays.  With row recycling a
-      churning population's capacity is bounded by its {e peak
-      concurrency}, not by how many flows ever existed — the recycling
-      test pins this. *)
-
-  val free : t -> int -> unit
-  (** Return a row to the free list for reuse by a later [alloc].  The
-      caller must ensure no live flow still owns the row ({!Flow.respawn}
-      reuses a completed flow's row in place and does {e not} free it).
-      @raise Invalid_argument if the row was never allocated. *)
+  (** Current row capacity of the backing arrays.  A flow keeps its row
+      across {!Flow.respawn}, so a churning population's capacity is
+      bounded by its {e peak concurrency}, not by how many flows ever
+      existed — the census tests pin this. *)
 end
 
 val create :
@@ -56,7 +47,6 @@ val create :
   ?mss:int ->
   ?start_time:float ->
   ?stop_time:float ->
-  ?min_rto:float ->
   ?initial_pacing:float ->
   ?inspect_period:float ->
   ?record_series:bool ->
@@ -68,7 +58,8 @@ val create :
   t
 (** The flow schedules its own start at [start_time] (default 0) and stops
     sending new segments at [stop_time].  [transmit] injects a packet into
-    the network.  [min_rto] defaults to 200 ms.
+    the network.  The retransmission timeout is RFC 6298's
+    [srtt + 4 rttvar], floored at 200 ms.
 
     [initial_pacing] (bytes/s) spreads the opening window over time instead
     of dumping it as a line-rate burst: it paces sends until the first ACK

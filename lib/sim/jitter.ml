@@ -62,8 +62,6 @@ let release_at t ~flow ~arrival ~sent =
   t.last_release.v <- release;
   release
 
-let release_time t req = release_at t ~flow:req.flow ~arrival:req.arrival ~sent:req.sent
-
 let bound t = t.bound
 let violations t = t.violations
 

@@ -40,16 +40,13 @@ val create : ?bound:float -> rng:Rng.t -> policy -> t
     @raise Invalid_argument on an invalid [Uniform] or negative/NaN
     [bound]. *)
 
-val release_time : t -> request -> float
+val release_at : t -> flow:int -> arrival:float -> sent:float -> float
 (** Time at which the packet leaves the element: arrival + clamped policy
     delay, pushed forward if needed so that releases never reorder.  The
     forward push means successive release times are always monotone
-    non-decreasing — the property {!Delay_line} relies on. *)
-
-val release_at : t -> flow:int -> arrival:float -> sent:float -> float
-(** Same as {!release_time} but taking the request fields as plain
-    arguments: the hot path's variant, which only materializes a
-    {!request} record for the [Controller] policy. *)
+    non-decreasing — the property {!Delay_line} relies on.  The
+    arguments are the {!request} fields; the record is built only for
+    the [Controller] policy. *)
 
 val bound : t -> float
 

@@ -424,6 +424,12 @@ and on_complete t =
 
 let create ~eq ~rate ?buffer ?ecn_threshold ?aqm ?(discipline = Fifo) ~record_queue
     () =
+  (match buffer with
+  | Some b when b < 0 -> invalid_arg "Link.create: buffer must be >= 0"
+  | Some _ | None -> ());
+  (match ecn_threshold with
+  | Some th when th < 0 -> invalid_arg "Link.create: ecn_threshold must be >= 0"
+  | Some _ | None -> ());
   let aqm =
     match (aqm, ecn_threshold) with
     | Some _, Some _ ->

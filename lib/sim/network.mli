@@ -1,12 +1,20 @@
 (** Full network assembly: n flows sharing one bottleneck (§3 model).
 
     Data path:  sender → (per-flow random loss) → shared FIFO bottleneck →
-    per-flow propagation delay → receiver.
+    propagation delay → receiver.
     ACK path:   receiver → per-flow ACK policy (immediate / delayed /
     aggregated) → per-flow non-congestive delay element ({!Jitter}) → sender.
 
     The resulting RTT is [queueing + transmission + Rm + jitter], matching
-    the paper's decomposition in §2.1. *)
+    the paper's decomposition in §2.1.
+
+    Each flow lives in a {e slot} of a growable table: its {!Flow.t},
+    jitter element, loss stream, ACK delay line and counters.  Flows with
+    the same propagation delay share one post-bottleneck delay line.
+    Besides the configured flows, sized flows can join a built network
+    while it runs ({!spawn}); a completed spawned flow's slot is recycled
+    for a later one, so a churning population needs as many slots as it
+    has flows at once (the census of {!Population}). *)
 
 (** Receiver-side acknowledgment generation. *)
 type ack_policy =
@@ -95,10 +103,10 @@ val config :
   ?monitor_period:float -> duration:float -> flow_spec list -> config
 (** @raise Invalid_argument naming the field on an empty flow list, a
     [Constant] rate that is not finite and positive ([Piecewise] rates
-    may be 0), [duration] not finite and positive, [rm] not finite and
-    >= 0, a non-finite [t0], negative [initial_queue_bytes], a
-    non-positive [monitor_period], or any flow failing the checks of
-    {!flow}.  NaN fails every check. *)
+    may be 0), a negative [buffer] or [ecn_threshold], [duration] not
+    finite and positive, [rm] not finite and >= 0, a non-finite [t0],
+    negative [initial_queue_bytes], a non-positive [monitor_period], or
+    any flow failing the checks of {!flow}.  NaN fails every check. *)
 
 type t
 
@@ -134,6 +142,39 @@ val horizon : t -> float
 (** [t0] and [t0 + duration] of the underlying config. *)
 
 val config_of : t -> config
+
+(** {2 Flow churn} *)
+
+val spawn :
+  t ->
+  cca:(slot:int -> prev:Cca.instance option -> Cca.instance) ->
+  jitter:Jitter.t ->
+  mss:int ->
+  size_bytes:int ->
+  on_complete:(Flow.t -> unit) ->
+  Flow.t
+(** Add a sized flow that starts now: immediate ACKs, no random loss,
+    propagation delay [rm], no recorded traces, [jitter] on its ACK
+    path.  It takes a free slot if there is one and a new slot
+    otherwise, through the same path {!build} adds the configured flows
+    by; its {!Flow.id} is the slot.  [cca ~slot ~prev] supplies the
+    controller: [prev] is the slot's previous instance when the slot is
+    recycled, and a factory may reset and return it; returning a
+    different instance releases the old one.
+
+    [on_complete] is called once, when the flow completes.  The slot is
+    free again once every packet the link admitted for the flow has
+    been acked, so no packet of one incarnation reaches the next; the
+    flow is then reincarnated in place by {!Flow.respawn}.  A packet
+    leaves that count before the flow sees its ACK.  The slot's
+    counters ({!received_bytes}, the link's per-flow bytes) add up over
+    its incarnations.
+    @raise Invalid_argument on a network with faults or a monitor, a
+    non-positive [mss] or [size_bytes], or an [mss] other than the
+    recycled slot's. *)
+
+val flow_table : t -> Flow.Table.t
+(** The table holding every slot's hot flow state. *)
 
 (** {2 Checkpointing} *)
 
@@ -171,6 +212,10 @@ val set_split_run : bool -> unit
 val event_queue : t -> Event_queue.t
 val link : t -> Link.t
 val flows : t -> Flow.t array
+(** Every slot's flow, indexed by slot (the configured flows first, in
+    config order).  A fresh array per call, as are the other per-flow
+    arrays below. *)
+
 val jitters : t -> Jitter.t array
 val random_losses : t -> int array
 (** Packets dropped by the random-loss element, per flow. *)
@@ -182,9 +227,9 @@ val received_bytes : t -> int array
     received.  A fresh copy per call. *)
 
 val propagating_bytes : t -> int array
-(** Bytes per flow currently on the post-bottleneck propagation delay
-    line (out of the link, not yet at the receiver).  A fresh array per
-    call. *)
+(** Bytes per flow currently in post-bottleneck propagation (out of the
+    link, not yet at the receiver), counted per flow on the delay line
+    it shares with every flow of the same propagation delay. *)
 
 val phantom_flow_id : int
 (** Flow id ([-1]) carried by the phantom packets that pre-load the
@@ -192,8 +237,8 @@ val phantom_flow_id : int
     per-flow byte counters account for that traffic. *)
 
 val delay_line_fallbacks : t -> int
-(** Total packets across all delay lines (data propagation and ACK
-    return paths) that arrived with a non-monotone due time and fell
+(** Total packets across all delay lines (each shared data propagation
+    line once, and every ACK return path) that arrived with a non-monotone due time and fell
     back to a standalone per-packet event.  Expected to be 0 for every
     built-in jitter policy; a nonzero value means a [Controller] (or
     future policy) broke monotonicity and the simulator quietly paid

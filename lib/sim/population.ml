@@ -1,29 +1,20 @@
-(* Churning-population engine for the starvation census.
+(* The starvation census's churning population.
 
-   [Network] materializes one flow spec, one flow, one jitter element and
-   two delay lines per flow *for the whole run* — fine at 10^4 flows,
-   hopeless at 10^6.  This engine exploits what a census population
-   actually is: a birth-death process whose *concurrency* is bounded
-   (arrival rate x mean lifetime) even when the total flow count is not.
-   It keeps a pool of flow *slots* sized by peak concurrency and streams
-   the population through them:
+   The packets run on {!Network}: this module is only the census's
+   arrival process.  A census population is a birth-death process whose
+   {e concurrency} is bounded (arrival rate x mean lifetime) even when
+   the total flow count is not, so it streams the population through
+   the network's recycled flow slots ({!Network.spawn}):
 
    - Arrivals are generated lazily by one persistent event-queue handle
      (Poisson gaps over the arrival window), not pre-materialized.
-   - A departed flow's slot — its [Flow.t], outstanding rings, ACK delay
-     line and (columnar) CCA row — is recycled via {!Flow.respawn} for
-     the next arrival.  Steady-state churn allocates almost nothing.
-   - [Packet.flow] carries the *slot* id, so the link's per-flow
-     counters and the delivery dispatch stay bounded by concurrency.
+   - Sizes are Pareto draws, truncated at [size_cap].
+   - Each incarnation gets its own ACK-path jitter element, split from
+     the cell's jitter stream (or, without jitter, a shared no-op one).
 
-   Slot-reuse safety: a slot is recycled only when its flow has
-   completed AND every packet it ever pushed into the link has come back
-   through the ACK line ([refs] = 0).  The census path has no loss
-   downstream of link admission — a packet the link accepts is always
-   eventually delivered and acked — so [refs] provably drains.  Until it
-   does, the completed flow stays parked: a straggler ACK arriving after
-   a spurious-RTO completion hits [Flow.receive_ack_one] on the old
-   incarnation, where the emptied outstanding table makes it a no-op. *)
+   Arrivals, sizes and jitter come from order-independent labeled
+   streams keyed by [(seed, key)], in flow order, so the population is
+   a pure function of the config however slots are recycled. *)
 
 type config = {
   n : int;
@@ -52,19 +43,6 @@ type result = {
   fallbacks : int;
 }
 
-type slot_state = Active | Retired | Free
-
-type slot = {
-  sid : int;
-  flow : Flow.t;
-  ack_line : Packet.t Delay_line.t;
-  mutable inst : Cca.instance;
-  mutable jitter : Jitter.t option;
-  mutable refs : int; (* packets admitted by the link, not yet acked *)
-  mutable state : slot_state;
-  mutable flow_no : int; (* population index of the current incarnation *)
-}
-
 (* NaN-safe: each test is written so that NaN fails it. *)
 let validate cfg =
   if cfg.n <= 0 then invalid_arg "Population.run: n must be positive";
@@ -91,11 +69,26 @@ let validate cfg =
 
 let run ~cca:make_cca cfg =
   validate cfg;
-  let eq = Event_queue.create () in
-  let link =
-    Link.create ~eq ~rate:(Link.Constant cfg.rate) ?buffer:cfg.buffer
-      ~record_queue:false ()
+  let net =
+    Network.build
+      {
+        Network.rate = Link.Constant cfg.rate;
+        buffer = cfg.buffer;
+        ecn_threshold = None;
+        aqm = None;
+        discipline = Link.Fifo;
+        rm = cfg.rm;
+        flows = [];
+        t0 = 0.;
+        duration = cfg.duration;
+        seed = cfg.seed;
+        record_queue = false;
+        initial_queue_bytes = 0;
+        faults = Fault.none;
+        monitor_period = None;
+      }
   in
+  let eq = Network.event_queue net in
   let master = Rng.create ~seed:cfg.seed in
   let arrivals_rng = Rng.stream master ~label:(cfg.key ^ "/arrivals") in
   let sizes_rng = Rng.stream master ~label:(cfg.key ^ "/sizes") in
@@ -103,52 +96,18 @@ let run ~cca:make_cca cfg =
   let horizon = cfg.duration in
   let window = cfg.arrival_frac *. cfg.duration in
   let mean_gap = window /. float_of_int cfg.n in
-  let table = Flow.Table.create ~capacity:64 () in
   (* Not zero-filled: every spawned flow writes its own entry exactly
      once, at completion or in the horizon sweep, and [written] proves
      it.  Skipping the fill spares set-up a pass over n floats on pages
      the allocator may just have handed back to the kernel. *)
   let goodputs = Array.create_float cfg.n in
   let written = ref 0 in
-  let record_goodput s =
-    goodputs.(s.flow_no) <- Flow.goodput s.flow ~horizon;
+  (* [flow_no.(slot)]: the population index of the slot's current
+     incarnation, i.e. its row in [goodputs]. *)
+  let flow_no = ref [||] in
+  let record_goodput f =
+    goodputs.(!flow_no.(Flow.id f)) <- Flow.goodput f ~horizon;
     incr written
-  in
-
-  (* Slot store and free stack — both flat and growable. *)
-  let slots : slot option array ref = ref [||] in
-  let nslots = ref 0 in
-  let get_slot id =
-    match (!slots).(id) with Some s -> s | None -> assert false
-  in
-  let add_slot s =
-    if !nslots = Array.length !slots then begin
-      let cap = max 64 (2 * Array.length !slots) in
-      let b = Array.make cap None in
-      Array.blit !slots 0 b 0 !nslots;
-      slots := b
-    end;
-    (!slots).(!nslots) <- Some s;
-    incr nslots
-  in
-  let free_stack = ref [||] in
-  let nfree = ref 0 in
-  let push_free sid =
-    if !nfree = Array.length !free_stack then begin
-      let cap = max 64 (2 * Array.length !free_stack) in
-      let b = Array.make cap 0 in
-      Array.blit !free_stack 0 b 0 !nfree;
-      free_stack := b
-    end;
-    (!free_stack).(!nfree) <- sid;
-    incr nfree
-  in
-  let pop_free () =
-    if !nfree = 0 then None
-    else begin
-      decr nfree;
-      Some (!free_stack).(!nfree)
-    end
   in
 
   let spawned = ref 0 in
@@ -156,98 +115,19 @@ let run ~cca:make_cca cfg =
   let active = ref 0 in
   let peak_active = ref 0 in
   let peak_pending = ref 0 in
-
-  let maybe_free s =
-    if s.state = Retired && s.refs = 0 then begin
-      s.state <- Free;
-      push_free s.sid
-    end
-  in
-  let complete_slot s =
-    record_goodput s;
+  let on_complete f =
+    record_goodput f;
     incr completed;
-    decr active;
-    s.state <- Retired;
-    maybe_free s
+    decr active
   in
-  let transmit_slot s pkt =
-    match Link.enqueue link pkt with
-    | `Enqueued -> s.refs <- s.refs + 1
-    | `Dropped -> ()
-  in
-  let ack_slot s pkt =
-    (* Decrement before the flow sees the ACK: if this ACK completes the
-       flow, [complete_slot]'s [maybe_free] must already see [refs] = 0. *)
-    s.refs <- s.refs - 1;
-    Flow.receive_ack_one s.flow pkt;
-    maybe_free s
-  in
-
-  (* One shared post-bottleneck propagation line: the link is FIFO and
-     the propagation delay constant, so dequeue + rm is globally
-     monotone — a single line replaces one per flow. *)
-  let data_line =
-    Delay_line.create ~eq ~dummy:Packet.dummy (fun pkt ->
-        let s = get_slot pkt.Packet.flow in
-        let arrival = Event_queue.now eq in
-        let release =
-          match s.jitter with
-          | Some j ->
-              Jitter.release_at j ~flow:s.sid ~arrival ~sent:pkt.Packet.sent_at
-          | None -> arrival
-        in
-        Delay_line.push s.ack_line ~due:release pkt)
-  in
-  Link.set_on_dequeue link (fun pkt ->
-      Delay_line.push data_line ~due:(Event_queue.now eq +. cfg.rm) pkt);
-
+  (* Without jitter every release is the ACK's arrival, which a
+     stateless element shared by every flow reproduces. *)
+  let no_jitter = Jitter.create ~rng:jitter_rng Jitter.No_jitter in
   let fresh_jitter () =
     if cfg.jitter_d > 0. then
-      Some
-        (Jitter.create ~bound:cfg.jitter_d ~rng:(Rng.split jitter_rng)
-           (Jitter.Uniform { lo = 0.; hi = cfg.jitter_d }))
-    else None
-  in
-
-  let new_slot ~start_time ~size ~flow_no =
-    let sid = !nslots in
-    let inst = make_cca ~slot:sid ~prev:None in
-    let flow =
-      Flow.create ~eq ~id:sid ~cca:inst.Cca.cca ~mss:cfg.mss ~start_time
-        ~record_series:false ~table ~size_bytes:size
-        ~on_complete:(fun () -> complete_slot (get_slot sid))
-        ~transmit:(fun pkt -> transmit_slot (get_slot sid) pkt)
-        ()
-    in
-    let ack_line =
-      Delay_line.create ~eq ~dummy:Packet.dummy (fun pkt ->
-          ack_slot (get_slot sid) pkt)
-    in
-    add_slot
-      {
-        sid;
-        flow;
-        ack_line;
-        inst;
-        jitter = fresh_jitter ();
-        refs = 0;
-        state = Active;
-        flow_no;
-      }
-  in
-  let respawn_slot sid ~start_time ~size ~flow_no =
-    let s = get_slot sid in
-    let next = make_cca ~slot:sid ~prev:(Some s.inst) in
-    if next != s.inst then s.inst.Cca.release ();
-    s.inst <- next;
-    s.jitter <- fresh_jitter ();
-    (* [refs] = 0 implies the per-slot ACK line is empty; forget the old
-       incarnation's release watermark so the new flow's (earlier-looking
-       relative to jitter) releases stay on the allocation-free path. *)
-    Delay_line.reset_last_due s.ack_line;
-    Flow.respawn s.flow ~cca:next.Cca.cca ~start_time ~size_bytes:size ();
-    s.flow_no <- flow_no;
-    s.state <- Active
+      Jitter.create ~bound:cfg.jitter_d ~rng:(Rng.split jitter_rng)
+        (Jitter.Uniform { lo = 0.; hi = cfg.jitter_d })
+    else no_jitter
   in
 
   (* Lazy Poisson arrivals: one persistent handle; gaps and sizes come
@@ -257,16 +137,23 @@ let run ~cca:make_cca cfg =
   let next_t = ref 0. in
   let arrival_h = Event_queue.handle ignore in
   let spawn_next () =
-    let now = Event_queue.now eq in
     let k = !spawned in
     spawned := k + 1;
     let size =
       min cfg.size_cap
         (int_of_float (Rng.pareto sizes_rng ~alpha:cfg.alpha ~xm:cfg.xm))
     in
-    (match pop_free () with
-    | Some sid -> respawn_slot sid ~start_time:now ~size ~flow_no:k
-    | None -> new_slot ~start_time:now ~size ~flow_no:k);
+    let f =
+      Network.spawn net ~cca:make_cca ~jitter:(fresh_jitter ()) ~mss:cfg.mss
+        ~size_bytes:size ~on_complete
+    in
+    let slot = Flow.id f in
+    if slot = Array.length !flow_no then begin
+      let b = Array.make (max 64 (2 * slot)) 0 in
+      Array.blit !flow_no 0 b 0 slot;
+      flow_no := b
+    end;
+    !flow_no.(slot) <- k;
     incr active;
     if !active > !peak_active then peak_active := !active;
     let p = Event_queue.pending eq in
@@ -280,31 +167,23 @@ let run ~cca:make_cca cfg =
   next_t := Rng.exponential arrivals_rng ~mean:mean_gap;
   Event_queue.schedule_handle eq arrival_h ~at:(Float.min !next_t window);
 
-  Event_queue.run_until eq horizon;
+  Network.run_to net horizon;
 
   (* Survivors: flows still active at the horizon score their delivered
      bytes over their truncated lifetime, exactly as {!Network.goodputs}
      does for incomplete flows. *)
-  for sid = 0 to !nslots - 1 do
-    let s = get_slot sid in
-    if s.state = Active then record_goodput s
-  done;
+  let flows = Network.flows net in
+  Array.iter (fun f -> if not (Flow.completed f) then record_goodput f) flows;
   if !written <> cfg.n then
     failwith
       (Printf.sprintf "Population.run: %d of %d goodputs written" !written cfg.n);
-
-  let fallbacks = ref (Delay_line.fallbacks data_line) in
-  for sid = 0 to !nslots - 1 do
-    fallbacks := !fallbacks + Delay_line.fallbacks (get_slot sid).ack_line
-  done;
-
   {
     goodputs;
     spawned = !spawned;
     completed = !completed;
     peak_active = !peak_active;
     peak_pending = !peak_pending;
-    slots = !nslots;
-    table_capacity = Flow.Table.capacity table;
-    fallbacks = !fallbacks;
+    slots = Array.length flows;
+    table_capacity = Flow.Table.capacity (Network.flow_table net);
+    fallbacks = Network.delay_line_fallbacks net;
   }

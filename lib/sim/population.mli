@@ -1,12 +1,12 @@
-(** Churning flow population over one bottleneck — the census engine.
+(** Churning flow population over one bottleneck — the census.
 
     Runs [n] finite flows (Poisson arrivals over the first
-    [arrival_frac] of the horizon, Pareto sizes) through a pool of
-    recycled flow slots sized by {e peak concurrency}, not by [n]: a
-    departed flow's slot — [Flow.t], outstanding rings, ACK delay line,
-    columnar CCA row — is reincarnated in place ({!Flow.respawn}) for
-    the next arrival.  Memory and event-queue size scale with the
-    birth-death process's concurrency bound, which is what makes a
+    [arrival_frac] of the horizon, Pareto sizes) on a {!Network}, which
+    recycles flow slots ({!Network.spawn}): a departed flow's slot —
+    [Flow.t], outstanding rings, ACK delay line, columnar CCA row — is
+    reincarnated in place ({!Flow.respawn}) for a later arrival.  Memory
+    and event-queue size scale with the birth-death process's
+    concurrency bound, not with [n], which is what makes a
     one-million-flow census fit one machine; see DESIGN.md §13.
 
     The run is deterministic: arrivals and sizes come from

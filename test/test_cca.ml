@@ -314,7 +314,7 @@ let test_bandwidth_sample_degenerate () =
   check_float "no delivered bytes" 0. (Cca.bandwidth_sample no_delivery)
 
 let test_stub () =
-  let c = Cca.make_stub ~cwnd_bytes:15000. () in
+  let c = Const_cwnd.make () in
   c.Cca.on_ack (ack 1.);
   c.Cca.on_loss (loss 2.);
   check_float "cwnd constant" 15000. (c.Cca.cwnd ());

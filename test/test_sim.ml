@@ -504,22 +504,23 @@ let test_units_extras () =
 (* Jitter element                                                      *)
 (* ------------------------------------------------------------------ *)
 
-let req ~arrival = { Sim.Jitter.flow = 0; arrival; sent = arrival -. 0.05 }
+let release j ~arrival =
+  Sim.Jitter.release_at j ~flow:0 ~arrival ~sent:(arrival -. 0.05)
 
 let test_jitter_trace_policy () =
   let j =
     Sim.Jitter.create ~bound:1. ~rng:(Sim.Rng.create ~seed:1)
       (Sim.Jitter.Trace (fun t -> t /. 10.))
   in
-  check_float "uses arrival time" 1.1 (Sim.Jitter.release_time j (req ~arrival:1.));
+  check_float "uses arrival time" 1.1 (release j ~arrival:1.);
   check_float "later arrival, larger delay" 2.42
-    (Sim.Jitter.release_time j (req ~arrival:2.2))
+    (release j ~arrival:2.2)
 
 let test_jitter_constant () =
   let j =
     Sim.Jitter.create ~bound:1. ~rng:(Sim.Rng.create ~seed:1) (Sim.Jitter.Constant 0.01)
   in
-  check_float "release" 1.01 (Sim.Jitter.release_time j (req ~arrival:1.));
+  check_float "release" 1.01 (release j ~arrival:1.);
   Alcotest.(check int) "no violations" 0 (Sim.Jitter.violations j)
 
 let test_jitter_no_reorder () =
@@ -535,8 +536,8 @@ let test_jitter_no_reorder () =
         | [] -> 0.)
   in
   let j = Sim.Jitter.create ~bound:1. ~rng:(Sim.Rng.create ~seed:1) policy in
-  let r1 = Sim.Jitter.release_time j (req ~arrival:1.0) in
-  let r2 = Sim.Jitter.release_time j (req ~arrival:1.01) in
+  let r1 = release j ~arrival:1.0 in
+  let r2 = release j ~arrival:1.01 in
   check_float "first" 1.05 r1;
   Alcotest.(check bool) "no reorder" true (r2 >= r1)
 
@@ -545,7 +546,7 @@ let test_jitter_clamps_and_counts () =
     Sim.Jitter.create ~bound:0.01 ~rng:(Sim.Rng.create ~seed:1)
       (Sim.Jitter.Constant 0.05)
   in
-  let r = Sim.Jitter.release_time j (req ~arrival:2.) in
+  let r = release j ~arrival:2. in
   check_float "clamped to bound" 2.01 r;
   Alcotest.(check int) "violation counted" 1 (Sim.Jitter.violations j);
   check_float "max requested" 0.05 (Sim.Jitter.max_requested j)
@@ -555,7 +556,7 @@ let test_jitter_negative_clamped () =
     Sim.Jitter.create ~bound:0.01 ~rng:(Sim.Rng.create ~seed:1)
       (Sim.Jitter.Constant (-0.02))
   in
-  let r = Sim.Jitter.release_time j (req ~arrival:2.) in
+  let r = release j ~arrival:2. in
   check_float "clamped to zero" 2. r;
   Alcotest.(check int) "violation counted" 1 (Sim.Jitter.violations j)
 
@@ -575,7 +576,7 @@ let test_jitter_violation_accounting () =
   in
   let j = Sim.Jitter.create ~bound:0.01 ~rng:(Sim.Rng.create ~seed:1) policy in
   for i = 1 to 4 do
-    ignore (Sim.Jitter.release_time j (req ~arrival:(float_of_int i)))
+    ignore (release j ~arrival:(float_of_int i))
   done;
   Alcotest.(check int) "three violations" 3 (Sim.Jitter.violations j);
   check_float "worst excess is the 0.05 request" 0.04 (Sim.Jitter.worst_excess j);
@@ -587,7 +588,7 @@ let test_jitter_no_violation_no_excess () =
       (Sim.Jitter.Constant 0.01)
   in
   for i = 1 to 10 do
-    ignore (Sim.Jitter.release_time j (req ~arrival:(float_of_int i)))
+    ignore (release j ~arrival:(float_of_int i))
   done;
   Alcotest.(check int) "bound-riding is legal" 0 (Sim.Jitter.violations j);
   check_float "no excess" 0. (Sim.Jitter.worst_excess j)
@@ -636,7 +637,7 @@ let prop_jitter_uniform_in_bounds =
       let ok = ref true in
       for i = 1 to 100 do
         let arrival = float_of_int i *. 0.01 in
-        let r = Sim.Jitter.release_time j (req ~arrival) in
+        let r = release j ~arrival in
         if r < arrival || r < !last then ok := false;
         last := r
       done;
@@ -1293,7 +1294,7 @@ let test_flow_initial_pacing_spreads_sends () =
   let rate = Sim.Units.mbps 12. in
   let run pacing =
     let spec =
-      Sim.Network.flow ?initial_pacing:pacing (Cca.make_stub ~cwnd_bytes:1.5e6 ())
+      Sim.Network.flow ?initial_pacing:pacing (Const_cwnd.make ~cwnd_packets:1000. ())
     in
     let cfg =
       Sim.Network.config ~rate:(Sim.Link.Constant rate) ~rm:0.04 ~duration:0.5
@@ -1340,7 +1341,7 @@ let test_flow_dupack_loss_detection () =
 let test_flow_ce_propagates () =
   (* ECN marks set by the link must reach the CCA via ack_info. *)
   let saw_ce = ref false in
-  let base = Cca.make_stub ~cwnd_bytes:1.5e6 () in
+  let base = Const_cwnd.make ~cwnd_packets:1000. () in
   let cca =
     { base with
       Cca.on_ack = (fun a -> if a.Cca.ecn_ce then saw_ce := true) }
@@ -1436,7 +1437,7 @@ let test_network_delayed_ack_timeout_flush () =
   let spec =
     Sim.Network.flow
       ~ack_policy:(Sim.Network.Delayed { count = 4; timeout = 0.05 })
-      (Cca.make_stub ~cwnd_bytes:3000. ())
+      (Const_cwnd.make ~cwnd_packets:2. ())
   in
   let cfg =
     Sim.Network.config ~rate:(Sim.Link.Constant (Sim.Units.mbps 12.)) ~rm:0.04
@@ -1560,12 +1561,18 @@ let test_network_ack_policy_validation () =
    specs edited with record syntax. *)
 let test_network_config_validation () =
   let good = Sim.Network.flow (Reno.make ()) in
-  let cfg ?(rate = Sim.Link.Constant (Sim.Units.mbps 24.)) ?(rm = 0.02) ?t0
-      ?(duration = 2.) ?monitor_period ?initial_queue_bytes
-      ?(flows = [ good ]) () =
+  let cfg ?(rate = Sim.Link.Constant (Sim.Units.mbps 24.)) ?buffer
+      ?ecn_threshold ?(rm = 0.02) ?t0 ?(duration = 2.) ?monitor_period
+      ?initial_queue_bytes ?(flows = [ good ]) () =
     ignore
-      (Sim.Network.config ~rate ~rm ?t0 ~duration ?monitor_period
-         ?initial_queue_bytes flows)
+      (Sim.Network.config ~rate ?buffer ?ecn_threshold ~rm ?t0 ~duration
+         ?monitor_period ?initial_queue_bytes flows)
+  in
+  let link ?buffer ?ecn_threshold () =
+    ignore
+      (Sim.Link.create ~eq:(Sim.Event_queue.create ())
+         ~rate:(Sim.Link.Constant 1e6) ?buffer ?ecn_threshold
+         ~record_queue:false ())
   in
   let rejects (name, fn, field, f) =
     match f () with
@@ -1658,6 +1665,13 @@ let test_network_config_validation () =
       config "rate -1" "rate" (fun () -> cfg ~rate:(Sim.Link.Constant (-1.)) ());
       config "rate inf" "rate" (fun () ->
           cfg ~rate:(Sim.Link.Constant infinity) ());
+      config "buffer -1" "buffer" (fun () -> cfg ~buffer:(-1) ());
+      config "ecn_threshold -5" "ecn_threshold" (fun () ->
+          cfg ~ecn_threshold:(-5) ());
+      ( "link buffer -1", "Link.create", "buffer",
+        fun () -> link ~buffer:(-1) () );
+      ( "link ecn_threshold -5", "Link.create", "ecn_threshold",
+        fun () -> link ~ecn_threshold:(-5) () );
       config "duration nan" "duration" (fun () -> cfg ~duration:nan ());
       config "duration inf" "duration" (fun () -> cfg ~duration:infinity ());
       config "duration 0" "duration" (fun () -> cfg ~duration:0. ());
@@ -1679,6 +1693,9 @@ let test_network_config_validation () =
       ( "wheel_threshold -1", "Event_queue.create", "wheel_threshold",
         fun () -> ignore (Sim.Event_queue.create ~wheel_threshold:(-1) ()) );
     ];
+  (* A zero buffer and a zero ECN threshold stay legal. *)
+  cfg ~buffer:0 ~ecn_threshold:0 ();
+  link ~buffer:0 ~ecn_threshold:0 ();
   (* The boundaries stay legal and run: no propagation delay, no loss,
      the default unbounded jitter bound, a start before [t0] (clamped to
      it), a never-reached stop, and a Piecewise rate that pauses at 0. *)
@@ -1997,6 +2014,108 @@ let test_network_event_queue_peak () =
   Alcotest.(check int) "no delay-line fallbacks" 0
     (Sim.Network.delay_line_fallbacks net)
 
+(* Flows with the same [rm + extra_rm] share one post-bottleneck data
+   line that dispatches on [Packet.flow]; a flow with another delay gets
+   its own.  Paused at several instants, each flow's in-propagation
+   count must equal the bytes it has between link dequeue and receiver
+   (the link's per-flow delivered bytes minus what the receiver got), no
+   line may have fallen back to per-packet events, and the conservation
+   chain built on those counts must hold, under FIFO and under DRR. *)
+let test_network_shared_data_line () =
+  List.iter
+    (fun (name, discipline) ->
+      let rate = Sim.Units.mbps 12. in
+      let net =
+        Sim.Network.build
+          (Sim.Network.config ~rate:(Sim.Link.Constant rate) ~discipline
+             ~buffer:(Sim.Units.bdp_bytes ~rate ~rtt:0.04) ~rm:0.03 ~duration:3.
+             [
+               Sim.Network.flow ~extra_rm:0.01 (Reno.make ());
+               Sim.Network.flow ~start_time:0.2 ~extra_rm:0.01 (Cubic.make ());
+               Sim.Network.flow ~start_time:0.1 ~extra_rm:0.05
+                 ~jitter:(Sim.Jitter.Uniform { lo = 0.; hi = 0.01 })
+                 ~jitter_bound:0.01 (Reno.make ());
+             ])
+      in
+      let link = Sim.Network.link net in
+      let seen_in_prop = Array.make 3 false in
+      List.iter
+        (fun time ->
+          Sim.Network.run_to net time;
+          let at = Printf.sprintf "%s t=%g" name time in
+          Alcotest.(check int) (at ^ ": no delay-line fallbacks") 0
+            (Sim.Network.delay_line_fallbacks net);
+          let received = Sim.Network.received_bytes net in
+          Array.iteri
+            (fun i p ->
+              if p > 0 then seen_in_prop.(i) <- true;
+              Alcotest.(check int)
+                (Printf.sprintf "%s: flow %d propagating bytes" at i)
+                (Sim.Link.delivered_bytes_for link ~flow:i - received.(i))
+                p)
+            (Sim.Network.propagating_bytes net);
+          List.iter
+            (fun (v : Validate.Oracle.verdict) ->
+              if not v.ok then
+                Alcotest.failf "%s: %s on %s: expected %g, observed %g" at
+                  v.oracle v.scenario v.expected v.observed)
+            (Validate.Conservation.verdicts ~scenario:at net))
+        [ 0.05; 0.25; 0.7; 1.3; 2.2; 3. ];
+      Array.iteri
+        (fun i seen ->
+          Alcotest.(check bool)
+            (Printf.sprintf "%s: flow %d was caught in propagation" name i)
+            true seen)
+        seen_in_prop)
+    [ ("fifo", Sim.Link.Fifo); ("drr", Sim.Link.Drr { quantum = 1500 }) ]
+
+(* [spawn] checks its own numbers, refuses the networks whose per-flow
+   state it cannot grow (a fault plan's per-flow arrays, the monitor's
+   per-flow audit), and recycles a slot only for a flow of the slot's
+   segment size. *)
+let test_network_spawn_rejects () =
+  let net ?faults ?monitor_period () =
+    Sim.Network.build
+      (Sim.Network.config ~rate:(Sim.Link.Constant 1e6) ~rm:0.01 ~duration:1.
+         ?faults ?monitor_period
+         [ Sim.Network.flow (Reno.make ()) ])
+  in
+  let spawn ?(mss = 1500) ?(size_bytes = 1500) n =
+    Sim.Network.spawn n
+      ~cca:(fun ~slot:_ ~prev:_ -> Cca.instance_of (Reno.make ()))
+      ~jitter:(Sim.Jitter.create ~rng:(Sim.Rng.create ~seed:1) Sim.Jitter.No_jitter)
+      ~mss ~size_bytes ~on_complete:ignore
+  in
+  let rejects name prefix f =
+    match f () with
+    | _ -> Alcotest.failf "%s accepted" name
+    | exception Invalid_argument msg ->
+        Alcotest.(check bool)
+          (Printf.sprintf "%s: %S" name msg)
+          true
+          (String.starts_with ~prefix:("Network.spawn: " ^ prefix) msg)
+  in
+  rejects "faults" "the network has a fault plan" (fun () ->
+      spawn
+        (net
+           ~faults:(Sim.Fault.plan [ Sim.Fault.Link_blackout { t0 = 0.5; t1 = 0.6 } ])
+           ()));
+  rejects "monitor" "the network has an invariant monitor" (fun () ->
+      spawn (net ~monitor_period:0.1 ()));
+  rejects "mss 0" "mss" (fun () -> spawn ~mss:0 (net ()));
+  rejects "size_bytes 0" "size_bytes" (fun () -> spawn ~size_bytes:0 (net ()));
+  let n = net () in
+  let first = spawn n in
+  Alcotest.(check int) "the spawned flow takes a new slot" 1
+    (Sim.Flow.id first);
+  Sim.Network.run_to n 0.5;
+  Alcotest.(check bool) "the spawned flow completed" true
+    (Sim.Flow.completed first);
+  rejects "mss of the recycled slot" "mss differs" (fun () ->
+      spawn ~mss:1000 n);
+  Alcotest.(check int) "the drained slot is recycled" 1
+    (Sim.Flow.id (spawn n))
+
 (* Allocation budget: the 1 s Reno run must stay under 80 minor words
    per delivered packet (measured ~32-45 after the allocation-light
    rewrite; the pre-rewrite hot path cost ~166).  Bytecode boxes
@@ -2123,7 +2242,7 @@ let test_eq_peak_100k_flows () =
         Sim.Network.flow
           ~start_time:(float_of_int i *. 1e-4)
           ~record_series:false ~size_bytes:3000
-          (Cca.make_stub ~cwnd_bytes:3000. ()))
+          (Const_cwnd.make ~cwnd_packets:2. ()))
   in
   let cfg =
     Sim.Network.config
@@ -2414,7 +2533,7 @@ let test_flow_table_memory_bounded () =
   let flows =
     Array.init n (fun i ->
         Sim.Flow.create ~eq ~id:i
-          ~cca:(Cca.make_stub ~cwnd_bytes:3000. ())
+          ~cca:(Const_cwnd.make ~cwnd_packets:2. ())
           ~start_time:5. ~record_series:false ~table
           ~transmit:(fun _ -> ())
           ())
@@ -2634,7 +2753,7 @@ let prop_flow_ring_growth_conservation =
       let mss = 1500 in
       let eq = Sim.Event_queue.create () in
       let cw = ref (float_of_int (4 * mss)) in
-      let base = Cca.make_stub ~cwnd_bytes:!cw () in
+      let base = Const_cwnd.make ~cwnd_packets:4. ~mss () in
       let cca = { base with Cca.cwnd = (fun () -> !cw) } in
       let sent = Queue.create () in
       let flow =
@@ -3082,6 +3201,121 @@ let test_population_columnar_equivalence () =
     (Columns.rows reno_cols + Columns.rows copa_cols
     <= rb.Sim.Population.slots)
 
+(* The census engine against the engine it replaced
+   ([Population_oracle], its own link, delay lines and slot store): on
+   random small cells, whatever the load, buffer, jitter, CCA and seed,
+   the same population must give bit-identical goodputs and the same
+   completions, concurrency, event-queue peak, slot count and fallbacks.
+   The event-queue peak pins the event schedule, not just the results. *)
+let columnar_factory kind =
+  let recycle (i : Cca.instance) =
+    match i.Cca.reset with Some r -> r (); i | None -> assert false
+  in
+  match kind with
+  | `Reno ->
+      let cols = Columns.create ~nfields:Reno.nfields () in
+      fun ~slot:_ ~prev ->
+        (match prev with Some i -> recycle i | None -> Reno.make_in cols)
+  | `Copa ->
+      let cols = Columns.create ~nfields:Copa.nfields () in
+      fun ~slot:_ ~prev ->
+        (match prev with Some i -> recycle i | None -> Copa.make_in cols)
+  | `Vegas ->
+      let cols = Columns.create ~nfields:Vegas.nfields () in
+      fun ~slot:_ ~prev ->
+        (match prev with Some i -> recycle i | None -> Vegas.make_in cols)
+
+let census_cell =
+  let open QCheck.Gen in
+  let* n = int_range 1 400 in
+  let* load = float_range 0.5 1.6 in
+  let* buffer = opt (int_range 5 40) in
+  let* jitter_ms = frequency [ (1, return 0.); (2, float_range 1. 30.) ] in
+  let* kind = oneofl [ `Reno; `Copa; `Vegas ] in
+  let* seed = int_bound 1_000_000 in
+  let mss = 1500 and rate = 7.5e6 in
+  let xm = float_of_int (10 * mss) in
+  return
+    ( kind,
+      {
+        Sim.Population.n;
+        duration = float_of_int n *. 3. *. xm /. (load *. rate *. 0.6);
+        arrival_frac = 0.6;
+        rate;
+        buffer = Option.map (fun p -> p * mss) buffer;
+        rm = 0.02;
+        mss;
+        jitter_d = jitter_ms *. 1e-3;
+        seed;
+        key = "test/census-oracle";
+        alpha = 1.5;
+        xm;
+        size_cap = 1_000_000;
+      } )
+
+let print_census_cell (kind, (c : Sim.Population.config)) =
+  Printf.sprintf "%s n=%d duration=%g buffer=%s jitter_d=%g seed=%d"
+    (match kind with `Reno -> "reno" | `Copa -> "copa" | `Vegas -> "vegas")
+    c.n c.duration
+    (match c.buffer with None -> "inf" | Some b -> string_of_int b)
+    c.jitter_d c.seed
+
+let prop_population_matches_oracle =
+  QCheck.Test.make ~name:"census on Network matches the old engine" ~count:150
+    (QCheck.make ~print:print_census_cell census_cell)
+    (fun (kind, cfg) ->
+      let lib = Sim.Population.run ~cca:(columnar_factory kind) cfg in
+      let ref_ = Population_oracle.run ~cca:(columnar_factory kind) cfg in
+      let fields (r : Sim.Population.result) =
+        [ r.completed; r.peak_active; r.peak_pending; r.slots; r.fallbacks ]
+      in
+      if not (goodputs_equal lib.goodputs ref_.goodputs) then
+        QCheck.Test.fail_report "goodputs differ";
+      if fields lib <> fields ref_ then
+        QCheck.Test.fail_reportf
+          "completed/peak_active/peak_pending/slots/fallbacks %s <> %s"
+          (String.concat "/" (List.map string_of_int (fields lib)))
+          (String.concat "/" (List.map string_of_int (fields ref_)));
+      true)
+
+(* An overloaded cell with an unbounded buffer: queueing outgrows the
+   200 ms minimum RTO, so short flows complete on spurious timeouts
+   with packets still queued.  Their slots must wait for those packets'
+   ACKs before the next flow takes them.  Freed at completion instead,
+   slots are recycled early and these three cells need fewer of them
+   than the old engine. *)
+let test_population_recycles_drained_slots () =
+  List.iter
+    (fun seed ->
+      let mss = 1500 and rate = 7.5e6 and n = 400 and load = 1.6 in
+      let xm = float_of_int (10 * mss) in
+      let cfg =
+        {
+          Sim.Population.n;
+          duration = float_of_int n *. 3. *. xm /. (load *. rate *. 0.6);
+          arrival_frac = 0.6;
+          rate;
+          buffer = None;
+          rm = 0.02;
+          mss;
+          jitter_d = 0.;
+          seed;
+          key = "test/census-overload";
+          alpha = 1.5;
+          xm;
+          size_cap = 1_000_000;
+        }
+      in
+      let lib = Sim.Population.run ~cca:(columnar_factory `Reno) cfg in
+      let ref_ = Population_oracle.run ~cca:(columnar_factory `Reno) cfg in
+      Alcotest.(check int) (Printf.sprintf "seed %d: slots" seed) ref_.slots
+        lib.slots;
+      Alcotest.(check bool)
+        (Printf.sprintf "seed %d: goodputs bit-identical" seed)
+        true
+        (goodputs_equal lib.goodputs ref_.goodputs))
+    [ 13; 41; 80 ]
+
 let () =
   let qt = QCheck_alcotest.to_alcotest in
   Alcotest.run "sim"
@@ -3288,6 +3522,9 @@ let () =
           Alcotest.test_case "start stop" `Quick test_network_flow_start_stop;
           Alcotest.test_case "sized flow completes" `Quick
             test_network_sized_flow_completes;
+          Alcotest.test_case "shared data line" `Quick
+            test_network_shared_data_line;
+          Alcotest.test_case "spawn rejects" `Quick test_network_spawn_rejects;
           Alcotest.test_case "event queue stays small" `Quick
             test_network_event_queue_peak;
           Alcotest.test_case "minor-words budget" `Quick
@@ -3307,5 +3544,8 @@ let () =
             test_population_columnar_equivalence;
           Alcotest.test_case "rejects bad config" `Quick
             test_population_rejects_bad_config;
+          qt prop_population_matches_oracle;
+          Alcotest.test_case "recycles only drained slots" `Quick
+            test_population_recycles_drained_slots;
         ] );
     ]
