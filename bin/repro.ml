@@ -226,7 +226,7 @@ let selftest_shrink dir =
           r.Sim.Shrink.config.Sim.Network.duration r.Sim.Shrink.violations
           r.Sim.Shrink.runs
       in
-      Sim.Snapshot.write_atomic_file (Filename.concat dir "shrink.json") summary;
+      Runner.Cache.write_atomic (Filename.concat dir "shrink.json") summary;
       print_endline (Sim.Shrink.describe r);
       Printf.printf "selftest-shrink: reproducer written to %s\n" repro;
       let ok =
@@ -280,7 +280,7 @@ let fuzz ~seed ~n ~cache_dir =
    with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
   (try Unix.mkdir subdir 0o755
    with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
-  Sim.Snapshot.write_atomic_file
+  Runner.Cache.write_atomic
     (Filename.concat subdir "report.json")
     (Validate.Fuzz.report_to_json report);
   Printf.printf "fuzz: report written to %s\n"

@@ -44,7 +44,7 @@ type instance = {
 
 let default_mss = 1500
 
-let instance_of ?(release = ignore) cca = { cca; reset = None; release }
+let instance_of cca = { cca; reset = None; release = ignore }
 
 let bandwidth_sample (a : ack_info) =
   let interval = a.now -. a.sent_time in

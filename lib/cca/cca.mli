@@ -91,8 +91,9 @@ type instance = {
 val default_mss : int
 (** Default segment size, 1500 bytes, used by all CCAs in this library. *)
 
-val instance_of : ?release:(unit -> unit) -> t -> instance
-(** Wrap a boxed, single-use CCA as an {!instance} ([reset = None]). *)
+val instance_of : t -> instance
+(** Wrap a boxed, single-use CCA as an {!instance} ([reset = None],
+    [release] a no-op). *)
 
 val bandwidth_sample : ack_info -> float
 (** Delivery-rate sample implied by an ACK: bytes delivered between the

@@ -50,7 +50,8 @@ let reno_fluid =
 (* Vegas: slow-start doubling until the perceived queue exceeds
    [gamma] packets, then AIAD toward the [alpha]..[beta] corridor of
    queued packets, estimated as cwnd/mss * (delay - min_delay)/delay. *)
-let vegas_fluid ?(alpha = 2.) ?(beta = 4.) ?(gamma = 1.) () =
+let vegas_fluid ?(alpha = 2.) ?(beta = 4.) () =
+  let gamma = 1. in
   {
     f_name = "vegas";
     f_nstate = 2;
@@ -83,7 +84,8 @@ let vegas_fluid ?(alpha = 2.) ?(beta = 4.) ?(gamma = 1.) () =
    start.  With one flow on a link of rate C this settles at
    dq = mss / (delta * C) — the same equilibrium the packet-level
    [Copa.equilibrium_queue_delay] predicts. *)
-let copa_fluid ?(delta = 0.5) () =
+let copa_fluid () =
+  let delta = 0.5 in
   {
     f_name = "copa";
     f_nstate = 2;

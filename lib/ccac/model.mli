@@ -58,15 +58,16 @@ val reno_fluid : fluid
 (** Slow-start doubling until first loss, then +1 mss per RTT; halve
     on a lossy epoch.  Delay-blind. *)
 
-val vegas_fluid : ?alpha:float -> ?beta:float -> ?gamma:float -> unit -> fluid
-(** Slow-start until perceived queue > [gamma] packets, then AIAD
+val vegas_fluid : ?alpha:float -> ?beta:float -> unit -> fluid
+(** Slow-start until perceived queue > 1 packet, then AIAD
     toward the [alpha]..[beta] corridor (defaults 2..4, matching the
     packet-level [Cca.Vegas] defaults). *)
 
-val copa_fluid : ?delta:float -> unit -> fluid
-(** Velocity-1 Copa: move cwnd by mss/delta per RTT toward the target
-    rate 1/(delta * dq) packets/s.  Single-flow equilibrium queueing
-    delay is mss/(delta*C), matching [Cca.Copa.equilibrium_queue_delay]. *)
+val copa_fluid : unit -> fluid
+(** Velocity-1 Copa with delta = 0.5: move cwnd by mss/delta per RTT
+    toward the target rate 1/(delta * dq) packets/s.  Single-flow
+    equilibrium queueing delay is mss/(delta*C), matching
+    [Cca.Copa.equilibrium_queue_delay]. *)
 
 val fluid_of_name : string -> fluid
 (** "reno" | "vegas" | "copa" (case-insensitive) with default

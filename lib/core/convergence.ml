@@ -14,8 +14,12 @@ type measurement = {
   rate_trace : Sim.Series.t;
 }
 
-let measure ~make_cca ~rate ~rm ?duration ?(tail_frac = 0.4) ?(band_pad_frac = 0.02)
-    ?(seed = 42) () =
+(* The band is the trailing [tail_frac] of the run, padded by
+   [band_pad_frac] of its width. *)
+let tail_frac = 0.4
+let band_pad_frac = 0.02
+
+let measure ~make_cca ~rate ~rm ?duration ?(seed = 42) () =
   let cca = make_cca () in
   let duration =
     match duration with Some d -> d | None -> Float.max 30. (400. *. rm)

@@ -11,7 +11,7 @@ type measurement = {
   rm : float;
   duration : float;
   converged : bool;
-      (** the band was reached before [tail_frac * duration], held, and is
+      (** the band was reached before the tail window began, held, and is
           stable: its extrema over the two halves of the tail window agree
           (a monotone drift — e.g. an unbounded queue — is not
           convergence even though it technically "enters" its own tail
@@ -31,15 +31,13 @@ val measure :
   rate:float ->
   rm:float ->
   ?duration:float ->
-  ?tail_frac:float ->
-  ?band_pad_frac:float ->
   ?seed:int ->
   unit ->
   measurement
 (** [duration] defaults to the larger of 30 s and 400 RTTs.  The band is
-    measured over the trailing [tail_frac] (default 0.4) of the run and
-    padded by [band_pad_frac] (default 0.02) of its width (plus a 10 us
-    absolute guard) before searching for the earliest entry time T. *)
+    measured over the tail window, the trailing 40% of the run, and
+    padded by 2% of its width (plus a 10 us absolute guard) before
+    searching for the earliest entry time T. *)
 
 val is_delay_convergent :
   make_cca:(unit -> Cca.t) ->

@@ -11,7 +11,10 @@ type outcome = {
   target_s : float;
 }
 
-let run ~make_cca ~lambda ~rm ~big_d ~s ?duration ?(max_steps = 12) ?(seed = 42) () =
+(* Trace-peeling iterations before the search gives up. *)
+let max_steps = 12
+
+let run ~make_cca ~lambda ~rm ~big_d ~s ?duration ?(seed = 42) () =
   let base = Convergence.measure ~make_cca ~rate:lambda ~rm ?duration ~seed () in
   let duration = base.Convergence.duration in
   (* d_1: queueing component of the recorded trajectory (RTT minus floor). *)

@@ -34,7 +34,6 @@ val run :
   big_d:float ->
   s:float ->
   ?duration:float ->
-  ?max_steps:int ->
   ?seed:int ->
   unit ->
   outcome

@@ -24,7 +24,6 @@ type cell = {
   peak_pending : int;
   peak_active : int;
   slots : int;
-  table_capacity : int;
   fallbacks : int;
 }
 
@@ -123,7 +122,6 @@ let run_cell_packet ~variant ~cca_name ~backend ~jitter_d ~n ~seed =
     peak_pending = r.Sim.Population.peak_pending;
     peak_active = r.Sim.Population.peak_active;
     slots = r.Sim.Population.slots;
-    table_capacity = r.Sim.Population.table_capacity;
     fallbacks = r.Sim.Population.fallbacks;
   }
 
@@ -132,8 +130,8 @@ let run_cell_packet ~variant ~cca_name ~backend ~jitter_d ~n ~seed =
    cell key, so the workload is statistically — not sample-for-sample —
    the same).  Per-flow law state is admitted/released with the flow, so
    peak concurrent state rows play the role the slot pool plays on the
-   packet side; the event-queue and flow-table columns have no fluid
-   analogue and report as zero. *)
+   packet side; the event-queue column has no fluid analogue and
+   reports as zero. *)
 let run_cell_fluid ~variant ~cca_name ~backend ~jitter_d ~n ~seed =
   let key = cell_key ~variant ~cca_name ~backend ~jitter_d ~n in
   let r =
@@ -162,7 +160,6 @@ let run_cell_fluid ~variant ~cca_name ~backend ~jitter_d ~n ~seed =
     peak_pending = 0;
     peak_active = r.Fluid.Census.peak_active;
     slots = r.Fluid.Census.peak_active;
-    table_capacity = 0;
     fallbacks = 0;
   }
 

@@ -34,7 +34,6 @@ type cell = {
   peak_pending : int;  (** event-queue high-water mark, sampled at spawns *)
   peak_active : int;  (** concurrency high-water mark *)
   slots : int;  (** flow slots ever created — bounded by concurrency *)
-  table_capacity : int;  (** rows in the shared flow table *)
   fallbacks : int;  (** delay-line non-monotone escapes; must be 0 *)
 }
 

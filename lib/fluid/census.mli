@@ -1,9 +1,12 @@
 (** Fluid port of the starvation census: a churning population of
-    Pareto-sized flows (Poisson arrivals over [arrival_frac *
-    duration], per-flow constant jitter uniform in [0, jitter_d], all
-    drawn from labeled {!Sim.Rng} streams so the population is a pure
-    function of (seed, key)) advanced by one shared fluid law on one
-    bottleneck.  Cost per step is O(active flows), not O(population),
+    Pareto-sized flows (Poisson arrivals, per-flow constant jitter
+    uniform in [0, jitter_d], all drawn from labeled {!Sim.Rng} streams
+    so the population is a pure function of (seed, key)) advanced by
+    one shared fluid law on one bottleneck.  Arrival [i] is the sum of
+    [i + 1] exponential gaps of mean [arrival_frac * duration / n],
+    capped at [duration]: an arrival that overshoots the window
+    [arrival_frac * duration] comes after it, whereas {!Sim.Population}
+    puts it at the window's end.  Cost per step is O(active flows), not O(population),
     and law state is allocated at admission and dropped at completion,
     so resident state tracks peak concurrency. *)
 

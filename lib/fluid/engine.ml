@@ -21,7 +21,6 @@
 type flow_spec = {
   law : Ccac.Model.fluid;
   start_time : float;
-  stop_time : float;
   extra_rm : float;
   jitter : float -> float;
   size : float;
@@ -31,16 +30,15 @@ type flow_spec = {
 (* NaN-safe: each test is written so that NaN fails it. *)
 let require fn ok what = if not ok then invalid_arg (fn ^ ": " ^ what)
 
-let flow ?(start_time = 0.) ?(stop_time = infinity) ?(extra_rm = 0.)
-    ?(jitter = fun _ -> 0.) ?(size = infinity) ?(mss = 1500.) law =
+let flow ?(start_time = 0.) ?(extra_rm = 0.) ?(jitter = fun _ -> 0.)
+    ?(size = infinity) ?(mss = 1500.) law =
   let require = require "Fluid.Engine.flow" in
   require (Float.is_finite start_time) "start_time must be finite";
-  require (not (Float.is_nan stop_time)) "stop_time must not be NaN";
   require (Float.is_finite extra_rm && extra_rm >= 0.)
     "extra_rm must be finite and >= 0";
   require (size > 0.) "size must be positive";
   require (Float.is_finite mss && mss > 0.) "mss must be finite and positive";
-  { law; start_time; stop_time; extra_rm; jitter; size; mss }
+  { law; start_time; extra_rm; jitter; size; mss }
 
 type config = {
   rate : float;
@@ -135,7 +133,7 @@ let create cfg =
     measured_time = 0.;
     steps = 0 }
 
-let active f t = f.started && not f.finished && t < f.spec.stop_time
+let active f = f.started && not f.finished
 
 let step eng dt =
   let cfg = eng.cfg in
@@ -155,7 +153,7 @@ let step eng dt =
   let total_want = ref 0. in
   Array.iteri
     (fun i f ->
-      if active f t then begin
+      if active f then begin
         let d = cfg.rm +. f.spec.extra_rm +. qd +. f.spec.jitter t in
         if d < f.min_d then f.min_d <- d;
         f.last_d <- d;
@@ -220,7 +218,7 @@ let step eng dt =
   (* Per-RTT epochs and completions. *)
   Array.iter
     (fun f ->
-      if active f t then begin
+      if active f then begin
         if t' -. f.epoch_start >= f.last_d then begin
           f.spec.law.Ccac.Model.f_update f.state ~mss:f.spec.mss
             ~delay:f.last_d ~min_delay:f.min_d ~acked:f.epoch_acked
@@ -233,8 +231,6 @@ let step eng dt =
           f.finished <- true;
           f.t_end <- t'
         end
-        else if t' >= f.spec.stop_time && Float.is_nan f.t_end then
-          f.t_end <- f.spec.stop_time
       end)
     eng.fl;
   if t >= cfg.measure_from then begin

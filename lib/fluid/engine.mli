@@ -18,7 +18,6 @@ type flow_spec
 
 val flow :
   ?start_time:float ->
-  ?stop_time:float ->
   ?extra_rm:float ->
   ?jitter:(float -> float) ->
   ?size:float ->
@@ -29,9 +28,8 @@ val flow :
     delay (the model's D element); [size] in bytes ([infinity] = an
     unbounded stream, the default).
     @raise Invalid_argument naming the field on a non-finite
-    [start_time], a NaN [stop_time], [extra_rm] not finite and >= 0,
-    [size] not positive, or [mss] not finite and positive.  NaN fails
-    every check. *)
+    [start_time], [extra_rm] not finite and >= 0, [size] not positive,
+    or [mss] not finite and positive.  NaN fails every check. *)
 
 type config = private {
   rate : float;  (** bottleneck, bytes/s *)

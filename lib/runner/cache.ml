@@ -59,7 +59,9 @@ let find t ~key =
 
 (* Crash-atomic write: temp + fsync + rename, then fsync the directory so
    the rename survives a crash.  A SIGKILL at any instant leaves either no
-   entry or a complete one — the property the resume machinery relies on. *)
+   entry or a complete one — the property the resume machinery relies on.
+   Some filesystems refuse fsync on a directory fd; losing that durability
+   is acceptable, losing the write is not. *)
 let write_atomic path content =
   let tmp = Printf.sprintf "%s.tmp.%d" path (Unix.getpid ()) in
   let fd = Unix.openfile tmp [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC ] 0o644 in

@@ -36,5 +36,6 @@ val dir : t -> string
 
 val write_atomic : string -> string -> unit
 (** The crash-atomic file-write primitive (temp + [fsync] + rename +
-    directory [fsync]) used for entries, exposed for sibling artifacts
-    (journals, failure records). *)
+    directory [fsync]) used for entries, and the one every other
+    persisted artifact goes through: failure records, simulator
+    snapshots, shrunk reproducers and the fuzz corpus. *)

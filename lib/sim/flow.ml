@@ -49,8 +49,6 @@ module Table = struct
       send_scratch = { Cca.now = 0.; sent_bytes = 0; inflight = 0 };
     }
 
-  let capacity t = t.cap
-
   let grow t =
     let cap = 2 * t.cap in
     let extend a fill =
@@ -74,17 +72,15 @@ module Table = struct
     ix
 end
 
-(* Per-ACK history the analysis layer reads.  Optional as a group: a
-   census flow ([record_series = false], no [inspect_period]) carries
-   [None] and pays one word for the whole block — at 10^5+ concurrent
-   flows the four series/table headers per flow were a measurable slice
-   of the bytes-per-flow budget. *)
+(* Per-ACK history the analysis layer reads, recorded iff
+   [record_series].  Optional as a group: a census flow carries [None]
+   and pays one word for the whole block — at 10^5+ concurrent flows
+   the series headers per flow were a measurable slice of the
+   bytes-per-flow budget. *)
 type traces = {
   rtt_series : Series.t;
   cwnd_series : Series.t;
   delivered_series : Series.t;
-  inspect_tbl : (string, Series.t) Hashtbl.t;
-  mutable inspect_keys : string list; (* insertion order, newest first *)
 }
 
 type t = {
@@ -94,7 +90,6 @@ type t = {
   eq : Event_queue.t;
   transmit : Packet.t -> unit;
   mutable start_time : float;
-  stop_time : float option;
   initial_pacing : float option;
   tbl : Table.t;
   ix : int; (* this flow's row in [tbl] *)
@@ -125,7 +120,6 @@ type t = {
   mutable running : bool;
   mutable degraded : int; (* insane CCA outputs clamped *)
   mutable stall_probes : int; (* forced probe segments after a stall *)
-  record_series : bool;
   traces : traces option;
 }
 
@@ -171,14 +165,6 @@ let outstanding_bytes t =
   done;
   !acc
 
-let inspect_series t =
-  match t.traces with
-  | None -> []
-  | Some tr ->
-      (* [inspect_keys] is newest-first; report in insertion order. *)
-      List.rev tr.inspect_keys
-      |> List.map (fun k -> (k, Hashtbl.find tr.inspect_tbl k))
-
 let cwnd_series t =
   match t.traces with
   | Some tr -> tr.cwnd_series
@@ -190,9 +176,6 @@ let delivered_series t =
   | None -> Series.create ~name:(Printf.sprintf "flow%d.delivered" t.id) ()
 
 let now t = Event_queue.now t.eq
-
-let stopped t =
-  match t.stop_time with Some st -> now t >= st | None -> false
 
 let rto t =
   Float.max min_rto
@@ -334,7 +317,7 @@ and send_packet t =
   schedule_rto t
 
 and maybe_send t =
-  if t.running && not (stopped t) && t.next_seq < t.seg_limit then begin
+  if t.running && t.next_seq < t.seg_limit then begin
     let cwnd = effective_cwnd t in
     if float_of_int t.inflight +. float_of_int t.mss <= cwnd +. 1e-6 then begin
       let time = now t in
@@ -369,9 +352,7 @@ and check_rto t =
   (* [active]: the flow both wants to make progress and has data left;
      a sized flow that exhausted its segments must neither stall-probe
      nor keep the RTO chain alive for sending's sake. *)
-  let active =
-    t.running && not (stopped t) && t.next_seq < t.seg_limit
-  in
+  let active = t.running && t.next_seq < t.seg_limit in
   if t.inflight > 0 || active then begin
     if now t -. t.tbl.Table.last_progress.(t.ix) >= rto t -. 1e-9 then begin
       if t.inflight > 0 then begin
@@ -417,24 +398,6 @@ and check_rto t =
   end;
   maybe_complete t
 
-let sample_inspect t =
-  match t.traces with
-  | None -> ()
-  | Some tr ->
-      List.iter
-        (fun (k, v) ->
-          let s =
-            match Hashtbl.find_opt tr.inspect_tbl k with
-            | Some s -> s
-            | None ->
-                let s = Series.create ~name:k () in
-                Hashtbl.replace tr.inspect_tbl k s;
-                tr.inspect_keys <- k :: tr.inspect_keys;
-                s
-          in
-          if Float.is_finite v then Series.add s ~time:(now t) v)
-        (t.cca.Cca.inspect ())
-
 let seg_limit_of ~mss size_bytes =
   match size_bytes with
   | None -> max_int
@@ -442,22 +405,20 @@ let seg_limit_of ~mss size_bytes =
       if b <= 0 then invalid_arg "Flow.create: size_bytes must be positive";
       max 1 ((b + mss - 1) / mss)
 
-let create ~eq ~id ~cca ?(mss = Cca.default_mss) ?(start_time = 0.) ?stop_time
-    ?initial_pacing ?inspect_period ?(record_series = true)
-    ?table ?size_bytes ?on_complete ~transmit () =
+let create ~eq ~id ~cca ?(mss = Cca.default_mss) ?(start_time = 0.)
+    ?initial_pacing ?(record_series = true) ?table ?size_bytes ?on_complete
+    ~transmit () =
   let tbl = match table with Some tb -> tb | None -> Table.create ~capacity:1 () in
   let ix = Table.alloc tbl ~start_time in
   let seg_limit = seg_limit_of ~mss size_bytes in
   let traces =
-    if record_series || inspect_period <> None then
+    if record_series then
       Some
         {
           rtt_series = Series.create ~name:(Printf.sprintf "flow%d.rtt" id) ();
           cwnd_series = Series.create ~name:(Printf.sprintf "flow%d.cwnd" id) ();
           delivered_series =
             Series.create ~name:(Printf.sprintf "flow%d.delivered" id) ();
-          inspect_tbl = Hashtbl.create 1;
-          inspect_keys = [];
         }
     else None
   in
@@ -469,7 +430,6 @@ let create ~eq ~id ~cca ?(mss = Cca.default_mss) ?(start_time = 0.) ?stop_time
       eq;
       transmit;
       start_time;
-      stop_time;
       initial_pacing;
       tbl;
       ix;
@@ -493,7 +453,6 @@ let create ~eq ~id ~cca ?(mss = Cca.default_mss) ?(start_time = 0.) ?stop_time
       running = false;
       degraded = 0;
       stall_probes = 0;
-      record_series;
       traces;
     }
   in
@@ -509,16 +468,6 @@ let create ~eq ~id ~cca ?(mss = Cca.default_mss) ?(start_time = 0.) ?stop_time
       if t.inflight = 0 then schedule_rto t;
       sync_timer t);
   Event_queue.schedule_handle eq t.start_h ~at:start_time;
-  (match inspect_period with
-  | Some period when period > 0. ->
-      let rec sample () =
-        if t.running && not (stopped t) then sample_inspect t;
-        (* A completed sized flow is gone for good: let the sampler die
-           with it instead of ticking to the horizon. *)
-        if not (completed t) then Event_queue.schedule_after eq ~delay:period sample
-      in
-      Event_queue.schedule eq ~at:start_time sample
-  | Some _ | None -> ());
   t
 
 (* Reincarnate a completed sized flow as a brand-new one, in place: same
@@ -641,11 +590,11 @@ let finish_ack t ~(newest : Packet.t) ~acked_bytes ~any_ce =
   a.Cca.ecn_ce <- any_ce;
   t.cca.Cca.on_ack a;
   (match t.traces with
-  | Some tr when t.record_series ->
+  | Some tr ->
       Series.add tr.rtt_series ~time rtt;
       Series.add tr.cwnd_series ~time (t.cca.Cca.cwnd ());
       Series.add tr.delivered_series ~time (float_of_int t.delivered)
-  | Some _ | None -> ());
+  | None -> ());
   detect_losses t;
   sync_timer t;
   maybe_send t;
@@ -653,7 +602,7 @@ let finish_ack t ~(newest : Packet.t) ~acked_bytes ~any_ce =
   (* If this ACK emptied the pipe and the CCA still refuses to send
      (window below one segment), keep the RTO chain alive so the stall
      probe can recover the flow. *)
-  if t.inflight = 0 && t.running && not (stopped t) then schedule_rto t
+  if t.inflight = 0 && t.running then schedule_rto t
 
 (* Look up and clear seq's outstanding entry; return its size, or 0 if
    the seq was already declared lost (a late ACK to ignore). *)
@@ -746,10 +695,7 @@ let fold_state buf t =
   | Some tr ->
       Series.fold_state buf tr.rtt_series;
       Series.fold_state buf tr.cwnd_series;
-      Series.fold_state buf tr.delivered_series;
-      List.iter
-        (fun k -> Series.fold_state buf (Hashtbl.find tr.inspect_tbl k))
-        (List.rev tr.inspect_keys)
+      Series.fold_state buf tr.delivered_series
 
 let throughput t ~t0 ~t1 =
   if t1 <= t0 then 0.

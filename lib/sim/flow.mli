@@ -31,13 +31,9 @@ module Table : sig
 
   val create : ?capacity:int -> unit -> t
   (** Rows are added by {!Flow.create} and the arrays double on demand;
-      [capacity] (default 16) merely pre-sizes them. *)
-
-  val capacity : t -> int
-  (** Current row capacity of the backing arrays.  A flow keeps its row
-      across {!Flow.respawn}, so a churning population's capacity is
-      bounded by its {e peak concurrency}, not by how many flows ever
-      existed — the census tests pin this. *)
+      [capacity] (default 16) merely pre-sizes them.  A flow keeps its
+      row across {!Flow.respawn}, so a churning population needs as many
+      rows as it has flows at once. *)
 end
 
 val create :
@@ -46,9 +42,7 @@ val create :
   cca:Cca.t ->
   ?mss:int ->
   ?start_time:float ->
-  ?stop_time:float ->
   ?initial_pacing:float ->
-  ?inspect_period:float ->
   ?record_series:bool ->
   ?table:Table.t ->
   ?size_bytes:int ->
@@ -56,9 +50,8 @@ val create :
   transmit:(Packet.t -> unit) ->
   unit ->
   t
-(** The flow schedules its own start at [start_time] (default 0) and stops
-    sending new segments at [stop_time].  [transmit] injects a packet into
-    the network.  The retransmission timeout is RFC 6298's
+(** The flow schedules its own start at [start_time] (default 0).
+    [transmit] injects a packet into the network.  The retransmission timeout is RFC 6298's
     [srtt + 4 rttvar], floored at 200 ms.
 
     [initial_pacing] (bytes/s) spreads the opening window over time instead
@@ -89,8 +82,8 @@ val respawn : t -> cca:Cca.t -> start_time:float -> ?size_bytes:int -> unit -> u
     destroying the flow and creating a fresh one — but nothing is
     allocated.  This is what lets a census run one million flows through
     a few thousand flow slots.  Only legal on flows created with
-    [record_series = false] and no [inspect_period] (traces would
-    silently concatenate incarnations).
+    [record_series = false] (traces would silently concatenate
+    incarnations).
     @raise Invalid_argument if the flow has not completed or records
     traces. *)
 
@@ -167,11 +160,6 @@ val delivered_series : t -> Series.t
 val rate_series : t -> window:float -> Series.t
 (** Delivery rate (bytes/s) computed over trailing windows of the delivered
     trace — the "sending rate" series plotted in the paper's figures. *)
-
-val inspect_series : t -> (string * Series.t) list
-(** The CCA's {!Cca.t.inspect} internals sampled every [inspect_period]
-    seconds (empty unless that option was given to {!create}) — e.g.
-    BBR's bandwidth estimate or Copa's velocity over time. *)
 
 val fold_state : Buffer.t -> t -> unit
 (** Append the flow's transport state (counters, RTT estimator, live

@@ -52,7 +52,8 @@ let summary t =
 let violation_to_string v =
   Printf.sprintf "[t=%.6f] %s: %s" v.time v.check v.detail
 
-let report ?(max_lines = 20) t =
+let report t =
+  let max_lines = 20 in
   let lines =
     List.filteri (fun i _ -> i < max_lines) (violations t)
     |> List.map violation_to_string

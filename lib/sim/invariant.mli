@@ -54,9 +54,8 @@ val violation_to_string : violation -> string
     with the simulation time so logs from monitored runs are greppable
     and sortable. *)
 
-val report : ?max_lines:int -> t -> string
-(** The {!summary} line followed by up to [max_lines] (default 20)
-    recorded violations, one {!violation_to_string} per line, plus a
+val report : t -> string
+(** The {!summary} line followed by up to 20 recorded violations, one {!violation_to_string} per line, plus a
     truncation marker when more were tallied than shown. *)
 
 val fold_state : Buffer.t -> t -> unit

@@ -219,47 +219,8 @@ let rec sched_pop_drr sched =
         end
     end
 
-let load_mahimahi_trace ?(bytes = 1500) path =
-  let ic = open_in path in
-  let entries = ref [] in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () ->
-      try
-        while true do
-          let line = String.trim (input_line ic) in
-          if line <> "" && line.[0] <> '#' then begin
-            match int_of_string_opt line with
-            | Some ms when ms >= 0 -> entries := ms :: !entries
-            | Some _ | None ->
-                invalid_arg
-                  (Printf.sprintf "Link.load_mahimahi_trace: bad line %S" line)
-          end
-        done
-      with End_of_file -> ());
-  match List.rev !entries with
-  | [] -> invalid_arg "Link.load_mahimahi_trace: empty trace"
-  | ms_list ->
-      let rec sorted = function
-        | a :: (b :: _ as rest) -> a <= b && sorted rest
-        | _ -> true
-      in
-      if not (sorted ms_list) then
-        invalid_arg "Link.load_mahimahi_trace: timestamps must be non-decreasing";
-      let last = List.nth ms_list (List.length ms_list - 1) in
-      (* Mahimahi semantics: the trace loops with period = last timestamp;
-         an opportunity exactly at the period belongs to the next cycle's
-         origin, so clamp it just inside. *)
-      let period = Float.max (float_of_int last /. 1000.) 0.001 in
-      let times =
-        Array.of_list
-          (List.map
-             (fun ms -> Float.min (float_of_int ms /. 1000.) (period -. 1e-9))
-             ms_list)
-      in
-      Opportunities { times; period; bytes }
-
-let cellular_trace ~rng ~period ?(bytes = 1500) ~mean_rate ~burstiness () =
+let cellular_trace ~rng ~period ~mean_rate ~burstiness () =
+  let bytes = 1500 in
   if burstiness < 1. then invalid_arg "Link.cellular_trace: burstiness must be >= 1";
   let n_opportunities =
     int_of_float (Float.round (mean_rate *. period /. float_of_int bytes))
@@ -327,7 +288,7 @@ type t = {
   eq : Event_queue.t;
   rate : rate;
   mutable buffer : int option;
-  aqm : Aqm.t option;
+  ecn_threshold : int option;
   sched : sched;
   mutable on_dequeue : Packet.t -> unit;
   mutable queued_bytes : int;
@@ -410,40 +371,23 @@ and on_complete t =
   pf_ensure t.per_flow fi;
   t.per_flow.delivered.(fi) <- t.per_flow.delivered.(fi) + served.Packet.size;
   t.busy <- false;
-  let now = Event_queue.now t.eq in
-  (match t.aqm with
-  | Some aqm -> begin
-      match Aqm.on_dequeue aqm ~now ~sojourn:(now -. t.in_service_enq.v) with
-      | Aqm.Mark -> mark t served
-      | Aqm.Pass -> ()
-    end
-  | None -> ());
   record t;
   t.on_dequeue served;
   start_service t
 
-let create ~eq ~rate ?buffer ?ecn_threshold ?aqm ?(discipline = Fifo) ~record_queue
-    () =
+let create ~eq ~rate ?buffer ?ecn_threshold ?(discipline = Fifo) ~record_queue () =
   (match buffer with
   | Some b when b < 0 -> invalid_arg "Link.create: buffer must be >= 0"
   | Some _ | None -> ());
   (match ecn_threshold with
   | Some th when th < 0 -> invalid_arg "Link.create: ecn_threshold must be >= 0"
   | Some _ | None -> ());
-  let aqm =
-    match (aqm, ecn_threshold) with
-    | Some _, Some _ ->
-        invalid_arg "Link.create: give either ecn_threshold or aqm, not both"
-    | Some a, None -> Some a
-    | None, Some th -> Some (Aqm.threshold ~mark_above:th)
-    | None, None -> None
-  in
   let t =
     {
       eq;
       rate;
       buffer;
-      aqm;
+      ecn_threshold;
       sched = sched_of_discipline discipline;
       on_dequeue = (fun _ -> invalid_arg "Link: on_dequeue not set");
       queued_bytes = 0;
@@ -482,13 +426,11 @@ let enqueue t pkt =
   end
   else begin
     let now = Event_queue.now t.eq in
-    (match t.aqm with
-    | Some aqm -> begin
-        match Aqm.on_enqueue aqm ~now ~queue_bytes:t.queued_bytes with
-        | Aqm.Mark -> mark t pkt
-        | Aqm.Pass -> ()
-      end
-    | None -> ());
+    (* The paper's threshold AQM (sec. 6.4): mark an arrival that finds
+       more than [ecn_threshold] bytes queued. *)
+    (match t.ecn_threshold with
+    | Some th when t.queued_bytes > th -> mark t pkt
+    | Some _ | None -> ());
     sched_push t.sched pkt now;
     t.queued_bytes <- t.queued_bytes + pkt.Packet.size;
     record t;
@@ -562,7 +504,7 @@ let fold_state buf t =
     Statebuf.i buf (pf_get t.per_flow.dropped i)
   done;
   fold_sched buf t.sched;
-  Statebuf.opt Aqm.fold_state buf t.aqm;
+  Statebuf.opt Statebuf.i buf t.ecn_threshold;
   Statebuf.b buf t.record_queue;
   Series.fold_state buf t.queue_series
 

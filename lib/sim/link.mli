@@ -41,36 +41,29 @@ val mean_rate : rate -> t0:float -> t1:float -> float
     trace's whole-period average for [Opportunities] (matching [rate_at]).
     Falls back to [rate_at t0] when [t1 <= t0]. *)
 
-val load_mahimahi_trace : ?bytes:int -> string -> rate
-(** Parse a Mahimahi [mm-link] trace file: one millisecond timestamp per
-    line, each an opportunity to deliver one MTU; the file's last
-    timestamp defines the loop period.  Blank lines and [#] comments are
-    skipped.
-    @raise Sys_error if the file cannot be read.
-    @raise Invalid_argument on malformed or unsorted content. *)
-
 val cellular_trace :
-  rng:Rng.t -> period:float -> ?bytes:int -> mean_rate:float ->
-  burstiness:float -> unit -> rate
+  rng:Rng.t -> period:float -> mean_rate:float -> burstiness:float -> unit ->
+  rate
 (** Synthesize an [Opportunities] trace resembling a cellular link: the
     opportunity process alternates between fast and slow regimes with
-    random dwell times, averaging [mean_rate] bytes/s over [period].
-    [burstiness] >= 1 is the fast/slow rate ratio (1 = smooth). *)
+    random dwell times, averaging [mean_rate] bytes/s over [period]; each
+    opportunity carries 1500 bytes.  [burstiness] >= 1 is the fast/slow
+    rate ratio (1 = smooth). *)
 
 type t
 
 val create :
   eq:Event_queue.t -> rate:rate -> ?buffer:int -> ?ecn_threshold:int ->
-  ?aqm:Aqm.t -> ?discipline:discipline -> record_queue:bool -> unit -> t
+  ?discipline:discipline -> record_queue:bool -> unit -> t
 (** [buffer] is the queue capacity in bytes (including the packet in
     service); omit it for the paper's ideal unbounded queue.  When
     [record_queue] is set, the occupancy is logged to a series on every
     enqueue/dequeue.
 
     ECN (sec. 6.4): [ecn_threshold] installs the paper's simple
-    threshold AQM (mark arrivals above that many queued bytes); [aqm]
-    installs an arbitrary {!Aqm} discipline (RED, CoDel).  Give at most
-    one.  Unlike delay or loss, the CE mark is an unambiguous congestion
+    threshold AQM, which marks congestion-experienced (CE) every
+    admitted arrival that finds more than that many bytes queued.
+    Unlike delay or loss, the CE mark is an unambiguous congestion
     signal. *)
 
 val set_on_dequeue : t -> (Packet.t -> unit) -> unit
@@ -128,7 +121,7 @@ val set_buffer : t -> int option -> unit
     @raise Invalid_argument on a negative size. *)
 
 val fold_state : Buffer.t -> t -> unit
-(** Append the queue contents (in service order), AQM state and the
-    byte/drop counters to a {!Statebuf} encoding — part of the
+(** Append the queue contents (in service order), the ECN threshold and
+    the byte/drop counters to a {!Statebuf} encoding — part of the
     simulator's checkpoint content hash.  DRR per-flow queues are folded
     in sorted flow-id order so the encoding is canonical. *)

@@ -6,7 +6,6 @@ type ack_policy =
 type flow_spec = {
   cca : Cca.t;
   start_time : float;
-  stop_time : float option;
   extra_rm : float;
   jitter : Jitter.policy;
   jitter_bound : float;
@@ -14,7 +13,6 @@ type flow_spec = {
   loss_rate : float;
   mss : int;
   initial_pacing : float option;
-  inspect_period : float option;
   record_series : bool;
   size_bytes : int option;
 }
@@ -27,10 +25,6 @@ let check_flow_spec fn f =
     invalid_arg (Printf.sprintf "%s: %s %s" fn field what)
   in
   if not (Float.is_finite f.start_time) then fail "start_time" "must be finite";
-  (match f.stop_time with
-  | Some st when not (st > f.start_time) ->
-      fail "stop_time" "must be after start_time"
-  | Some _ | None -> ());
   if not (Float.is_finite f.extra_rm && f.extra_rm >= 0.) then
     fail "extra_rm" "must be finite and >= 0";
   if not (f.jitter_bound >= 0.) then fail "jitter_bound" "must be >= 0";
@@ -50,23 +44,18 @@ let check_flow_spec fn f =
   | Some r when not (Float.is_finite r && r > 0.) ->
       fail "initial_pacing" "must be finite and positive"
   | Some _ | None -> ());
-  (match f.inspect_period with
-  | Some p when not (Float.is_finite p && p > 0.) ->
-      fail "inspect_period" "must be finite and positive"
-  | Some _ | None -> ());
   match f.size_bytes with
   | Some sz when sz <= 0 -> fail "size_bytes" "must be positive"
   | Some _ | None -> ()
 
-let flow ?(start_time = 0.) ?stop_time ?(extra_rm = 0.) ?(jitter = Jitter.No_jitter)
+let flow ?(start_time = 0.) ?(extra_rm = 0.) ?(jitter = Jitter.No_jitter)
     ?(jitter_bound = infinity) ?(ack_policy = Immediate) ?(loss_rate = 0.)
-    ?(mss = Cca.default_mss) ?initial_pacing ?inspect_period
-    ?(record_series = true) ?size_bytes cca =
+    ?(mss = Cca.default_mss) ?initial_pacing ?(record_series = true) ?size_bytes
+    cca =
   let f =
     {
       cca;
       start_time;
-      stop_time;
       extra_rm;
       jitter;
       jitter_bound;
@@ -74,7 +63,6 @@ let flow ?(start_time = 0.) ?stop_time ?(extra_rm = 0.) ?(jitter = Jitter.No_jit
       loss_rate;
       mss;
       initial_pacing;
-      inspect_period;
       record_series;
       size_bytes;
     }
@@ -86,7 +74,6 @@ type config = {
   rate : Link.rate;
   buffer : int option;
   ecn_threshold : int option;
-  aqm : Aqm.t option;
   discipline : Link.discipline;
   rm : float;
   flows : flow_spec list;
@@ -99,7 +86,7 @@ type config = {
   monitor_period : float option;
 }
 
-let config ~rate ?buffer ?ecn_threshold ?aqm ?(discipline = Link.Fifo) ~rm
+let config ~rate ?buffer ?ecn_threshold ?(discipline = Link.Fifo) ~rm
     ?(seed = 42) ?(record_queue = false) ?(initial_queue_bytes = 0) ?(t0 = 0.)
     ?(faults = Fault.none) ?monitor_period ~duration flows =
   let fail field what =
@@ -126,7 +113,7 @@ let config ~rate ?buffer ?ecn_threshold ?aqm ?(discipline = Link.Fifo) ~rm
   | Some p when not (p > 0.) -> fail "monitor_period" "must be positive"
   | Some _ | None -> ());
   List.iter (check_flow_spec "Network.config") flows;
-  { rate; buffer; ecn_threshold; aqm; discipline; rm; flows; t0; duration; seed;
+  { rate; buffer; ecn_threshold; discipline; rm; flows; t0; duration; seed;
     record_queue; initial_queue_bytes; faults; monitor_period }
 
 (* Per-flow delayed-ACK accumulator.  [count] mirrors the length of
@@ -197,7 +184,6 @@ type t = {
 
 let event_queue t = t.eq
 let link t = t.link
-let flow_table t = t.table
 let slots t = Array.sub t.slots 0 t.nslots
 let flows t = Array.map (fun s -> s.flow) (slots t)
 let jitters t = Array.map (fun s -> s.jitter) (slots t)
@@ -402,8 +388,7 @@ let add_flow t ~reuse ~inst ~jitter ~loss_rng ~on_complete spec =
       let flow =
         Flow.create ~eq:t.eq ~id ~cca:spec.cca ~mss:spec.mss
           ~start_time:(Float.max spec.start_time t.cfg.t0)
-          ?stop_time:spec.stop_time ?initial_pacing:spec.initial_pacing
-          ?inspect_period:spec.inspect_period
+          ?initial_pacing:spec.initial_pacing
           ~record_series:spec.record_series ~table:t.table
           ?size_bytes:spec.size_bytes
           ?on_complete:
@@ -632,7 +617,7 @@ let build cfg =
   let master_rng = Rng.create ~seed:cfg.seed in
   let effective_rate = Fault.compile_rate cfg.faults cfg.rate in
   let link = Link.create ~eq ~rate:effective_rate ?buffer:cfg.buffer
-      ?ecn_threshold:cfg.ecn_threshold ?aqm:cfg.aqm ~discipline:cfg.discipline
+      ?ecn_threshold:cfg.ecn_threshold ~discipline:cfg.discipline
       ~record_queue:cfg.record_queue () in
   let specs = Array.of_list cfg.flows in
   let n = Array.length specs in

@@ -29,7 +29,6 @@ type ack_policy =
 type flow_spec = {
   cca : Cca.t;
   start_time : float;
-  stop_time : float option;
   extra_rm : float;  (** added to the base [rm], for unequal-RTT scenarios *)
   jitter : Jitter.policy;
   jitter_bound : float;  (** the model's D for this flow's path *)
@@ -38,9 +37,6 @@ type flow_spec = {
   mss : int;
   initial_pacing : float option;
       (** pace sends at this rate until the first ACK (see {!Flow.create}) *)
-  inspect_period : float option;
-      (** sample the CCA's internals into {!Flow.inspect_series} at this
-          period *)
   record_series : bool;
       (** record the per-ACK RTT / cwnd / delivered traces (see
           {!Flow.create}); defaults to [true] *)
@@ -50,19 +46,17 @@ type flow_spec = {
           {!Flow.create}); [None] (the default) is the unbounded stream *)
 }
 
-val flow : ?start_time:float -> ?stop_time:float -> ?extra_rm:float ->
+val flow : ?start_time:float -> ?extra_rm:float ->
   ?jitter:Jitter.policy -> ?jitter_bound:float -> ?ack_policy:ack_policy ->
   ?loss_rate:float -> ?mss:int -> ?initial_pacing:float ->
-  ?inspect_period:float -> ?record_series:bool -> ?size_bytes:int ->
-  Cca.t -> flow_spec
-(** Spec with defaults: starts at 0, never stops, no extra delay, no jitter
-    (bound [infinity]), immediate ACKs, no random loss, 1500-byte MSS,
+  ?record_series:bool -> ?size_bytes:int -> Cca.t -> flow_spec
+(** Spec with defaults: starts at 0, no extra delay, no jitter (bound
+    [infinity]), immediate ACKs, no random loss, 1500-byte MSS,
     unbounded size.
     @raise Invalid_argument naming the field on a non-finite [start_time],
-    [stop_time] not after [start_time], [extra_rm] not finite and >= 0,
-    negative or NaN [jitter_bound], [loss_rate] outside [\[0, 1)],
-    [mss] <= 0, [initial_pacing] or [inspect_period] not finite and
-    positive, [size_bytes] <= 0, or a malformed [ack_policy]
+    [extra_rm] not finite and >= 0, negative or NaN [jitter_bound],
+    [loss_rate] outside [\[0, 1)], [mss] <= 0, [initial_pacing] not
+    finite and positive, [size_bytes] <= 0, or a malformed [ack_policy]
     ([Delayed] count < 1 or timeout <= 0, [Aggregate] period <= 0).
     NaN fails every check. *)
 
@@ -72,7 +66,6 @@ type config = {
   ecn_threshold : int option;
       (** queue depth (bytes) above which arriving packets are CE-marked
           (sec. 6.4 explicit signaling); [None] disables ECN *)
-  aqm : Aqm.t option;  (** alternatively, a full {!Aqm} discipline *)
   discipline : Link.discipline;
       (** queue scheduling: shared FIFO (the §3 model) or DRR per-flow
           isolation (the conclusion's "stronger isolation") *)
@@ -97,7 +90,7 @@ type config = {
 }
 
 val config :
-  rate:Link.rate -> ?buffer:int -> ?ecn_threshold:int -> ?aqm:Aqm.t ->
+  rate:Link.rate -> ?buffer:int -> ?ecn_threshold:int ->
   ?discipline:Link.discipline -> rm:float -> ?seed:int -> ?record_queue:bool ->
   ?initial_queue_bytes:int -> ?t0:float -> ?faults:Fault.plan ->
   ?monitor_period:float -> duration:float -> flow_spec list -> config
@@ -172,9 +165,6 @@ val spawn :
     @raise Invalid_argument on a network with faults or a monitor, a
     non-positive [mss] or [size_bytes], or an [mss] other than the
     recycled slot's. *)
-
-val flow_table : t -> Flow.Table.t
-(** The table holding every slot's hot flow state. *)
 
 (** {2 Checkpointing} *)
 

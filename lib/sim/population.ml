@@ -7,7 +7,9 @@
    the network's recycled flow slots ({!Network.spawn}):
 
    - Arrivals are generated lazily by one persistent event-queue handle
-     (Poisson gaps over the arrival window), not pre-materialized.
+     (Poisson gaps over the arrival window), not pre-materialized; an
+     arrival whose cumulative gaps overshoot the window arrives at the
+     window's end.
    - Sizes are Pareto draws, truncated at [size_cap].
    - Each incarnation gets its own ACK-path jitter element, split from
      the cell's jitter stream (or, without jitter, a shared no-op one).
@@ -39,7 +41,6 @@ type result = {
   peak_active : int;
   peak_pending : int;
   slots : int;
-  table_capacity : int;
   fallbacks : int;
 }
 
@@ -75,7 +76,6 @@ let run ~cca:make_cca cfg =
         Network.rate = Link.Constant cfg.rate;
         buffer = cfg.buffer;
         ecn_threshold = None;
-        aqm = None;
         discipline = Link.Fifo;
         rm = cfg.rm;
         flows = [];
@@ -184,6 +184,5 @@ let run ~cca:make_cca cfg =
     peak_active = !peak_active;
     peak_pending = !peak_pending;
     slots = Array.length flows;
-    table_capacity = Flow.Table.capacity (Network.flow_table net);
     fallbacks = Network.delay_line_fallbacks net;
   }

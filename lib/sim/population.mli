@@ -1,13 +1,18 @@
 (** Churning flow population over one bottleneck — the census.
 
-    Runs [n] finite flows (Poisson arrivals over the first
-    [arrival_frac] of the horizon, Pareto sizes) on a {!Network}, which
-    recycles flow slots ({!Network.spawn}): a departed flow's slot —
-    [Flow.t], outstanding rings, ACK delay line, columnar CCA row — is
-    reincarnated in place ({!Flow.respawn}) for a later arrival.  Memory
-    and event-queue size scale with the birth-death process's
-    concurrency bound, not with [n], which is what makes a
+    Runs [n] finite flows (Poisson arrivals, Pareto sizes) on a
+    {!Network}, which recycles flow slots ({!Network.spawn}): a departed
+    flow's slot — [Flow.t], outstanding rings, ACK delay line, columnar
+    CCA row — is reincarnated in place ({!Flow.respawn}) for a later
+    arrival.  Memory and event-queue size scale with the birth-death
+    process's concurrency bound, not with [n], which is what makes a
     one-million-flow census fit one machine; see DESIGN.md §13.
+
+    Arrival [k] comes at the sum of [k + 1] exponential gaps of mean
+    [arrival_frac * duration / n], capped at the window's end
+    [arrival_frac * duration]: every arrival whose sum overshoots the
+    window arrives at that instant, one after another (with seed 42,
+    32 of the 250 flows of the quick heavy copa cell, at t = 3 s).
 
     The run is deterministic: arrivals and sizes come from
     order-independent labeled RNG streams keyed by [(seed, key)], so the
@@ -16,7 +21,9 @@
 type config = {
   n : int;  (** flows to spawn *)
   duration : float;  (** simulated horizon, seconds *)
-  arrival_frac : float;  (** arrivals occur in [0, arrival_frac * duration] *)
+  arrival_frac : float;
+      (** arrivals occur in [0, arrival_frac * duration]; the overshoot
+          lands on the window's end *)
   rate : float;  (** bottleneck rate, bytes/s *)
   buffer : int option;  (** drop-tail capacity, bytes; [None] = unbounded *)
   rm : float;  (** one-way propagation delay after the bottleneck *)
@@ -39,7 +46,6 @@ type result = {
   peak_active : int;  (** concurrency high-water mark *)
   peak_pending : int;  (** event-queue high-water mark, sampled at spawns *)
   slots : int;  (** flow slots ever created — bounded by concurrency *)
-  table_capacity : int;  (** rows in the shared {!Flow.Table} *)
   fallbacks : int;
       (** delay-line non-monotone escapes; 0 for every shipped policy *)
 }

@@ -45,7 +45,8 @@ let remap_event drop = function
   | (Fault.Link_blackout _ | Fault.Rate_step _ | Fault.Buffer_resize _) as e ->
       Some e
 
-let shrink ?(max_runs = 200) ?monitor_period cfg0 =
+let shrink ?monitor_period cfg0 =
+  let max_runs = 200 in
   let runs = ref 0 in
   let last_tally = ref [] in
   let run_trial cfg =
@@ -157,7 +158,7 @@ let self_digest = lazy (Digest.to_hex (Digest.file Sys.executable_name))
 
 let write_repro path r =
   let blob = Marshal.to_string r [ Marshal.Closures ] in
-  Snapshot.write_atomic_file path
+  Runner.Cache.write_atomic path
     (repro_magic ^ Lazy.force self_digest ^ Digest.string blob ^ blob)
 
 let load_repro path =

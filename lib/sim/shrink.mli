@@ -30,10 +30,9 @@ val trips : ?monitor_period:float -> Network.config -> (string * int) list
     is clean).  If the config has no [monitor_period], one is supplied
     ([monitor_period], default 0.05 s). *)
 
-val shrink :
-  ?max_runs:int -> ?monitor_period:float -> Network.config -> result option
+val shrink : ?monitor_period:float -> Network.config -> result option
 (** Minimize.  [None] if the initial run does not trip any invariant.
-    At most [max_runs] (default 200) trial simulations are spent;
+    At most 200 trial simulations are spent;
     whatever has been confirmed when the budget runs out is returned. *)
 
 val describe : result -> string

@@ -56,38 +56,11 @@ let restore s =
             h s.s_hash));
   net
 
-(* --- Crash-atomic files -------------------------------------------------- *)
-
-let write_atomic_file path content =
-  let tmp = Printf.sprintf "%s.tmp.%d" path (Unix.getpid ()) in
-  let fd = Unix.openfile tmp [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC ] 0o644 in
-  Fun.protect
-    ~finally:(fun () -> Unix.close fd)
-    (fun () ->
-      let n = String.length content in
-      let written = ref 0 in
-      while !written < n do
-        written :=
-          !written
-          + Unix.write_substring fd content !written (n - !written)
-      done;
-      Unix.fsync fd);
-  Sys.rename tmp path;
-  (* fsync the directory so the rename itself survives a crash.  Some
-     filesystems refuse fsync on a directory fd; losing that durability
-     is acceptable, losing the write is not. *)
-  try
-    let dfd = Unix.openfile (Filename.dirname path) [ Unix.O_RDONLY ] 0 in
-    Fun.protect
-      ~finally:(fun () -> Unix.close dfd)
-      (fun () -> try Unix.fsync dfd with Unix.Unix_error _ -> ())
-  with Unix.Unix_error _ -> ()
-
 let magic = "ccstarve-snapshot\n"
 
 let save path s =
   let blob = Marshal.to_string s [] in
-  write_atomic_file path (magic ^ Digest.string blob ^ blob)
+  Runner.Cache.write_atomic path (magic ^ Digest.string blob ^ blob)
 
 let load path =
   let ic = open_in_bin path in

@@ -45,19 +45,14 @@ val hash : t -> string
 (** {!Network.state_hash} at capture — stable across binaries. *)
 
 val save : string -> t -> unit
-(** Write crash-atomically: temp file + [fsync] + [rename] + directory
-    [fsync], so a crash at any instant leaves either the old file or the
-    new one, never a torn snapshot.  The content carries its own digest;
+(** Write crash-atomically with {!Runner.Cache.write_atomic} (temp file +
+    [fsync] + [rename] + directory [fsync]), so a crash at any instant
+    leaves either the old file or the new one, never a torn snapshot.  The content carries its own digest;
     truncation or corruption is detected at {!load} time. *)
 
 val load : string -> t
 (** @raise Incompatible on a missing magic, truncation or digest
     mismatch.  Binary compatibility is only checked at {!restore}. *)
-
-val write_atomic_file : string -> string -> unit
-(** The temp+[fsync]+rename+dir-[fsync] primitive underlying {!save},
-    exposed for other persisted artifacts (cache entries, journals,
-    failure records). *)
 
 val run_with_checkpoints :
   ?interval:float -> ?on_checkpoint:(t -> unit) -> Network.t -> Network.t

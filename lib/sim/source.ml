@@ -1,4 +1,4 @@
-type arrivals = Poisson of { rate : float } | Periodic of { period : float }
+type arrivals = Poisson of { rate : float }
 type sizes = Fixed of int | Exponential of { mean : float }
 
 type t = {
@@ -6,7 +6,6 @@ type t = {
   rng : Rng.t;
   arrivals : arrivals;
   sizes : sizes;
-  flow : int;
   until : float;
   send : Packet.t -> unit;
   handle : Event_queue.handle;
@@ -17,7 +16,6 @@ type t = {
 let gap t =
   match t.arrivals with
   | Poisson { rate } -> Rng.exponential t.rng ~mean:(1. /. rate)
-  | Periodic { period } -> period
 
 let draw_size t =
   match t.sizes with
@@ -29,7 +27,7 @@ let rec arrive t () =
   let size = draw_size t in
   let pkt =
     {
-      Packet.flow = t.flow;
+      Packet.flow = 0;
       seq = t.seq;
       size;
       sent_at = now;
@@ -47,13 +45,11 @@ and schedule_next t =
   let at = Event_queue.now t.eq +. gap t in
   if at <= t.until then Event_queue.schedule_handle t.eq t.handle ~at
 
-let create ~eq ~rng ~arrivals ~sizes ?(flow = 0) ?(until = infinity) ~send () =
+let create ~eq ~rng ~arrivals ~sizes ?(until = infinity) ~send () =
   (match arrivals with
   | Poisson { rate } when not (rate > 0.) ->
       invalid_arg "Source.create: Poisson rate must be positive"
-  | Periodic { period } when not (period > 0.) ->
-      invalid_arg "Source.create: period must be positive"
-  | _ -> ());
+  | Poisson _ -> ());
   (match sizes with
   | Fixed n when n <= 0 -> invalid_arg "Source.create: size must be positive"
   | Exponential { mean } when not (mean > 0.) ->
@@ -65,7 +61,6 @@ let create ~eq ~rng ~arrivals ~sizes ?(flow = 0) ?(until = infinity) ~send () =
       rng;
       arrivals;
       sizes;
-      flow;
       until;
       send;
       handle = Event_queue.handle (fun () -> ());
@@ -79,4 +74,3 @@ let create ~eq ~rng ~arrivals ~sizes ?(flow = 0) ?(until = infinity) ~send () =
 
 let sent_packets t = t.seq
 let sent_bytes t = t.sent_bytes
-let stop t = Event_queue.cancel t.eq t.handle

@@ -15,7 +15,6 @@
 type arrivals =
   | Poisson of { rate : float }
       (** exponential gaps with mean [1/rate] (arrivals per second) *)
-  | Periodic of { period : float }  (** deterministic gaps *)
 
 (** Packet-size distribution, bytes. *)
 type sizes =
@@ -29,21 +28,17 @@ type t
 
 val create :
   eq:Event_queue.t -> rng:Rng.t -> arrivals:arrivals -> sizes:sizes ->
-  ?flow:int -> ?until:float -> send:(Packet.t -> unit) -> unit -> t
+  ?until:float -> send:(Packet.t -> unit) -> unit -> t
 (** Arm the source on the event queue: from the first arrival (one gap
     after [Event_queue.now]) until [until] (default: forever), each
     arrival draws a size and hands a fresh packet to [send].  Packets
-    carry [flow] (default 0) and consecutive [seq]; [sent_at] is the
-    arrival time.  All draws come from [rng] in arrival order — one gap
+    carry flow id 0 and consecutive [seq]; [sent_at] is the arrival
+    time.  All draws come from [rng] in arrival order — one gap
     draw, then one size draw when the distribution needs it — so a
     source is reproducible from its generator.
 
-    @raise Invalid_argument on a non-positive rate, period, size or
-    mean. *)
+    @raise Invalid_argument on a non-positive rate, size or mean. *)
 
 val sent_packets : t -> int
 val sent_bytes : t -> int
 (** Arrivals generated so far (counted when handed to [send]). *)
-
-val stop : t -> unit
-(** Cancel the pending arrival; no further packets are generated. *)

@@ -27,6 +27,5 @@ val bdp_bytes : rate:float -> rtt:float -> int
 val bdp_packets : rate:float -> rtt:float -> mss:int -> float
 (** Bandwidth-delay product in packets of size [mss]. *)
 
-val feq : ?eps:float -> float -> float -> bool
-(** Approximate float equality: [|a - b| <= eps * max(1, |a|, |b|)].
-    Default [eps] is [1e-9]. *)
+val feq : float -> float -> bool
+(** Approximate float equality: [|a - b| <= 1e-9 * max(1, |a|, |b|)]. *)

@@ -279,7 +279,7 @@ let run ?dir ?(log = fun _ -> ()) ~seed ~n () =
       | Some d ->
           let subdir = Filename.concat d (Printf.sprintf "fuzz-%d" seed) in
           mkdirs subdir;
-          Snapshot.write_atomic_file
+          Runner.Cache.write_atomic
             (Filename.concat subdir (Printf.sprintf "scenario-%d.json" id))
             (violation_to_json v));
       violations := v :: !violations

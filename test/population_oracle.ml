@@ -236,6 +236,5 @@ let run ~cca:make_cca (cfg : Population.config) : Population.result =
     peak_active = !peak_active;
     peak_pending = !peak_pending;
     slots = !nslots;
-    table_capacity = Flow.Table.capacity table;
     fallbacks = !fallbacks;
   }

@@ -226,8 +226,8 @@ let test_census_config_rejects () =
 let test_constructors_reject () =
   let law = Ccac.Model.reno_fluid in
   let packet_cca ~cwnd:_ = Reno.make () in
-  let engine_flow ?start_time ?stop_time ?extra_rm ?size ?mss () =
-    ignore (Fluid.Engine.flow ?start_time ?stop_time ?extra_rm ?size ?mss law)
+  let engine_flow ?start_time ?extra_rm ?size ?mss () =
+    ignore (Fluid.Engine.flow ?start_time ?extra_rm ?size ?mss law)
   in
   let engine_config ?(rate = 1.25e6) ?buffer ?(rm = 0.04) ?dt ?t0
       ?measure_from ?initial_queue ?(duration = 1.) () =
@@ -260,7 +260,6 @@ let test_constructors_reject () =
     [
       (ef, "start_time", "nan", fun () -> engine_flow ~start_time:nan ());
       (ef, "start_time", "inf", fun () -> engine_flow ~start_time:infinity ());
-      (ef, "stop_time", "nan", fun () -> engine_flow ~stop_time:nan ());
       (ef, "extra_rm", "nan", fun () -> engine_flow ~extra_rm:nan ());
       (ef, "extra_rm", "inf", fun () -> engine_flow ~extra_rm:infinity ());
       (ef, "extra_rm", "-1", fun () -> engine_flow ~extra_rm:(-1.) ());
@@ -306,9 +305,9 @@ let test_constructors_reject () =
       (hc, "window", "0", fun () -> hybrid_config ~window:0. ());
     ];
   (* The boundaries stay legal: unbounded and empty buffers, an
-     unbounded size, a stop before the start, a zero-length engine run,
-     an unbounded jitter bound and events outside the horizon. *)
-  engine_flow ~size:infinity ~stop_time:(-1.) ();
+     unbounded size, a zero-length engine run, an unbounded jitter bound
+     and events outside the horizon. *)
+  engine_flow ~size:infinity ();
   engine_config ~buffer:infinity ~duration:0. ();
   engine_config ~buffer:0. ~t0:5. ~measure_from:0. ();
   hybrid_flow ~jitter_bound:infinity ();

@@ -26,10 +26,11 @@ let base_flow ?jitter ?jitter_bound ?ack_policy ?loss_rate cca_id =
   Sim.Network.flow ?jitter ?jitter_bound ?ack_policy ?loss_rate (mk_cca cca_id)
 
 let wheel_scenario = "wheel-300-staggered"
+let ecn_scenario = "threshold-ecn"
 
 (* A matrix of deliberately awkward scenarios: CCAs with internal state
    machines, jitter RNG streams, delayed/aggregated ACK timers, random
-   loss, AQM marking state, DRR per-flow queues, and fault chains —
+   loss, a CE-marking threshold AQM, DRR per-flow queues, and fault chains —
    everything the snapshot must carry. *)
 let scenarios : (string * (unit -> Sim.Network.config)) list =
   let rate = Sim.Units.mbps 12. in
@@ -87,11 +88,13 @@ let scenarios : (string * (unit -> Sim.Network.config)) list =
                  Sim.Fault.Ack_blackhole { flow = 1; t0 = 0.9; t1 = 1.1 };
                ])
           [ base_flow 1; base_flow 0 ] );
-    ( "codel-ecn",
+    (* An ECN-reacting flow against a loss-based one on a link that
+       marks every arrival above a quarter of the buffer. *)
+    ( ecn_scenario,
       fun () ->
         Sim.Network.config ~rate:(Sim.Link.Constant rate) ~buffer
-          ~aqm:(Sim.Aqm.codel ()) ~rm:0.04 ~seed:6 ~duration:2.0
-          [ base_flow 0; base_flow 1 ] );
+          ~ecn_threshold:(buffer / 4) ~rm:0.04 ~seed:6 ~duration:2.0
+          [ Sim.Network.flow (Ecn_reno.make ()); base_flow 1 ] );
     (* Enough flows that the event queue outgrows its wheel threshold:
        the capture carries a live timer wheel and due heap, not just the
        overflow heap every small scenario stays in.  The matrix asserts
@@ -158,7 +161,19 @@ let test_split_run_matrix () =
     (Printf.sprintf "%s: wheel allocated at capture (%d pending)"
        wheel_scenario (Sim.Event_queue.pending eq))
     true
-    (Sim.Event_queue.wheel_allocated eq)
+    (Sim.Event_queue.wheel_allocated eq);
+  (* The ECN scenario must keep covering a link that marks CE on both
+     sides of its capture point. *)
+  let net = Sim.Network.build ((List.assoc ecn_scenario scenarios) ()) in
+  Sim.Network.run_to net 1.0;
+  let marks_at_capture = Sim.Link.ce_marks (Sim.Network.link net) in
+  let net = Sim.Network.run net in
+  let marks_at_end = Sim.Link.ce_marks (Sim.Network.link net) in
+  Alcotest.(check bool)
+    (Printf.sprintf "%s: CE marks before (%d) and after (%d) capture"
+       ecn_scenario marks_at_capture (marks_at_end - marks_at_capture))
+    true
+    (marks_at_capture > 0 && marks_at_end > marks_at_capture)
 
 let test_double_split () =
   (* Snapshot twice (at 1/3 and 2/3) — restores compose. *)
