@@ -11,9 +11,7 @@
    retries, quarantine).  When the cache is enabled each completed job is
    journaled beside the cache as it lands, so a run killed mid-matrix can
    be finished with --resume, re-executing only the jobs that had not
-   completed.  --split-run proves checkpoint fidelity by
-   serializing and restoring every simulation at mid-horizon; the output
-   must stay byte-identical.  --selftest-shrink and --replay exercise the
+   completed.  --selftest-shrink and --replay exercise the
    failing-scenario minimizer end to end; --export writes the figure
    series as CSV. *)
 
@@ -73,13 +71,6 @@ let resume_arg =
                run: jobs it records as done with intact cache entries are \
                replayed, not re-executed.  Without this flag the journal \
                is cleared at startup.")
-
-let split_run_arg =
-  Arg.(value & flag & info [ "split-run" ]
-         ~doc:"Run every simulation to mid-horizon, serialize, restore, \
-               and finish on the restored copy.  Output must be \
-               byte-identical to a normal run — this is the \
-               checkpoint/restore equivalence proof at suite scale.")
 
 (* A numeric converter that rejects values outside [ok]; cmdliner then
    exits 124 naming the flag.  NaN fails every comparison, so it is
@@ -243,7 +234,7 @@ let selftest_shrink dir =
 
 let replay file =
   match Sim.Shrink.load_repro file with
-  | exception Sim.Snapshot.Incompatible msg ->
+  | exception Sim.Shrink.Incompatible msg ->
       Printf.eprintf "replay: cannot load %s: %s\n" file msg;
       exit 1
   | r ->
@@ -312,8 +303,8 @@ let export ~dir ~quick =
 (* --------------------------------------------------------------------- *)
 
 let main keys all quick jobs sim_backend no_cache cache_dir check resume
-    split_run deadline max_attempts selftest replay_file allow_failures fuzz_n
-    fuzz_seed export_dir =
+    deadline max_attempts selftest replay_file allow_failures fuzz_n fuzz_seed
+    export_dir =
   match (selftest, replay_file, fuzz_n, export_dir) with
   | Some dir, _, _, _ -> selftest_shrink dir
   | None, Some file, _, _ -> replay file
@@ -326,7 +317,6 @@ let main keys all quick jobs sim_backend no_cache cache_dir check resume
           prerr_endline ("repro: " ^ msg);
           exit 1
       | Ok experiments ->
-          if split_run then Sim.Network.set_split_run true;
           let workers =
             if jobs <= 0 then Runner.Pool.default_workers () else jobs
           in
@@ -387,7 +377,7 @@ let cmd =
     (Cmd.info "repro" ~doc)
     Term.(
       const main $ keys_arg $ all_arg $ quick_arg $ jobs_arg $ backend_arg
-      $ no_cache_arg $ cache_dir_arg $ check_arg $ resume_arg $ split_run_arg $ deadline_arg
+      $ no_cache_arg $ cache_dir_arg $ check_arg $ resume_arg $ deadline_arg
       $ max_attempts_arg $ selftest_shrink_arg $ replay_arg
       $ allow_failures_arg $ fuzz_arg $ fuzz_seed_arg $ export_arg)
 

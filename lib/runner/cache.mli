@@ -37,5 +37,5 @@ val dir : t -> string
 val write_atomic : string -> string -> unit
 (** The crash-atomic file-write primitive (temp + [fsync] + rename +
     directory [fsync]) used for entries, and the one every other
-    persisted artifact goes through: failure records, simulator
-    snapshots, shrunk reproducers and the fuzz corpus. *)
+    persisted artifact goes through: failure records, shrunk
+    reproducers and the fuzz corpus. *)

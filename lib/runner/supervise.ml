@@ -114,7 +114,7 @@ let failure_record_path cache key =
   Filename.concat (Filename.concat (Cache.dir cache) "failures")
     (key_digest key ^ ".json")
 
-let write_failure_record cache ~key ~reason ~history ~checkpoint =
+let write_failure_record cache ~key ~reason ~history =
   let dir = Filename.concat (Cache.dir cache) "failures" in
   (try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
   let attempts =
@@ -129,14 +129,9 @@ let write_failure_record cache ~key ~reason ~history ~checkpoint =
       "{\n\
       \  \"key\": \"%s\",\n\
       \  \"reason\": \"%s\",\n\
-      \  \"last_checkpoint_hash\": %s,\n\
       \  \"attempts\": [\n%s\n  ]\n\
        }\n"
-      (json_escape key) (json_escape reason)
-      (match checkpoint with
-      | Some h -> Printf.sprintf "\"%s\"" (json_escape h)
-      | None -> "null")
-      attempts
+      (json_escape key) (json_escape reason) attempts
   in
   Cache.write_atomic (failure_record_path cache key) body
 
@@ -153,8 +148,7 @@ let heap_ceiling_error reason =
   let rec at i = i + n <= m && (String.sub reason i n = needle || at (i + 1)) in
   at 0
 
-let run ?workers ?(policy = default_policy) ?cache ?journal ?checkpoint_of jobs
-    =
+let run ?workers ?(policy = default_policy) ?cache ?journal jobs =
   if policy.max_attempts < 1 then
     invalid_arg "Supervise.run: max_attempts must be >= 1";
   (match policy.deadline with
@@ -178,7 +172,6 @@ let run ?workers ?(policy = default_policy) ?cache ?journal ?checkpoint_of jobs
     (match cache with
     | Some c ->
         write_failure_record c ~key ~reason ~history:(List.rev history.(i))
-          ~checkpoint:(Option.bind checkpoint_of (fun f -> f key))
     | None -> ());
     match journal with Some p -> append_journal p "quarantine" key | None -> ()
   in

@@ -15,7 +15,7 @@
     of the matrix completes and the caller decides what a quarantine
     means.  Each quarantine leaves a structured failure record
     ([<cache>/failures/<md5(key)>.json]: key, final reason, attempt
-    history, last checkpoint hash if a [checkpoint_of] hook was given).
+    history).
 
     With a [journal], every completion and quarantine is appended (fsync'd,
     digest-guarded against torn lines) as it happens; re-running the same
@@ -59,7 +59,6 @@ val run :
   ?policy:policy ->
   ?cache:Cache.t ->
   ?journal:string ->
-  ?checkpoint_of:(string -> string option) ->
   Job.t list ->
   outcome list * Pool.stats
 (** Execute the matrix under supervision; outcomes in job order.  The

@@ -335,9 +335,6 @@ let schedule t ~at action =
   validate t at;
   insert t (handle action) ~at
 
-let schedule_after t ~delay action =
-  schedule t ~at:(t.now +. Float.max 0. delay) action
-
 let cancel t h =
   if h.id <> idle then begin
     if not (owns t h) then foreign "cancel";

@@ -70,9 +70,6 @@ val schedule : t -> at:float -> (unit -> unit) -> unit
 (** Schedule a thunk at absolute time [at].
     @raise Invalid_argument if [at] is in the past or not finite. *)
 
-val schedule_after : t -> delay:float -> (unit -> unit) -> unit
-(** Schedule relative to [now].  Negative delays are clamped to [0.]. *)
-
 val pending : t -> int
 (** Number of events not yet executed.  O(1): maintained as a counter
     rather than summing the containers, so hot paths can gate on queue
@@ -148,7 +145,7 @@ val scheduled_time : t -> handle -> float
 
 val fold_state : Buffer.t -> t -> unit
 (** Append the clock and the armed (time, sequence) pairs to a
-    {!Statebuf} encoding — part of the simulator's checkpoint content
-    hash.  Event callbacks are closures and are not folded, nor are ids,
-    which name registry slots; two runs of the same binary and
-    configuration produce identical folds. *)
+    {!Statebuf} encoding — part of {!Network.state_hash}.  Event
+    callbacks are closures and are not folded, nor are ids, which name
+    registry slots; two runs of the same binary and configuration
+    produce identical folds. *)

@@ -97,6 +97,6 @@ val ack_drops : t -> int array
 
 val fold_state : Buffer.t -> t -> unit
 (** Append the per-flow chain states (RNG stream + good/bad bit) and drop
-    counters to a {!Statebuf} encoding — part of the simulator's
-    checkpoint content hash.  The static windows come from the plan and
-    are covered by the configuration, not folded here. *)
+    counters to a {!Statebuf} encoding — part of {!Network.state_hash}.
+    The static windows come from the plan and are covered by the
+    configuration, not folded here. *)

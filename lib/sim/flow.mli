@@ -63,8 +63,9 @@ val create :
 
     [record_series] (default [true]) controls the per-ACK RTT / cwnd /
     delivered traces.  Disabling it keeps {!delivered_bytes} and friends
-    exact while bounding the flow's memory — useful for long benchmark
-    runs where checkpoint size would otherwise grow with history.
+    exact while bounding the flow's memory, which would otherwise grow
+    with the run's length — census flows and long benchmark runs turn it
+    off.
 
     [table] places the flow's hot state in a shared {!Table} (one fresh
     private row is allocated otherwise — equivalent, just less compact
@@ -164,6 +165,6 @@ val rate_series : t -> window:float -> Series.t
 val fold_state : Buffer.t -> t -> unit
 (** Append the flow's transport state (counters, RTT estimator, live
     outstanding window keyed by sequence number, recorded series) to a
-    {!Statebuf} encoding — part of the simulator's checkpoint content
-    hash.  The encoding is independent of the outstanding ring's
-    capacity, so it is stable across ring growth. *)
+    {!Statebuf} encoding — part of {!Network.state_hash}.  The encoding
+    is independent of the outstanding ring's capacity, so it is stable
+    across ring growth. *)

@@ -60,5 +60,4 @@ val report : t -> string
 
 val fold_state : Buffer.t -> t -> unit
 (** Append the counts and the per-check tally (sorted by check name) to a
-    {!Statebuf} encoding — part of the simulator's checkpoint content
-    hash. *)
+    {!Statebuf} encoding — part of {!Network.state_hash}. *)

@@ -253,9 +253,8 @@ type fbox = { mutable v : float }
 (* Test-only accounting fault: bytes added to the link's delivered-bytes
    counter per serviced packet, i.e. a deliberate off-by-[skew] in the
    byte bookkeeping that the conservation oracles must catch.  A global
-   (like {!Network.set_split_run}) rather than per-link state so a
-   shrinker re-running candidate configs sees the same fault; never part
-   of the serialized state.  Defaults to 0 = accounting is exact. *)
+   rather than per-link state so a shrinker re-running candidate configs
+   sees the same fault.  Defaults to 0 = accounting is exact. *)
 let accounting_skew = ref 0
 let set_accounting_skew n = accounting_skew := n
 

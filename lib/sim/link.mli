@@ -104,8 +104,8 @@ val set_accounting_skew : int -> unit
 (** Test-only fault injection: add this many bytes to the {e aggregate}
     delivered-bytes counter per serviced packet — a deliberate
     accounting bug that the conservation oracles in [lib/validate] must
-    detect.  Global (not per link, not serialized), so a shrinker
-    re-running candidate configs reproduces the fault.  Callers must
+    detect.  Global (not per link), so a shrinker re-running candidate
+    configs reproduces the fault.  Callers must
     reset it to 0; production code never touches it. *)
 
 val queue_series : t -> Series.t
@@ -122,6 +122,6 @@ val set_buffer : t -> int option -> unit
 
 val fold_state : Buffer.t -> t -> unit
 (** Append the queue contents (in service order), the ECN threshold and
-    the byte/drop counters to a {!Statebuf} encoding — part of the
-    simulator's checkpoint content hash.  DRR per-flow queues are folded
-    in sorted flow-id order so the encoding is canonical. *)
+    the byte/drop counters to a {!Statebuf} encoding — part of
+    {!Network.state_hash}.  DRR per-flow queues are folded in sorted
+    flow-id order so the encoding is canonical. *)

@@ -179,7 +179,6 @@ type t = {
   mutable lines : (float * Packet.t Delay_line.t) list;
   mutable invariant : Invariant.t option;
   mutable audit : unit -> unit;
-  mutable ran : bool;
 }
 
 let event_queue t = t.eq
@@ -648,7 +647,6 @@ let build cfg =
       lines = [];
       invariant = None;
       audit = ignore;
-      ran = false;
     }
   in
   Link.set_on_dequeue link (fun pkt ->
@@ -723,20 +721,10 @@ let build cfg =
   t
 
 let now t = Event_queue.now t.eq
-let start_time t = t.cfg.t0
 let horizon t = t.cfg.t0 +. t.cfg.duration
 let config_of t = t.cfg
 
-(* --- Checkpoint serialization ------------------------------------------- *)
-
-(* One Marshal call over the whole network record.  [Closures] captures
-   every CCA, event action and audit closure together with the heap graph
-   they share, so mutable-state aliasing (e.g. the delack arrays both in
-   the record and in the ACK-path closures) is preserved exactly.  The
-   payload is only readable by the producing binary; {!Snapshot} guards
-   restores with the executable's digest. *)
-let serialize t = Marshal.to_string t [ Marshal.Closures ]
-let deserialize s : t = Marshal.from_string s 0
+(* --- State hash ----------------------------------------------------------- *)
 
 let fold_delivery buf (d : Packet.delivery) =
   Packet.fold_state buf d.Packet.packet;
@@ -746,61 +734,31 @@ let fold_batch buf batch =
   Statebuf.i buf (List.length batch);
   List.iter (fold_delivery buf) batch
 
-(* Named components of the content hash: {!Snapshot.first_divergence}
-   reports the first one whose digest differs between two runs. *)
-let fingerprint t =
-  let slots = slots t in
-  let per_slot name fold =
-    (name, Statebuf.digest (fun buf a -> Array.iter (fold buf) a) slots)
-  in
-  let base =
-    [
-      ("event-queue", Statebuf.digest Event_queue.fold_state t.eq);
-      ("link", Statebuf.digest Link.fold_state t.link);
-    ]
-  in
-  let per_flow =
-    Array.to_list
-      (Array.map
-         (fun s ->
-           (Printf.sprintf "flow%d" s.id, Statebuf.digest Flow.fold_state s.flow))
-         slots)
-  in
-  let rest =
-    [
-      per_slot "jitters" (fun buf s -> Jitter.fold_state buf s.jitter);
-      per_slot "loss-rngs" (fun buf s -> Rng.fold_state buf s.loss_rng);
-      ( "data-lines",
-        Statebuf.digest
-          (fun buf lines ->
-            List.iter
-              (fun (_, l) -> Delay_line.fold_state Packet.fold_state buf l)
-              (List.rev lines))
-          t.lines );
-      per_slot "ack-paths" (fun buf s ->
-          match s.ack with
-          | Fast l -> Delay_line.fold_state Packet.fold_state buf l
-          | Batched (l, st) ->
-              Delay_line.fold_state fold_batch buf l;
-              Statebuf.i buf st.count;
-              fold_batch buf st.held);
-      per_slot "random-losses" (fun buf s -> Statebuf.i buf s.random_losses);
-      per_slot "received" (fun buf s -> Statebuf.i buf s.received_bytes);
-      per_slot "unacked" (fun buf s -> Statebuf.i buf s.unacked);
-      ("faults", Statebuf.digest (Statebuf.opt Fault.fold_state) t.faults);
-      ( "invariant",
-        Statebuf.digest (Statebuf.opt Invariant.fold_state) t.invariant );
-    ]
-  in
-  base @ per_flow @ rest
-
 let fold_state buf t =
+  let slots = slots t in
+  let per_slot f = Array.iter f slots in
+  Event_queue.fold_state buf t.eq;
+  Link.fold_state buf t.link;
+  Statebuf.i buf t.nslots;
+  per_slot (fun s -> Flow.fold_state buf s.flow);
+  per_slot (fun s -> Jitter.fold_state buf s.jitter);
+  per_slot (fun s -> Rng.fold_state buf s.loss_rng);
+  Statebuf.i buf (List.length t.lines);
   List.iter
-    (fun (name, digest) ->
-      Statebuf.s buf name;
-      Statebuf.s buf digest)
-    (fingerprint t);
-  Statebuf.b buf t.ran
+    (fun (_, l) -> Delay_line.fold_state Packet.fold_state buf l)
+    (List.rev t.lines);
+  per_slot (fun s ->
+      match s.ack with
+      | Fast l -> Delay_line.fold_state Packet.fold_state buf l
+      | Batched (l, st) ->
+          Delay_line.fold_state fold_batch buf l;
+          Statebuf.i buf st.count;
+          fold_batch buf st.held);
+  per_slot (fun s -> Statebuf.i buf s.random_losses);
+  per_slot (fun s -> Statebuf.i buf s.received_bytes);
+  per_slot (fun s -> Statebuf.i buf s.unacked);
+  Statebuf.opt Fault.fold_state buf t.faults;
+  Statebuf.opt Invariant.fold_state buf t.invariant
 
 let state_hash t = Statebuf.digest fold_state t
 
@@ -811,42 +769,10 @@ let run_to t time =
   Event_queue.run_until t.eq (Float.min time (horizon t))
 let force_audit t = t.audit ()
 
-let finish t =
+let run t =
   Event_queue.run_until t.eq (horizon t);
   t.audit ();
-  t.ran <- true;
   t
-
-(* Split-run mode: every [run] executes to mid-horizon, checkpoints,
-   finishes the restored copy AND the original, and fails hard unless
-   their full state hashes agree.  Flipping this one switch turns any
-   experiment into an end-to-end proof that checkpoint/restore is exact
-   for its scenarios.  The *original* is what the caller gets back:
-   experiments may legitimately hold aliases into config-embedded
-   objects — Theorem 1 re-uses CCA instances warmed on one network
-   inside another — and those aliases must see the fully evolved state,
-   not a copy's.  A module-level ref — deliberately not part of the
-   marshaled state — so `repro --split-run` reaches every network the
-   experiment registry builds without threading a flag through each
-   experiment. *)
-let split_run = ref false
-let set_split_run v = split_run := v
-
-let run t =
-  if (not !split_run) || t.ran then finish t
-  else begin
-    run_to t (t.cfg.t0 +. (t.cfg.duration /. 2.));
-    let snap = serialize t in
-    let copy = finish (deserialize snap) in
-    let t = finish t in
-    if state_hash copy <> state_hash t then
-      failwith
-        (Printf.sprintf
-           "Network.run (split-run): restored copy diverged from the \
-            straight run after the t=%.6f checkpoint"
-           (t.cfg.t0 +. (t.cfg.duration /. 2.)));
-    t
-  end
 
 let run_config cfg = run (build cfg)
 

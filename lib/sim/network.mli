@@ -107,15 +107,8 @@ val build : config -> t
 (** Assemble the network without running it. *)
 
 val run : t -> t
-(** Run to [duration]; returns the handle to read results from (the
-    argument itself).  In split-run mode (see {!set_split_run}) the
-    simulation runs to mid-horizon, is serialized, and {e both} the
-    restored copy and the original are finished; {!run} raises unless
-    their full state hashes agree, so every experiment doubles as an
-    end-to-end checkpoint/restore equivalence proof.  The original is
-    still what is returned: callers may hold aliases into
-    config-embedded objects (warmed CCA instances) that must see the
-    fully evolved state. *)
+(** Run to [duration] and run the closing audit; returns the handle to
+    read results from (the argument itself). *)
 
 val run_config : config -> t
 (** [build |> run]. *)
@@ -123,16 +116,11 @@ val run_config : config -> t
 val run_to : t -> float -> unit
 (** Advance the simulation to [min time horizon] without finalizing:
     the closing audit does not run and the network can be advanced
-    further (or serialized) afterwards.  Used by {!Snapshot} to pause at
-    checkpoint boundaries.
+    further afterwards.  {!Population} runs the census with it.
     @raise Invalid_argument if [time] is NaN. *)
 
 val now : t -> float
 (** Current simulation time. *)
-
-val start_time : t -> float
-val horizon : t -> float
-(** [t0] and [t0 + duration] of the underlying config. *)
 
 val config_of : t -> config
 
@@ -166,38 +154,12 @@ val spawn :
     non-positive [mss] or [size_bytes], or an [mss] other than the
     recycled slot's. *)
 
-(** {2 Checkpointing} *)
-
-val serialize : t -> string
-(** Marshal the complete simulation state — flows, link, queues, delay
-    lines, RNG streams, recorded series, pending events and the closures
-    tying them together — into one opaque payload.  Restoring it yields a
-    network whose future is byte-identical to the original's.  The
-    payload is only valid in the producing binary ([Marshal.Closures]);
-    use {!Snapshot} for a guarded on-disk format. *)
-
-val deserialize : string -> t
-(** Inverse of {!serialize}.  Unsafe across binaries — see {!Snapshot}. *)
-
 val state_hash : t -> string
 (** Hex digest of the network's observable mutable state, computed from
-    per-module [fold_state] encodings (not from the Marshal payload), so
-    it is stable across binaries and heap layouts.  Two runs of the same
-    configuration that have processed the same events hash identically;
-    this is the divergence oracle used by checkpoint equivalence tests
-    and CI determinism checks. *)
-
-val fingerprint : t -> (string * string) list
-(** The named per-component digests underlying {!state_hash}
-    (["event-queue"], ["link"], ["flow0"], ...) — lets a divergence
-    report name the first component that differs rather than just "the
-    hash changed". *)
-
-val set_split_run : bool -> unit
-(** Globally switch {!run} into split-run mode (default off): run to
-    mid-horizon, serialize, finish both the restored copy and the
-    original, and fail hard if their state hashes differ.  Not part of
-    the serialized state. *)
+    per-module [fold_state] encodings, so it is stable across binaries
+    and heap layouts.  Two runs of the same configuration that have
+    processed the same events hash identically; the fuzzer's
+    determinism oracle compares two runs by it. *)
 
 val event_queue : t -> Event_queue.t
 val link : t -> Link.t

@@ -26,7 +26,7 @@ val dummy : t
     without pinning a real packet.  Never enters the network. *)
 
 val fold_state : Buffer.t -> t -> unit
-(** Append every field to a {!Statebuf} encoding — part of the
-    simulator's checkpoint content hash. *)
+(** Append every field to a {!Statebuf} encoding — part of
+    {!Network.state_hash}. *)
 
 val pp : Format.formatter -> t -> unit

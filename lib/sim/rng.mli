@@ -56,5 +56,4 @@ val bits64 : t -> int64
 
 val fold_state : Buffer.t -> t -> unit
 (** Append the full generator state (the four xoshiro words) to a
-    {!Statebuf} encoding — part of the simulator's checkpoint content
-    hash. *)
+    {!Statebuf} encoding — part of {!Network.state_hash}. *)

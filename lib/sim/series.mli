@@ -29,8 +29,7 @@ val first : t -> (float * float) option
 
 val fold_state : Buffer.t -> t -> unit
 (** Append name, length and every (time, value) bit pattern to a
-    {!Statebuf} encoding — part of the simulator's checkpoint content
-    hash. *)
+    {!Statebuf} encoding — part of {!Network.state_hash}. *)
 
 val value_at : t -> float -> float option
 (** Step interpolation: the value of the latest sample at or before the

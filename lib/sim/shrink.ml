@@ -153,6 +153,8 @@ let describe r =
    blob: it must be checked before Marshal ever parses foreign code
    pointers. *)
 
+exception Incompatible of string
+
 let repro_magic = "ccstarve-repro\n"
 let self_digest = lazy (Digest.to_hex (Digest.file Sys.executable_name))
 
@@ -171,11 +173,11 @@ let load_repro path =
   let mlen = String.length repro_magic in
   (* magic + 32-char hex binary digest + 16-byte blob digest *)
   if String.length content < mlen + 48 || String.sub content 0 mlen <> repro_magic
-  then raise (Snapshot.Incompatible (path ^ ": not a reproducer file"));
+  then raise (Incompatible (path ^ ": not a reproducer file"));
   let binary = String.sub content mlen 32 in
   if binary <> Lazy.force self_digest then
     raise
-      (Snapshot.Incompatible
+      (Incompatible
          (Printf.sprintf
             "%s: reproducer written by binary %s, this binary is %s" path
             binary (Lazy.force self_digest)));
@@ -184,5 +186,5 @@ let load_repro path =
     String.sub content (mlen + 48) (String.length content - mlen - 48)
   in
   if Digest.string blob <> digest then
-    raise (Snapshot.Incompatible (path ^ ": corrupt reproducer (digest mismatch)"));
+    raise (Incompatible (path ^ ": corrupt reproducer (digest mismatch)"));
   (Marshal.from_string blob 0 : result)

@@ -39,11 +39,15 @@ val describe : result -> string
 (** One-line human summary: check name, flow / fault-event counts,
     duration, violation tally, trials spent. *)
 
+exception Incompatible of string
+(** Raised by {!load_repro} on a foreign binary, bad magic, truncation
+    or digest mismatch. *)
+
 val write_repro : string -> result -> unit
 (** Persist crash-atomically.  The file embeds the producing binary's
     digest {e outside} the closure-carrying payload, so {!load_repro}
     refuses foreign files before [Marshal] ever parses them. *)
 
 val load_repro : string -> result
-(** @raise Snapshot.Incompatible on a foreign binary, bad magic,
-    truncation or digest mismatch. *)
+(** @raise Incompatible on a foreign binary, bad magic, truncation or
+    digest mismatch. *)

@@ -23,8 +23,6 @@ let opt elt buf = function
       b buf true;
       elt buf v
 
-(* Hex digest of one module's fold — the per-component fingerprint used
-   to name the first divergent subsystem when two runs disagree. *)
 let digest fold v =
   let buf = Buffer.create 256 in
   fold buf v;

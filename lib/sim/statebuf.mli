@@ -19,5 +19,4 @@ val s : Buffer.t -> string -> unit
 val opt : (Buffer.t -> 'a -> unit) -> Buffer.t -> 'a option -> unit
 
 val digest : (Buffer.t -> 'a -> unit) -> 'a -> string
-(** [digest fold v] = hex MD5 of [fold]'s encoding of [v]: one
-    component's fingerprint. *)
+(** [digest fold v] = hex MD5 of [fold]'s encoding of [v]. *)

@@ -102,4 +102,4 @@ val advance : t -> int -> unit
 
 val fold_state : Buffer.t -> t -> unit
 (** Deterministic digest of cursor + stored [(time, seq)] pairs in
-    storage order, for {!Statebuf} fingerprints. *)
+    storage order, for {!Network.state_hash}. *)

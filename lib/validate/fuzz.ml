@@ -175,8 +175,8 @@ let check_sample ~seed ~id () =
   let net = Network.run_config (Shrink.copy_config cfg) in
   let conservation = Conservation.verdicts ~scenario:label net in
   (* Determinism: an independent run of the same config must land on the
-     same full state hash.  This subsumes "same throughputs" and churns
-     the whole checkpoint-hash machinery on a random scenario. *)
+     same full state hash.  This subsumes "same throughputs" and folds
+     every component's state on a random scenario. *)
   let determinism =
     let net2 = Network.run_config (Shrink.copy_config cfg) in
     let h1 = Network.state_hash net and h2 = Network.state_hash net2 in
@@ -212,21 +212,13 @@ let rec mkdirs dir =
   end
 
 let violation_to_json v =
+  let opt = function
+    | None -> "null"
+    | Some s -> "\"" ^ Oracle.json_escape s ^ "\""
+  in
   Printf.sprintf
     {|{"id":%d,"summary":"%s","shrunk":%s,"repro":%s,"failing":%s}|}
-    v.id
-    (String.concat "" (List.map (fun c ->
-         match c with
-         | '"' -> "\\\"" | '\\' -> "\\\\"
-         | c when Char.code c < 0x20 -> Printf.sprintf "\\u%04x" (Char.code c)
-         | c -> String.make 1 c)
-         (List.init (String.length v.summary) (String.get v.summary))))
-    (match v.shrunk with
-    | None -> "null"
-    | Some s -> Printf.sprintf "%S" s)
-    (match v.repro_path with
-    | None -> "null"
-    | Some s -> Printf.sprintf "%S" s)
+    v.id (Oracle.json_escape v.summary) (opt v.shrunk) (opt v.repro_path)
     (Oracle.list_to_json v.failing)
 
 let report_to_json r =

@@ -35,7 +35,7 @@ type scenario = {
 }
 
 val matrix : unit -> scenario list
-(** The 6-scenario snapshot matrix: Reno solo (with an initial phantom
+(** The 6-scenario matrix: Reno solo (with an initial phantom
     queue), staggered Reno pair, Reno vs Vegas, Copa with delayed ACKs,
     Cubic vs BBR under random loss, Vegas behind aggregated ACKs with
     uniform jitter.  All fault-free and constant-rate so every

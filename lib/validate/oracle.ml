@@ -41,8 +41,6 @@ let to_string v =
     v.oracle v.scenario v.expected v.observed v.tolerance
     (if v.detail = "" then "" else " — " ^ v.detail)
 
-(* Minimal JSON string escaping: the details we emit are ASCII summaries,
-   but be safe about quotes, backslashes and control bytes. *)
 let json_escape s =
   let buf = Buffer.create (String.length s + 8) in
   String.iter

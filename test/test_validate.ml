@@ -3,6 +3,13 @@
    test is the load-bearing one — an oracle suite that has never caught
    a planted bug proves nothing. *)
 
+let contains s needle =
+  let n = String.length needle in
+  let rec scan i =
+    i + n <= String.length s && (String.sub s i n = needle || scan (i + 1))
+  in
+  scan 0
+
 let check_all_ok label verdicts =
   List.iter
     (fun v ->
@@ -50,15 +57,7 @@ let test_oracle_exact_and_json () =
   let json = Validate.Oracle.to_json v in
   List.iter
     (fun needle ->
-      let found =
-        let n = String.length needle in
-        let rec scan i =
-          i + n <= String.length json
-          && (String.sub json i n = needle || scan (i + 1))
-        in
-        scan 0
-      in
-      Alcotest.(check bool) ("json has " ^ needle) true found)
+      Alcotest.(check bool) ("json has " ^ needle) true (contains json needle))
     [ "\"oracle\""; "\"scenario\""; "\"expected\""; "\"observed\""; "\"ok\"" ]
 
 (* ------------------------------------------------------------------ *)
@@ -189,13 +188,46 @@ let test_fuzz_report_json () =
     (String.length json > 0 && json.[0] = '{');
   List.iter
     (fun needle ->
-      let n = String.length needle in
-      let rec scan i =
-        i + n <= String.length json
-        && (String.sub json i n = needle || scan (i + 1))
-      in
-      Alcotest.(check bool) ("json has " ^ needle) true (scan 0))
+      Alcotest.(check bool) ("json has " ^ needle) true (contains json needle))
     [ "\"seed\""; "\"samples\""; "\"verdicts_checked\""; "\"violations\"" ]
+
+(* A violation persisted under a directory with a non-ASCII name must
+   still be valid JSON: UTF-8 bytes are copied as they are (OCaml's [%S]
+   would write [\195\169], which JSON forbids), and quotes and newlines
+   are escaped. *)
+let test_fuzz_report_json_escapes () =
+  let odd = "caf\xc3\xa9 \"q\"\nx" in
+  let failing =
+    [ Validate.Oracle.fail ~oracle:"determinism" ~scenario:odd ~detail:odd () ]
+  in
+  let report =
+    {
+      Validate.Fuzz.seed = 1;
+      samples = 1;
+      verdicts_checked = 1;
+      violations =
+        [
+          {
+            Validate.Fuzz.id = 0;
+            summary = odd;
+            failing;
+            shrunk = Some odd;
+            repro_path = Some (odd ^ "/scenario-0.repro.bin");
+          };
+        ];
+    }
+  in
+  let json = Validate.Fuzz.report_to_json report in
+  List.iter
+    (fun (what, needle, present) ->
+      Alcotest.(check bool) what present (contains json needle))
+    [
+      ("raw UTF-8 bytes", "caf\xc3\xa9", true);
+      ("escaped quote", "\\\"q\\\"", true);
+      ("escaped newline", "\\nx", true);
+      ("no decimal escape", "\\195", false);
+      ("repro path", "\"repro\":\"caf\xc3\xa9", true);
+    ]
 
 let () =
   Alcotest.run "validate"
@@ -224,5 +256,7 @@ let () =
           Alcotest.test_case "catches injected bug" `Quick
             test_fuzz_catches_injected_accounting_bug;
           Alcotest.test_case "report json" `Quick test_fuzz_report_json;
+          Alcotest.test_case "report json escapes" `Quick
+            test_fuzz_report_json_escapes;
         ] );
     ]
