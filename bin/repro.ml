@@ -180,9 +180,9 @@ let selftest_config () =
     ]
 
 let selftest_shrink dir =
-  (try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
+  Runner.Cache.mkdir_p dir;
   let cfg = selftest_config () in
-  let before = Sim.Shrink.trips cfg in
+  let before = Validate.Shrink.trips cfg in
   (match before with
   | [] ->
       prerr_endline "selftest-shrink: scenario unexpectedly clean";
@@ -192,17 +192,18 @@ let selftest_shrink dir =
         (fun (check, n) ->
           Printf.printf "selftest-shrink: initial run trips %s x%d\n" check n)
         tally);
-  match Sim.Shrink.shrink cfg with
+  match Validate.Shrink.shrink cfg with
   | None ->
       prerr_endline "selftest-shrink: shrinker lost the violation";
       exit 1
   | Some r ->
-      let flows = List.length r.Sim.Shrink.config.Sim.Network.flows in
+      let flows = List.length r.Validate.Shrink.config.Sim.Network.flows in
       let faults =
-        List.length (Sim.Fault.events r.Sim.Shrink.config.Sim.Network.faults)
+        List.length
+          (Sim.Fault.events r.Validate.Shrink.config.Sim.Network.faults)
       in
       let repro = Filename.concat dir "reproducer.bin" in
-      Sim.Shrink.write_repro repro r;
+      Validate.Shrink.write_repro repro r;
       let summary =
         Printf.sprintf
           "{\n\
@@ -213,42 +214,43 @@ let selftest_shrink dir =
           \  \"violations\": %d,\n\
           \  \"runs\": %d\n\
            }\n"
-          r.Sim.Shrink.check flows faults
-          r.Sim.Shrink.config.Sim.Network.duration r.Sim.Shrink.violations
-          r.Sim.Shrink.runs
+          r.Validate.Shrink.check flows faults
+          r.Validate.Shrink.config.Sim.Network.duration
+          r.Validate.Shrink.violations r.Validate.Shrink.runs
       in
       Runner.Cache.write_atomic (Filename.concat dir "shrink.json") summary;
-      print_endline (Sim.Shrink.describe r);
+      print_endline (Validate.Shrink.describe r);
       Printf.printf "selftest-shrink: reproducer written to %s\n" repro;
       let ok =
         flows <= 2 && faults <= 1
-        && List.mem_assoc r.Sim.Shrink.check before
+        && List.mem_assoc r.Validate.Shrink.check before
       in
       if not ok then begin
         Printf.eprintf
           "selftest-shrink: FAILED (flows=%d faults=%d check=%s)\n" flows
-          faults r.Sim.Shrink.check;
+          faults r.Validate.Shrink.check;
         exit 1
       end;
       print_endline "selftest-shrink: OK"
 
 let replay file =
-  match Sim.Shrink.load_repro file with
-  | exception Sim.Shrink.Incompatible msg ->
+  match Validate.Shrink.load_repro file with
+  | exception Validate.Shrink.Incompatible msg ->
       Printf.eprintf "replay: cannot load %s: %s\n" file msg;
       exit 1
   | r ->
-      let tally = Sim.Shrink.trips r.Sim.Shrink.config in
+      let tally = Validate.Shrink.trips r.Validate.Shrink.config in
       List.iter
         (fun (check, n) -> Printf.printf "replay: trips %s x%d\n" check n)
         tally;
-      if List.mem_assoc r.Sim.Shrink.check tally then begin
-        Printf.printf "replay: reproducer still trips %s\n" r.Sim.Shrink.check;
+      if List.mem_assoc r.Validate.Shrink.check tally then begin
+        Printf.printf "replay: reproducer still trips %s\n"
+          r.Validate.Shrink.check;
         exit 0
       end
       else begin
         Printf.eprintf "replay: reproducer no longer trips %s\n"
-          r.Sim.Shrink.check;
+          r.Validate.Shrink.check;
         exit 1
       end
 
@@ -267,10 +269,7 @@ let fuzz ~seed ~n ~cache_dir =
     (List.length report.Validate.Fuzz.violations)
     (Unix.gettimeofday () -. t0);
   let subdir = Filename.concat cache_dir (Printf.sprintf "fuzz-%d" seed) in
-  (try Unix.mkdir cache_dir 0o755
-   with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
-  (try Unix.mkdir subdir 0o755
-   with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
+  Runner.Cache.mkdir_p subdir;
   Runner.Cache.write_atomic
     (Filename.concat subdir "report.json")
     (Validate.Fuzz.report_to_json report);
@@ -296,6 +295,9 @@ let export ~dir ~quick =
   | Ok paths -> List.iter (Printf.printf "wrote %s\n") paths
   | Error msg | (exception Sys_error msg) ->
       prerr_endline ("repro: export: " ^ msg);
+      exit 1
+  | exception Unix.Unix_error (err, _, path) ->
+      prerr_endline ("repro: export: " ^ path ^ ": " ^ Unix.error_message err);
       exit 1
 
 (* --------------------------------------------------------------------- *)

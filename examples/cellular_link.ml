@@ -1,30 +1,47 @@
-(* Cellular-style trace replay: the Mahimahi workflow.
+(* Cellular-style bursty link: the §6.5 "strong model" as a demo.
 
    The paper's §2.1 names cellular links (tens of milliseconds of delay
-   variation) among the jitter sources that defeat delay-convergent CCAs.
-   This example replays a synthetic bursty opportunity trace — the same
-   abstraction Mahimahi's mm-link uses for recorded cellular traces — and
-   compares how the CCA families fare on it.
+   variation) among the jitter sources that defeat delay-convergent CCAs,
+   and its §6.5 strong model lets the bottleneck rate be an arbitrary
+   function of time.  This example builds such a rate — fast and slow
+   regimes, 5x apart, with random dwell times — as a piecewise-constant
+   link and compares how the CCA families fare on it.
 
    Run with: dune exec examples/cellular_link.exe *)
 
+(* Alternate fast and slow regimes, [burstiness] times apart, each
+   lasting 0.1-0.4 s; the two rates average to [mean_rate]. *)
+let bursty_rate ~rng ~mean_rate ~burstiness ~duration =
+  let fast = mean_rate *. 2. *. burstiness /. (1. +. burstiness)
+  and slow = mean_rate *. 2. /. (1. +. burstiness) in
+  let rec regimes t in_fast acc =
+    if t >= duration then Array.of_list (List.rev acc)
+    else
+      let dwell = Sim.Rng.uniform rng ~lo:0.1 ~hi:0.4 in
+      regimes (t +. dwell) (not in_fast)
+        ((t, if in_fast then fast else slow) :: acc)
+  in
+  Sim.Link.Piecewise (regimes 0. true [])
+
 let () =
-  let mean_rate = Sim.Units.mbps 12. in
+  let duration = 30. and t0 = 10. (* measure after the start-up *) in
+  let rate =
+    bursty_rate ~rng:(Sim.Rng.create ~seed:11) ~mean_rate:(Sim.Units.mbps 12.)
+      ~burstiness:5. ~duration
+  in
+  let mean_rate = Sim.Link.mean_rate rate ~t0 ~t1:duration in
   let rm = Sim.Units.ms 40. in
   let run name make_cca =
-    (* A fresh but identically-seeded trace per run: same link for all. *)
-    let trace =
-      Sim.Link.cellular_trace ~rng:(Sim.Rng.create ~seed:11) ~period:2. ~mean_rate
-        ~burstiness:5. ()
-    in
     let net =
       Sim.Network.run_config
-        (Sim.Network.config ~rate:trace ~buffer:(120 * 1500) ~rm ~duration:30.
+        (Sim.Network.config ~rate ~buffer:(120 * 1500) ~rm ~duration
            [ Sim.Network.flow (make_cca ()) ])
     in
-    let x = (Sim.Network.throughputs net ()).(0) in
+    let x = Sim.Network.throughput net ~flow:0 ~t0 ~t1:duration in
     let f = (Sim.Network.flows net).(0) in
-    let rtts = Sim.Series.window_values (Sim.Flow.rtt_series f) ~t0:10. ~t1:30. in
+    let rtts =
+      Sim.Series.window_values (Sim.Flow.rtt_series f) ~t0 ~t1:duration
+    in
     let p95 =
       if Array.length rtts = 0 then nan else Sim.Stats.percentile rtts 95.
     in
@@ -33,8 +50,10 @@ let () =
       (x /. mean_rate)
       (Sim.Units.to_ms p95)
   in
-  Printf.printf "Synthetic cellular link: %.0f Mbit/s average, 5x bursty, Rm = 40 ms\n\n"
-    (Sim.Units.to_mbps mean_rate);
+  Printf.printf
+    "Bursty cellular-style link: %.1f Mbit/s average over %.0f-%.0f s, \
+     5x bursty, Rm = 40 ms\n\n"
+    (Sim.Units.to_mbps mean_rate) t0 duration;
   run "reno" (fun () -> Reno.make ());
   run "cubic" (fun () -> Cubic.make ());
   run "vegas" (fun () -> Vegas.make ());

@@ -110,10 +110,3 @@ let alg1 (p : Alg1.params) =
   }
 
 let sweep curve ~rates ~rm = List.map (fun r -> (r, curve.band ~rate:r ~rm)) rates
-
-let empirical_sweep ~make_cca ~rates ~rm ?duration ?seed () =
-  List.map
-    (fun rate ->
-      let m = Convergence.measure ~make_cca ~rate ~rm ?duration ?seed () in
-      (rate, { d_min = m.Convergence.d_min; d_max = m.Convergence.d_max }))
-    rates

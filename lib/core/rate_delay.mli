@@ -44,13 +44,3 @@ val alg1 : Alg1.params -> curve
 val sweep :
   curve -> rates:float list -> rm:float -> (float * band) list
 (** Evaluate the analytic curve over a rate grid — the Figure 3 series. *)
-
-val empirical_sweep :
-  make_cca:(unit -> Cca.t) ->
-  rates:float list ->
-  rm:float ->
-  ?duration:float ->
-  ?seed:int ->
-  unit ->
-  (float * band) list
-(** Measured bands via {!Convergence.measure} over the same grid. *)

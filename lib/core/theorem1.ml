@@ -299,28 +299,3 @@ let run ~make_cca ~rm ~s ~f ~lambda0 ?epsilon ?phase2_duration ?single_duration 
     (search ~make_cca ~rm ~s ~f ~lambda0 ?epsilon ?phase2_duration ?single_duration
        ?seed ())
     (construct ?construction)
-
-let pp_outcome ppf (o : outcome) =
-  Format.fprintf ppf
-    "@[<v>Theorem 1 construction:@,\
-    \  C1 = %.2f Mbit/s, C2 = %.2f Mbit/s (C2/C1 = %.1f)@,\
-    \  d_max(C1) = %.3f ms, d_max(C2) = %.3f ms (gap %.4f ms)@,\
-    \  delta_max = %.4f ms, epsilon = %.4f ms, D = %.4f ms@,\
-    \  analytic eta in [%.4f, %.4f] ms, violations %d/%d@,\
-    \  runtime jitter clamps: %d (after settle: %d), max emulation error %.4f ms@,\
-    \  throughput: x1 = %.3f Mbit/s, x2 = %.3f Mbit/s, ratio = %.1f (target s = %.1f)@,\
-    \  starved: %b@]"
-    (Sim.Units.to_mbps o.pair.Pigeonhole.c1)
-    (Sim.Units.to_mbps o.pair.Pigeonhole.c2)
-    (o.pair.Pigeonhole.c2 /. o.pair.Pigeonhole.c1)
-    (Sim.Units.to_ms o.pair.Pigeonhole.m1.Convergence.d_max)
-    (Sim.Units.to_ms o.pair.Pigeonhole.m2.Convergence.d_max)
-    (Sim.Units.to_ms o.pair.Pigeonhole.gap)
-    (Sim.Units.to_ms o.delta_max) (Sim.Units.to_ms o.epsilon)
-    (Sim.Units.to_ms o.big_d)
-    (Sim.Units.to_ms o.analytic.Emulation.eta_min)
-    (Sim.Units.to_ms o.analytic.Emulation.eta_max)
-    o.analytic.Emulation.violations o.analytic.Emulation.samples
-    o.runtime_violations o.settled_violations
-    (Sim.Units.to_ms o.max_emulation_error) (Sim.Units.to_mbps o.x1)
-    (Sim.Units.to_mbps o.x2) o.ratio o.target_s o.starved

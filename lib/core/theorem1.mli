@@ -111,8 +111,6 @@ val run :
   (outcome, string) result
 (** {!search} then {!construct}. *)
 
-val pp_outcome : Format.formatter -> outcome -> unit
-
 (** {2 Trajectory helpers} (shared with the Theorem 2/3 constructions) *)
 
 val by_send_time : Sim.Series.t -> Sim.Series.t

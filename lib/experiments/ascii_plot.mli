@@ -20,6 +20,3 @@ val render :
 val render_series :
   ?width:int -> ?height:int -> ?title:string -> string * Sim.Series.t -> string
 (** Convenience wrapper for one recorded {!Sim.Series.t}. *)
-
-val markers : char array
-(** Marker characters, cycled across series in order. *)

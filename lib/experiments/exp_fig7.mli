@@ -15,8 +15,6 @@ type result = {
   cwnd_normal : Sim.Series.t;
 }
 
-val run_one : make_cca:(unit -> Cca.t) -> name:string -> duration:float -> result
-
 val run : ?quick:bool -> unit -> Report.row list
 
 val series : ?quick:bool -> unit -> result list

@@ -1,3 +1,4 @@
+(* Throughputs, bytes/s. *)
 type outcome = {
   fifo_copa : float;
   fifo_blast : float;

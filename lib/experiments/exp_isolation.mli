@@ -12,12 +12,4 @@
     signal reflects only its own backlog: it takes its half of the link
     regardless of the blaster. *)
 
-type outcome = {
-  fifo_copa : float;  (** Copa's throughput under FIFO, bytes/s *)
-  fifo_blast : float;
-  drr_copa : float;
-  drr_blast : float;
-}
-
-val measure : ?quick:bool -> unit -> outcome
 val run : ?quick:bool -> unit -> Report.row list

@@ -21,6 +21,3 @@ val run : ?quick:bool -> unit -> Report.row list
 val outcome : ?quick:bool -> unit -> (Core.Theorem1.outcome, string) result
 (** The raw FAST construction result (trajectories, d*, probe list) for
     plotting. *)
-
-val ledbat_outcome : unit -> (Core.Theorem1.outcome, string) result
-(** The LEDBAT variant of the construction (always full-size). *)

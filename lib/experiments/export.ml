@@ -25,7 +25,7 @@ let series_to_rows ?(stride = 1) s =
   List.rev !rows
 
 let figures ~dir ~quick =
-  if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
+  Runner.Cache.mkdir_p dir;
   let written = ref [] in
   let emit_cells name cols rows =
     let path = Filename.concat dir (name ^ ".csv") in

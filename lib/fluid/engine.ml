@@ -1,7 +1,7 @@
 (* Fixed-step discretised fluid simulation of n flows on one bottleneck.
 
    Each step of length dt:
-   - every active flow observes delay = rm + extra_rm + q/C + jitter(t)
+   - every active flow observes delay = rm + q/C + jitter(t)
      and offers rate * dt bytes, where rate = cwnd / delay
      (self-clocking: the window spread over the observed RTT);
    - arrivals are clipped by the free room buffer + C*dt - q; the
@@ -14,31 +14,26 @@
    - a flow whose last epoch started one observed-RTT ago advances its
      CCA state via the law's per-RTT update.
 
-   The engine keeps an exact byte ledger (offered = accepted + dropped;
-   accepted + initial queue = served + final queue, up to float
-   rounding) that the fluid conservation oracle checks. *)
+   Flows are long-lived: each runs from its start time to the horizon.
+   The engine keeps an exact byte ledger (accepted + initial queue =
+   served + final queue, up to float rounding) that the fluid
+   conservation oracle checks. *)
 
 type flow_spec = {
   law : Ccac.Model.fluid;
   start_time : float;
-  extra_rm : float;
   jitter : float -> float;
-  size : float;
   mss : float;
 }
 
 (* NaN-safe: each test is written so that NaN fails it. *)
 let require fn ok what = if not ok then invalid_arg (fn ^ ": " ^ what)
 
-let flow ?(start_time = 0.) ?(extra_rm = 0.) ?(jitter = fun _ -> 0.)
-    ?(size = infinity) ?(mss = 1500.) law =
+let flow ?(start_time = 0.) ?(jitter = fun _ -> 0.) ?(mss = 1500.) law =
   let require = require "Fluid.Engine.flow" in
   require (Float.is_finite start_time) "start_time must be finite";
-  require (Float.is_finite extra_rm && extra_rm >= 0.)
-    "extra_rm must be finite and >= 0";
-  require (size > 0.) "size must be positive";
   require (Float.is_finite mss && mss > 0.) "mss must be finite and positive";
-  { law; start_time; extra_rm; jitter; size; mss }
+  { law; start_time; jitter; mss }
 
 type config = {
   rate : float;
@@ -77,7 +72,6 @@ type fstate = {
   spec : flow_spec;
   state : float array;
   mutable started : bool;
-  mutable finished : bool;
   mutable min_d : float;
   mutable last_d : float;
   mutable epoch_start : float;
@@ -85,11 +79,9 @@ type fstate = {
   mutable epoch_lost : bool;
   mutable offered : float;
   mutable accepted : float;
-  mutable dropped : float;
   mutable served : float;
   mutable counted : float;
   mutable t_start : float;
-  mutable t_end : float;  (* nan while running *)
 }
 
 type t = {
@@ -109,11 +101,11 @@ let fresh_fstate ~t0 spec =
   let st =
     { spec;
       state = spec.law.Ccac.Model.f_init ~mss:spec.mss;
-      started = false; finished = false;
+      started = false;
       min_d = infinity; last_d = infinity;
       epoch_start = t0; epoch_acked = 0.; epoch_lost = false;
-      offered = 0.; accepted = 0.; dropped = 0.; served = 0.; counted = 0.;
-      t_start = nan; t_end = nan }
+      offered = 0.; accepted = 0.; served = 0.; counted = 0.;
+      t_start = nan }
   in
   if spec.start_time <= t0 then begin
     st.started <- true;
@@ -133,8 +125,6 @@ let create cfg =
     measured_time = 0.;
     steps = 0 }
 
-let active f = f.started && not f.finished
-
 let step eng dt =
   let cfg = eng.cfg in
   let t = eng.now in
@@ -153,16 +143,12 @@ let step eng dt =
   let total_want = ref 0. in
   Array.iteri
     (fun i f ->
-      if active f then begin
-        let d = cfg.rm +. f.spec.extra_rm +. qd +. f.spec.jitter t in
+      if f.started then begin
+        let d = cfg.rm +. qd +. f.spec.jitter t in
         if d < f.min_d then f.min_d <- d;
         f.last_d <- d;
         let cwnd = f.spec.law.Ccac.Model.f_cwnd f.state in
         let w = cwnd /. d *. dt in
-        let w =
-          if f.spec.size = infinity then w
-          else Float.min w (Float.max 0. (f.spec.size -. f.accepted))
-        in
         eng.want.(i) <- w;
         total_want := !total_want +. w
       end
@@ -180,13 +166,11 @@ let step eng dt =
         let a = w *. scale in
         f.offered <- f.offered +. w;
         f.accepted <- f.accepted +. a;
-        f.dropped <- f.dropped +. (w -. a);
         if scale < 1. -. 1e-12 then f.epoch_lost <- true;
         eng.q <- eng.q +. a
       end)
     eng.fl;
-  (* Service, split in proportion to backlog (FIFO approximation).
-     Finished/stopped flows still drain whatever they have queued. *)
+  (* Service, split in proportion to backlog (FIFO approximation). *)
   let s_total = Float.min eng.q (cfg.rate *. dt) in
   if s_total > 0. then begin
     let backlog_total = ref eng.phantom in
@@ -215,22 +199,16 @@ let step eng dt =
       eng.q <- Float.max 0. (eng.q -. s_total)
     end
   end;
-  (* Per-RTT epochs and completions. *)
+  (* Per-RTT epochs. *)
   Array.iter
     (fun f ->
-      if active f then begin
-        if t' -. f.epoch_start >= f.last_d then begin
-          f.spec.law.Ccac.Model.f_update f.state ~mss:f.spec.mss
-            ~delay:f.last_d ~min_delay:f.min_d ~acked:f.epoch_acked
-            ~lost:f.epoch_lost;
-          f.epoch_start <- t';
-          f.epoch_acked <- 0.;
-          f.epoch_lost <- false
-        end;
-        if f.spec.size < infinity && f.served >= f.spec.size -. 1e-6 then begin
-          f.finished <- true;
-          f.t_end <- t'
-        end
+      if f.started && t' -. f.epoch_start >= f.last_d then begin
+        f.spec.law.Ccac.Model.f_update f.state ~mss:f.spec.mss
+          ~delay:f.last_d ~min_delay:f.min_d ~acked:f.epoch_acked
+          ~lost:f.epoch_lost;
+        f.epoch_start <- t';
+        f.epoch_acked <- 0.;
+        f.epoch_lost <- false
       end)
     eng.fl;
   if t >= cfg.measure_from then begin
@@ -253,7 +231,6 @@ let run_config cfg = run (create cfg)
 
 (* Accessors. *)
 
-let now eng = eng.now
 let steps eng = eng.steps
 let queue_bytes eng = eng.q
 
@@ -272,21 +249,17 @@ let set_flow_min_delay eng i d =
 let flow_delay eng i =
   let f = eng.fl.(i) in
   if f.last_d < infinity then f.last_d
-  else eng.cfg.rm +. f.spec.extra_rm +. (eng.q /. eng.cfg.rate)
+  else eng.cfg.rm +. (eng.q /. eng.cfg.rate)
 
 let flow_rate eng i = flow_cwnd eng i /. flow_delay eng i
 let served_bytes eng i = eng.fl.(i).served
 let counted_bytes eng i = eng.fl.(i).counted
-let offered_bytes eng i = eng.fl.(i).offered
-let dropped_bytes eng i = eng.fl.(i).dropped
-let completed eng i = eng.fl.(i).finished
 
 let goodput eng i =
   let f = eng.fl.(i) in
   if not f.started then 0.
   else
-    let t_end = if Float.is_nan f.t_end then eng.now else f.t_end in
-    let span = t_end -. f.t_start in
+    let span = eng.now -. f.t_start in
     if span <= 0. then 0. else f.served /. span
 
 let mean_queue_bytes eng =
@@ -301,9 +274,6 @@ let served_total eng =
 
 let offered_total eng =
   Array.fold_left (fun acc f -> acc +. f.offered) 0. eng.fl
-
-let dropped_total eng =
-  Array.fold_left (fun acc f -> acc +. f.dropped) 0. eng.fl
 
 (* |initial queue + accepted - served - final queue|: every accepted
    byte is either still queued or was served.  Dropped bytes never

@@ -4,11 +4,12 @@
     the buffer is full, queueing-delay feedback plus per-flow jitter).
 
     Per step of length [dt] each active flow observes
-    [delay = rm + extra_rm + q/C + jitter t], offers [cwnd/delay * dt]
+    [delay = rm + q/C + jitter t], offers [cwnd/delay * dt]
     bytes, arrivals are clipped by the free buffer room (the clipped
     fraction dropped proportionally and flagged as loss), the queue
     serves [min(q, C*dt)] split by backlog, and a flow whose epoch is
-    one observed RTT old runs its law's update.
+    one observed RTT old runs its law's update.  Flows are long-lived:
+    each runs from its start time to the horizon.
 
     Deterministic: a pure function of the config (jitter closures
     included).  The byte ledger is exact up to float rounding —
@@ -18,18 +19,15 @@ type flow_spec
 
 val flow :
   ?start_time:float ->
-  ?extra_rm:float ->
   ?jitter:(float -> float) ->
-  ?size:float ->
   ?mss:float ->
   Ccac.Model.fluid ->
   flow_spec
 (** [jitter] maps absolute sim time to the flow's non-congestive extra
-    delay (the model's D element); [size] in bytes ([infinity] = an
-    unbounded stream, the default).
+    delay (the model's D element).
     @raise Invalid_argument naming the field on a non-finite
-    [start_time], [extra_rm] not finite and >= 0, [size] not positive,
-    or [mss] not finite and positive.  NaN fails every check. *)
+    [start_time] or [mss] not finite and positive.  NaN fails every
+    check. *)
 
 type config = private {
   rate : float;  (** bottleneck, bytes/s *)
@@ -66,15 +64,13 @@ val create : config -> t
 (** Flows with [start_time <= t0] are active immediately (so the hybrid
     driver can seed their state before stepping). *)
 
-val run_until : t -> float -> unit
 val run : t -> t
 val run_config : config -> t
 
-val now : t -> float
 val steps : t -> int
 val queue_bytes : t -> float
 val mean_queue_bytes : t -> float
-(** Time-average of the queue from [measure_from] to [now]. *)
+(** Time-average of the queue from [measure_from] to the current time. *)
 
 val flow_cwnd : t -> int -> float
 val set_flow_cwnd : t -> int -> float -> unit
@@ -83,7 +79,6 @@ val set_flow_cwnd : t -> int -> float -> unit
 
 val flow_min_delay : t -> int -> float
 val set_flow_min_delay : t -> int -> float -> unit
-val flow_delay : t -> int -> float
 val flow_rate : t -> int -> float
 (** cwnd over the last observed delay — the paced-rate estimate handed
     to the packet backend at a fluid->packet switch. *)
@@ -92,9 +87,6 @@ val served_bytes : t -> int -> float
 val counted_bytes : t -> int -> float
 (** Bytes served after [measure_from]. *)
 
-val offered_bytes : t -> int -> float
-val dropped_bytes : t -> int -> float
-val completed : t -> int -> bool
 val goodput : t -> int -> float
 (** Served bytes over the flow's own active lifetime. *)
 
@@ -103,7 +95,7 @@ val served_total : t -> float
 (** Includes the phantom initial-queue bytes drained through the link. *)
 
 val offered_total : t -> float
-val dropped_total : t -> float
+(** Bytes the flows offered, dropped ones included. *)
 
 val conservation_error : t -> float
 (** [|initial_queue + accepted - served - queue|] in bytes: every

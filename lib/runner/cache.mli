@@ -39,3 +39,9 @@ val write_atomic : string -> string -> unit
     directory [fsync]) used for entries, and the one every other
     persisted artifact goes through: failure records, shrunk
     reproducers and the fuzz corpus. *)
+
+val mkdir_p : string -> unit
+(** Create a directory and any missing parents (mode [0o755]); a no-op
+    when it exists.  Every directory an artifact is written into is
+    made with it.
+    @raise Unix.Unix_error when a component cannot be created. *)

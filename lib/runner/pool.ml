@@ -9,34 +9,8 @@ type stats = {
 }
 
 exception Job_failed of { key : string; reason : string }
-exception Heap_ceiling_exceeded of { limit : int; reached : int }
-
-let () =
-  Printexc.register_printer (function
-    | Heap_ceiling_exceeded { limit; reached } ->
-        Some
-          (Printf.sprintf
-             "Pool.Heap_ceiling_exceeded(limit=%d words, reached=%d words)"
-             limit reached)
-    | _ -> None)
 
 let default_workers () = Domain.recommended_domain_count ()
-
-(* Major-GC alarm tripping a hard heap ceiling.  Raising from the alarm
-   unwinds whatever allocation site triggered the collection, which is
-   only safe to do in a disposable forked worker — the job is abandoned
-   as a deterministic failure (no retry), the worker keeps serving. *)
-let with_heap_ceiling limit f =
-  match limit with
-  | None -> f ()
-  | Some limit ->
-      let alarm =
-        Gc.create_alarm (fun () ->
-            let reached = (Gc.quick_stat ()).Gc.heap_words in
-            if reached > limit then
-              raise (Heap_ceiling_exceeded { limit; reached }))
-      in
-      Fun.protect ~finally:(fun () -> Gc.delete_alarm alarm) f
 
 (* ------------------------------------------------------------------ *)
 (* Length-prefixed Marshal frames over pipes                           *)
@@ -108,15 +82,14 @@ let with_stdout_captured f =
 
 type response = { r_idx : int; r_out : string; r_res : (bytes, string) result }
 
-let worker_loop ?heap_ceiling jobs req_r resp_w : unit =
+let worker_loop jobs req_r resp_w : unit =
   let rec loop () =
     match read_frame req_r with
     | None -> Unix._exit 0 (* parent closed the request pipe: done *)
     | Some frame ->
         let idx : int = Marshal.from_bytes frame 0 in
         let out, res =
-          with_stdout_captured (fun () ->
-              with_heap_ceiling heap_ceiling (fun () -> Job.force jobs.(idx)))
+          with_stdout_captured (fun () -> Job.force jobs.(idx))
         in
         let r_res =
           match res with
@@ -177,8 +150,7 @@ let run_serial ?cache ?(on_done = fun _ -> ()) jobs =
       resumed = 0;
     } )
 
-let run_parallel ~workers ~timeout ?cache ?heap_ceiling
-    ?(on_done = fun _ -> ()) jobs_list =
+let run_parallel ~workers ~timeout ?cache ?(on_done = fun _ -> ()) jobs_list =
   let jobs = Array.of_list jobs_list in
   let n = Array.length jobs in
   let results : (string * (bytes, string) result) option array =
@@ -228,7 +200,7 @@ let run_parallel ~workers ~timeout ?cache ?heap_ceiling
           List.iter close_quiet parent_fds;
           Unix.close req_w;
           Unix.close resp_r;
-          worker_loop ?heap_ceiling jobs req_r resp_w;
+          worker_loop jobs req_r resp_w;
           Unix._exit 1
       | pid ->
           Unix.close req_r;
@@ -351,13 +323,11 @@ let run_parallel ~workers ~timeout ?cache ?heap_ceiling
         finish ())
   end
 
-let run_results ?(workers = 1) ?timeout ?cache ?heap_ceiling_words ?on_done
-    jobs =
+let run_results ?(workers = 1) ?timeout ?cache ?on_done jobs =
   (match timeout with
   | Some t when not (t > 0. && Float.is_finite t) ->
       invalid_arg "Pool.run_results: timeout must be finite and > 0"
   | _ -> ());
   if workers <= 1 then run_serial ?cache ?on_done jobs
   else
-    run_parallel ~workers ~timeout ?cache ?heap_ceiling:heap_ceiling_words
-      ?on_done jobs
+    run_parallel ~workers ~timeout ?cache ?on_done jobs

@@ -42,11 +42,6 @@ exception Job_failed of { key : string; reason : string }
     callers that need every payload (the experiment registry) raise it
     for a job their supervision quarantined. *)
 
-exception Heap_ceiling_exceeded of { limit : int; reached : int }
-(** A job's major heap grew past the configured ceiling (in words).
-    Raised inside the worker by a GC alarm and surfaced to the caller as
-    that job's [Error] string — a deterministic failure, never retried. *)
-
 val default_workers : unit -> int
 (** Parallelism matching the machine (the runtime's recommended domain
     count). *)
@@ -55,18 +50,15 @@ val run_results :
   ?workers:int ->
   ?timeout:float ->
   ?cache:Cache.t ->
-  ?heap_ceiling_words:int ->
   ?on_done:(Job.t -> unit) ->
   Job.t list ->
   (string * (bytes, string) result) list * stats
 (** Per-job [(captured stdout, Ok payload | Error reason)] in job order,
     plus counters.  Total: every job yields a slot and the whole matrix
     always completes — one bad job cannot discard its siblings' finished
-    work.  [Error] covers a raising job (including
-    {!Heap_ceiling_exceeded}), a worker crash and a per-attempt
+    work.  [Error] covers a raising job, a worker crash and a per-attempt
     [timeout]; each job is attempted once.  [workers] defaults to [1]
-    (serial, in-process).  [timeout] (wall seconds) and
-    [heap_ceiling_words] (each job's major heap) are enforced only on
+    (serial, in-process).  [timeout] (wall seconds) is enforced only on
     forked workers ([workers >= 2]).  [on_done] fires in the parent the
     moment a job's result lands (cache hit or fresh execution, after any
     cache store) — {!Supervise} uses it to journal completions

@@ -1,21 +1,10 @@
 type policy = {
   max_attempts : int;
   deadline : float option;
-  heap_ceiling_words : int option;
-  backoff_base : float;
-  backoff_max : float;
   sleep : float -> unit;
 }
 
-let default_policy =
-  {
-    max_attempts = 3;
-    deadline = None;
-    heap_ceiling_words = None;
-    backoff_base = 0.05;
-    backoff_max = 2.0;
-    sleep = Unix.sleepf;
-  }
+let default_policy = { max_attempts = 3; deadline = None; sleep = Unix.sleepf }
 
 type attempt = { attempt : int; error : string }
 
@@ -24,13 +13,12 @@ type outcome =
   | Quarantined of { reason : string; history : attempt list }
 
 (* Deterministic jitter: spreads simultaneous retries without consulting
-   the clock, so a supervised run is replayable. *)
-let backoff policy ~key ~attempt =
+   the clock, so a supervised run is replayable.  The first retry waits
+   about 50 ms; the wait doubles per attempt up to a 2 s cap. *)
+let backoff ~key ~attempt =
   let frac = float_of_int (Hashtbl.hash (key, attempt) land 0xFFFF) /. 65536. in
-  Float.min policy.backoff_max
-    (policy.backoff_base
-    *. (2. ** float_of_int (attempt - 1))
-    *. (1. +. (0.5 *. frac)))
+  Float.min 2.0
+    (0.05 *. (2. ** float_of_int (attempt - 1)) *. (1. +. (0.5 *. frac)))
 
 (* ------------------------------------------------------------------ *)
 (* Resume journal                                                      *)
@@ -115,8 +103,7 @@ let failure_record_path cache key =
     (key_digest key ^ ".json")
 
 let write_failure_record cache ~key ~reason ~history =
-  let dir = Filename.concat (Cache.dir cache) "failures" in
-  (try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
+  Cache.mkdir_p (Filename.concat (Cache.dir cache) "failures");
   let attempts =
     history
     |> List.map (fun a ->
@@ -138,15 +125,6 @@ let write_failure_record cache ~key ~reason ~history =
 (* ------------------------------------------------------------------ *)
 (* Supervised execution                                                *)
 (* ------------------------------------------------------------------ *)
-
-let heap_ceiling_error reason =
-  (* Substring match on the registered printer's output: blowing the
-     heap ceiling is a property of the job, not of scheduling luck, so
-     retrying it would just burn the budget. *)
-  let needle = "Heap_ceiling_exceeded" in
-  let n = String.length needle and m = String.length reason in
-  let rec at i = i + n <= m && (String.sub reason i n = needle || at (i + 1)) in
-  at 0
 
 let run ?workers ?(policy = default_policy) ?cache ?journal jobs =
   if policy.max_attempts < 1 then
@@ -226,7 +204,7 @@ let run ?workers ?(policy = default_policy) ?cache ?journal jobs =
             List.fold_left
               (fun acc i ->
                 Float.max acc
-                  (backoff policy ~key:(Job.key jobs_arr.(i))
+                  (backoff ~key:(Job.key jobs_arr.(i))
                      ~attempt:attempt_count.(i)))
               0. idxs
           in
@@ -238,7 +216,6 @@ let run ?workers ?(policy = default_policy) ?cache ?journal jobs =
            must leave breadcrumbs for every job that actually finished. *)
         let results, stats =
           Pool.run_results ?workers ?timeout:policy.deadline ?cache
-            ?heap_ceiling_words:policy.heap_ceiling_words
             ~on_done:(fun j -> journal_done (Job.key j))
             wave_jobs
         in
@@ -254,9 +231,7 @@ let run ?workers ?(policy = default_policy) ?cache ?journal jobs =
                 history.(i) <-
                   { attempt = attempt_count.(i); error = reason }
                   :: history.(i);
-                if heap_ceiling_error reason then
-                  quarantine i ("heap ceiling exceeded: " ^ reason)
-                else if attempt_count.(i) >= policy.max_attempts then
+                if attempt_count.(i) >= policy.max_attempts then
                   quarantine i
                     (Printf.sprintf "failed %d attempt(s), last: %s"
                        attempt_count.(i) reason)

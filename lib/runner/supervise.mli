@@ -1,5 +1,5 @@
-(** Supervised job execution: deadlines, heap ceilings, retries with
-    backoff, quarantine, failure records and crash-resume.
+(** Supervised job execution: deadlines, retries with backoff,
+    quarantine, failure records and crash-resume.
 
     This is the runner's only retry loop: {!Pool.run_results} attempts
     each job once, and a supervised run drives it in waves through a
@@ -9,9 +9,8 @@
                         \-> retrying (capped exponential backoff + jitter)
                         \-> quarantined v}
 
-    Failures are retried up to [max_attempts] total attempts — except a
-    blown heap ceiling, which is deterministic and quarantines
-    immediately.  Quarantined jobs never poison their siblings: the rest
+    Failures are retried up to [max_attempts] total attempts.
+    Quarantined jobs never poison their siblings: the rest
     of the matrix completes and the caller decides what a quarantine
     means.  Each quarantine leaves a structured failure record
     ([<cache>/failures/<md5(key)>.json]: key, final reason, attempt
@@ -26,11 +25,6 @@
 type policy = {
   max_attempts : int;  (** total attempts before quarantine (default 3) *)
   deadline : float option;  (** per-attempt wall-clock seconds (workers only) *)
-  heap_ceiling_words : int option;
-      (** per-job major-heap bound (workers only); exceeding it
-          quarantines without retry *)
-  backoff_base : float;  (** first retry delay, seconds (default 0.05) *)
-  backoff_max : float;  (** backoff cap, seconds (default 2.0) *)
   sleep : float -> unit;
       (** injectable for tests; default [Unix.sleepf].  Called once per
           retry wave with the largest backoff owed in that wave. *)
@@ -38,10 +32,10 @@ type policy = {
 
 val default_policy : policy
 
-val backoff : policy -> key:string -> attempt:int -> float
-(** [min backoff_max (base * 2^(attempt-1) * (1 + 0.5 * jitter))] with
-    deterministic per-(key, attempt) jitter in [0, 1) — replayable, no
-    clock involved. *)
+val backoff : key:string -> attempt:int -> float
+(** Seconds to wait before retrying: [min 2 (0.05 * 2^(attempt-1) *
+    (1 + 0.5 * jitter))] with deterministic per-(key, attempt) jitter in
+    [0, 1) — replayable, no clock involved. *)
 
 type attempt = { attempt : int; error : string }
 
@@ -49,6 +43,12 @@ type outcome =
   | Done of { out : string; payload : bytes }
   | Quarantined of { reason : string; history : attempt list }
       (** [history] is oldest-first *)
+
+val json_escape : string -> string
+(** The body of a JSON string literal holding [s]: quotes, backslashes,
+    [\n], [\r], [\t] and other control bytes are escaped; every other
+    byte, UTF-8 included, is copied as is.  Failure records and the
+    validation reports share it. *)
 
 val failure_record_path : Cache.t -> string -> string
 (** Where the failure record for a job key would be written:

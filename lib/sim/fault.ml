@@ -98,10 +98,6 @@ let compile_rate p base =
             let r = ref (if Array.length segs > 0 then snd segs.(0) else 0.) in
             Array.iter (fun (t0, rt) -> if t0 <= t then r := rt) segs;
             !r
-      | Link.Opportunities _ ->
-          invalid_arg
-            "Fault.compile_rate: link-rate faults cannot overlay an \
-             Opportunities trace"
     in
     let nominal t =
       let stepped = ref None in

@@ -54,19 +54,13 @@ val none : plan
 val events : plan -> event list
 val is_empty : plan -> bool
 
-val blackouts : plan -> (float * float) list
-(** Blackout windows, sorted by start time. *)
-
 val buffer_events : plan -> (float * int option) list
 (** Buffer resizes, sorted by time. *)
 
 val compile_rate : plan -> Link.rate -> Link.rate
 (** Fold the plan's blackouts and rate steps into a service-rate
     schedule.  Returns the base rate unchanged when the plan carries no
-    link-rate faults.
-    @raise Invalid_argument if link-rate faults are combined with an
-    {!Link.Opportunities} trace (opportunity traces have no meaningful
-    piecewise overlay). *)
+    link-rate faults. *)
 
 (** {1 Runtime state}
 

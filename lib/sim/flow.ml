@@ -150,7 +150,6 @@ let rtt_series t =
 
 let degraded_count t = t.degraded
 let stall_probes t = t.stall_probes
-let size_bytes t = t.size_bytes
 let completed t = not (Float.is_nan t.tbl.Table.done_time.(t.ix))
 
 let completion_time t =

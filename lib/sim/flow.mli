@@ -130,9 +130,6 @@ val stall_probes : t -> int
     graceful-degradation path that recovers a flow from a collapsed
     window (e.g. after a link blackout ate every ACK). *)
 
-val size_bytes : t -> int option
-(** The sized flow's byte budget; [None] for the unbounded stream. *)
-
 val completed : t -> bool
 (** Whether a sized flow has finished (always [false] when unbounded). *)
 

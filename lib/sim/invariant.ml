@@ -49,6 +49,8 @@ let summary t =
       (String.concat ", "
          (List.map (fun (k, n) -> Printf.sprintf "%s x%d" k n) (by_check t)))
 
+(* Every rendered violation leads with the simulation time so logs from
+   monitored runs are greppable and sortable. *)
 let violation_to_string v =
   Printf.sprintf "[t=%.6f] %s: %s" v.time v.check v.detail
 

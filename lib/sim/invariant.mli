@@ -22,9 +22,6 @@ val create : ?max_recorded : int -> unit -> t
     their full detail; the total count and per-check tally are exact
     regardless. *)
 
-val record : t -> time:float -> check:string -> detail:string -> unit
-(** Record a violation directly. *)
-
 val check : t -> time:float -> name:string -> detail:(unit -> string) -> bool -> unit
 (** [check t ~time ~name ~detail cond] records a violation of [name] when
     [cond] is false.  [detail] is only forced on failure. *)
@@ -49,14 +46,10 @@ val summary : t -> string
     ["0 violations in 1200 checks"] or
     ["3 violations in 1200 checks: link-conservation x2, queue-bound x1"]. *)
 
-val violation_to_string : violation -> string
-(** ["[t=<sim time>] <check>: <detail>"] — every rendered violation leads
-    with the simulation time so logs from monitored runs are greppable
-    and sortable. *)
-
 val report : t -> string
-(** The {!summary} line followed by up to 20 recorded violations, one {!violation_to_string} per line, plus a
-    truncation marker when more were tallied than shown. *)
+(** The {!summary} line followed by up to 20 recorded violations, one
+    per line as ["[t=<sim time>] <check>: <detail>"], plus a truncation
+    marker when more were tallied than shown. *)
 
 val fold_state : Buffer.t -> t -> unit
 (** Append the counts and the per-check tally (sorted by check name) to a

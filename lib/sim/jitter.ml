@@ -62,7 +62,6 @@ let release_at t ~flow ~arrival ~sent =
   t.last_release.v <- release;
   release
 
-let bound t = t.bound
 let violations t = t.violations
 
 let fold_state buf t =

@@ -48,8 +48,6 @@ val release_at : t -> flow:int -> arrival:float -> sent:float -> float
     arguments are the {!request} fields; the record is built only for
     the [Controller] policy. *)
 
-val bound : t -> float
-
 val violations : t -> int
 (** Number of packets whose requested delay fell outside [0, bound] (the
     element clamped it).  The theorem checkers require this to stay 0. *)

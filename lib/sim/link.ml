@@ -1,17 +1,12 @@
 type rate =
   | Constant of float
   | Piecewise of (float * float) array
-  | Opportunities of { times : float array; period : float; bytes : int }
 
 type discipline = Fifo | Drr of { quantum : int }
 
 let rate_at spec time =
   match spec with
   | Constant r -> r
-  | Opportunities { times; period; bytes } ->
-      ignore time;
-      if period <= 0. then invalid_arg "Link.rate_at: non-positive period"
-      else float_of_int (Array.length times * bytes) /. period
   | Piecewise segs ->
       if Array.length segs = 0 then invalid_arg "Link.rate_at: empty piecewise rate";
       let rec search lo hi =
@@ -24,38 +19,10 @@ let rate_at spec time =
       let i = if time < fst segs.(0) then 0 else search 0 (Array.length segs - 1) in
       snd segs.(i)
 
-(* First opportunity strictly after [start] in a cyclic trace. *)
-let next_opportunity ~times ~period start =
-  let n = Array.length times in
-  if n = 0 || period <= 0. then infinity
-  else begin
-    let cycle = Float.floor (start /. period) in
-    let base = cycle *. period in
-    let offset = start -. base in
-    (* Binary search for the first trace time strictly greater. *)
-    let rec search lo hi =
-      if lo >= hi then lo
-      else
-        let mid = (lo + hi) / 2 in
-        if times.(mid) > offset then search lo mid else search (mid + 1) hi
-    in
-    let at i =
-      (* Index beyond this cycle wraps into the next one. *)
-      let k = i / n and j = i mod n in
-      base +. (float_of_int k *. period) +. times.(j)
-    in
-    (* [base +. times.(i)] can round back onto [start] when base is large;
-       skip forward until the result strictly advances, or the link serves
-       its whole backlog in zero time. *)
-    let rec first_after i = if at i > start then at i else first_after (i + 1) in
-    first_after (search 0 n)
-  end
-
 let transmit_end spec ~start ~bytes =
   let bytes = float_of_int bytes in
   match spec with
   | Constant r -> if r <= 0. then infinity else start +. (bytes /. r)
-  | Opportunities { times; period; bytes = _ } -> next_opportunity ~times ~period start
   | Piecewise segs ->
       let n = Array.length segs in
       if n = 0 then invalid_arg "Link.transmit_end: empty piecewise rate";
@@ -85,7 +52,6 @@ let mean_rate spec ~t0 ~t1 =
   else
     match spec with
     | Constant r -> r
-    | Opportunities _ -> rate_at spec 0.
     | Piecewise segs ->
         (* Exact integral of the step function over [t0, t1], divided by
            the window — no sampling error. *)
@@ -218,33 +184,6 @@ let rec sched_pop_drr sched =
           end
         end
     end
-
-let cellular_trace ~rng ~period ~mean_rate ~burstiness () =
-  let bytes = 1500 in
-  if burstiness < 1. then invalid_arg "Link.cellular_trace: burstiness must be >= 1";
-  let n_opportunities =
-    int_of_float (Float.round (mean_rate *. period /. float_of_int bytes))
-  in
-  (* Alternate fast/slow regimes with random dwell times; opportunity
-     spacing within a regime is 1/(regime rate). *)
-  let fast = 2. *. burstiness /. (1. +. burstiness) in
-  let slow = 2. /. (1. +. burstiness) in
-  let base_spacing = period /. float_of_int (max n_opportunities 1) in
-  let times = ref [] in
-  let t = ref 0. in
-  let in_fast = ref true in
-  let regime_left = ref 0. in
-  while !t < period do
-    if !regime_left <= 0. then begin
-      in_fast := not !in_fast;
-      regime_left := Rng.uniform rng ~lo:(0.05 *. period) ~hi:(0.2 *. period)
-    end;
-    let spacing = base_spacing /. (if !in_fast then fast else slow) in
-    times := !t :: !times;
-    t := !t +. spacing;
-    regime_left := !regime_left -. spacing
-  done;
-  Opportunities { times = Array.of_list (List.rev !times); period; bytes }
 
 (* All-float box: assigning the field is an unboxed store, unlike a
    mutable float field in the mixed record below (2 words per write). *)

@@ -12,13 +12,6 @@ type rate =
       (** [(t_i, r_i)] sorted by [t_i]; rate [r_i] applies from [t_i] until
           the next breakpoint.  [r_0] also applies before [t_0].  Rates may
           be 0 (the link pauses). *)
-  | Opportunities of { times : float array; period : float; bytes : int }
-      (** Mahimahi-style trace replay: one delivery opportunity of up to
-          [bytes] at each [times.(i) + k * period] for k = 0, 1, ... —
-          [times] sorted, all within [0, period).  A packet departs at the
-          first unused opportunity at or after its service turn; smaller
-          packets still consume a whole opportunity.  [rate_at] reports the
-          trace's average rate. *)
 
 (** Queue scheduling discipline. *)
 type discipline =
@@ -31,24 +24,12 @@ val rate_at : rate -> float -> float
 
 val transmit_end : rate -> start:float -> bytes:int -> float
 (** Time at which a transmission of [bytes] beginning at [start] completes;
-    [infinity] if the remaining rate trace cannot carry the bytes.  For
-    [Opportunities] this is the first opportunity strictly after [start]
-    (each serves one packet regardless of [bytes]). *)
+    [infinity] if the remaining rate trace cannot carry the bytes. *)
 
 val mean_rate : rate -> t0:float -> t1:float -> float
 (** Time-average of the rate over [t0, t1].  Exact piecewise integral for
-    [Piecewise] (no sampling error); the constant for [Constant]; the
-    trace's whole-period average for [Opportunities] (matching [rate_at]).
-    Falls back to [rate_at t0] when [t1 <= t0]. *)
-
-val cellular_trace :
-  rng:Rng.t -> period:float -> mean_rate:float -> burstiness:float -> unit ->
-  rate
-(** Synthesize an [Opportunities] trace resembling a cellular link: the
-    opportunity process alternates between fast and slow regimes with
-    random dwell times, averaging [mean_rate] bytes/s over [period]; each
-    opportunity carries 1500 bytes.  [burstiness] >= 1 is the fast/slow
-    rate ratio (1 = smooth). *)
+    [Piecewise] (no sampling error); the constant for [Constant].  Falls
+    back to [rate_at t0] when [t1 <= t0]. *)
 
 type t
 

@@ -102,7 +102,7 @@ let config ~rate ?buffer ?ecn_threshold ?(discipline = Link.Fifo) ~rm
   (match rate with
   | Link.Constant r when not (Float.is_finite r && r > 0.) ->
       fail "rate" "Constant rate must be finite and positive"
-  | Link.Constant _ | Link.Piecewise _ | Link.Opportunities _ -> ());
+  | Link.Constant _ | Link.Piecewise _ -> ());
   if not (Float.is_finite duration && duration > 0.) then
     fail "duration" "must be finite and positive";
   if not (Float.is_finite rm && rm >= 0.) then
@@ -767,7 +767,6 @@ let state_hash t = Statebuf.digest fold_state t
 let run_to t time =
   if Float.is_nan time then invalid_arg "Network.run_to: time is NaN";
   Event_queue.run_until t.eq (Float.min time (horizon t))
-let force_audit t = t.audit ()
 
 let run t =
   Event_queue.run_until t.eq (horizon t);

@@ -196,11 +196,6 @@ val delay_line_fallbacks : t -> int
     future policy) broke monotonicity and the simulator quietly paid
     the per-packet cost for those packets — results stay correct. *)
 
-val force_audit : t -> unit
-(** Run one invariant audit right now (a no-op without [monitor_period]).
-    Lets tests and oracles check the conservation identities at an
-    arbitrary instant instead of waiting for the next periodic tick. *)
-
 val invariant : t -> Invariant.t option
 (** The runtime invariant monitor; [None] unless [monitor_period] was
     given.  Checks run: event-clock monotonicity, link byte conservation

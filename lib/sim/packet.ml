@@ -29,7 +29,3 @@ let fold_state buf p =
   Statebuf.i buf p.delivered_at_send;
   Statebuf.b buf p.app_limited;
   Statebuf.b buf p.ce
-
-let pp ppf p =
-  Format.fprintf ppf "pkt[flow=%d seq=%d size=%d sent=%.6f]" p.flow p.seq p.size
-    p.sent_at

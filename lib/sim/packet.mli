@@ -28,5 +28,3 @@ val dummy : t
 val fold_state : Buffer.t -> t -> unit
 (** Append every field to a {!Statebuf} encoding — part of
     {!Network.state_hash}. *)
-
-val pp : Format.formatter -> t -> unit

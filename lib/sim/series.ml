@@ -8,9 +8,7 @@ type t = {
 let create ?(name = "") () =
   { series_name = name; times = [||]; values = [||]; len = 0 }
 
-let name t = t.series_name
 let length t = t.len
-let is_empty t = t.len = 0
 
 let grow t =
   let cap = max 16 (2 * Array.length t.times) in
@@ -32,12 +30,6 @@ let add t ~time v =
 
 let times t = Array.sub t.times 0 t.len
 let values t = Array.sub t.values 0 t.len
-
-let to_list t =
-  let rec build i acc =
-    if i < 0 then acc else build (i - 1) ((t.times.(i), t.values.(i)) :: acc)
-  in
-  build (t.len - 1) []
 
 let last t = if t.len = 0 then None else Some (t.times.(t.len - 1), t.values.(t.len - 1))
 let first t = if t.len = 0 then None else Some (t.times.(0), t.values.(0))

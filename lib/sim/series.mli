@@ -9,9 +9,7 @@
 type t
 
 val create : ?name:string -> unit -> t
-val name : t -> string
 val length : t -> int
-val is_empty : t -> bool
 
 val add : t -> time:float -> float -> unit
 (** @raise Invalid_argument if [time] decreases. *)
@@ -21,8 +19,6 @@ val values : t -> float array
 (** [times] and [values] each return a fresh O(n) copy of the whole
     series, so a caller that indexes samples in a loop must read the array
     once before the loop, never once per sample. *)
-
-val to_list : t -> (float * float) list
 
 val last : t -> (float * float) option
 val first : t -> (float * float) option

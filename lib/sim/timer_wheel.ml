@@ -21,11 +21,14 @@
    (~9.5 simulated hours at the default 1 us granularity); anything
    beyond answers [Far] and lives in the caller's overflow heap. *)
 
+(* 5 bits: 32 slots per level, so occupancy bitmaps are plain ints. *)
 let slot_bits = 5
 let slots_per_level = 1 lsl slot_bits
 let slot_mask = slots_per_level - 1
 let levels = 7
 let nslots = levels * slots_per_level
+
+(* 32^levels: ticks representable before [add] answers [Far]. *)
 let horizon_ticks = 1 lsl (slot_bits * levels)
 
 type placement = Placed | Due | Far
@@ -78,8 +81,6 @@ let create ?(granularity = 1e-6) ~start ~move ~due () =
   }
 
 let size t = t.size
-let granularity t = t.g
-let cursor t = t.cursor
 
 (* 5-bit group of the highest set bit of [diff]; requires
    0 < diff < horizon_ticks. *)
@@ -149,7 +150,6 @@ let remove t ~slot ~idx =
   if t.memo >= 0 && removed_tick = t.memo then t.memo <- -1
 
 let time_at t ~slot ~idx = t.times.(slot).(idx)
-let seq_at t ~slot ~idx = t.seqs.(slot).(idx)
 
 let next_tick t =
   if t.memo >= 0 then t.memo

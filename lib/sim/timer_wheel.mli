@@ -31,14 +31,8 @@
 
 type t
 
-val slot_bits : int
-(** 5: slots per level = 32, so occupancy bitmaps are plain [int]s. *)
-
 val slots_per_level : int
 val levels : int
-
-val horizon_ticks : int
-(** [32^levels]: ticks representable before [add] answers [Far]. *)
 
 type placement =
   | Placed  (** stored in the wheel; [move] was called with its location *)
@@ -64,17 +58,11 @@ val create :
 val size : t -> int
 (** Entries currently stored in the wheel (excludes [Due]/[Far]). *)
 
-val granularity : t -> float
-
 val tick_of : t -> float -> int
 (** The discretisation used for every placement decision:
     [floor (time / granularity)].  Exposed so the caller can compare
     overflow-heap times against wheel ticks in tick space (float
     products of tick * granularity could misorder by an ulp). *)
-
-val cursor : t -> int
-(** Current cursor tick.  Entries in the wheel all have
-    [tick > cursor]. *)
 
 val add : t -> time:float -> seq:int -> int -> placement
 (** O(1).  On [Placed], [move] has been called with the entry's
@@ -86,7 +74,6 @@ val remove : t -> slot:int -> idx:int -> unit
     callback. *)
 
 val time_at : t -> slot:int -> idx:int -> float
-val seq_at : t -> slot:int -> idx:int -> int
 
 val next_tick : t -> int
 (** Smallest tick among stored entries; O(1) amortised via an exact
@@ -95,10 +82,10 @@ val next_tick : t -> int
 
 val advance : t -> int -> unit
 (** [advance t target] moves the cursor to [target] (which must be
-    [> cursor t] and [<= next_tick t] when entries exist — the caller
-    advances to exactly the next pending tick), cascading higher-level
-    slots downward and emitting every entry with [tick = target] via
-    [due]. *)
+    above the current cursor tick and [<= next_tick t] when entries
+    exist — the caller advances to exactly the next pending tick),
+    cascading higher-level slots downward and emitting every entry with
+    [tick = target] via [due]. *)
 
 val fold_state : Buffer.t -> t -> unit
 (** Deterministic digest of cursor + stored [(time, seq)] pairs in

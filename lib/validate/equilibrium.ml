@@ -6,6 +6,9 @@ let mean_queue_bytes net ~t0 ~t1 =
   let series = Link.queue_series (Network.link net) in
   Series.integral series ~t0 ~t1 /. (t1 -. t0)
 
+(* Single Reno flow, 2% i.i.d. loss, a link fast enough that queueing is
+   negligible.  Judges measured goodput against the square-root law
+   evaluated at the measured mean RTT. *)
 let reno_loss_law ?(seed = 7) () =
   let p = 0.02 in
   let rate = Units.mbps 100. in
@@ -37,6 +40,8 @@ let reno_loss_law ?(seed = 7) () =
       ();
   ]
 
+(* Single Vegas flow on an ideal path: the time-averaged standing queue
+   must sit within the alpha..beta-packet corridor. *)
 let vegas_standing_queue ?(seed = 7) () =
   let rate = Units.mbps 20. in
   let rm = Units.ms 40. in
@@ -64,6 +69,8 @@ let vegas_standing_queue ?(seed = 7) () =
       ();
   ]
 
+(* Single Copa flow on an ideal path: the time-averaged queueing delay
+   must sit within the oscillation band around mss / (delta * C). *)
 let copa_standing_queue ?(seed = 7) () =
   let rate = Units.mbps 20. in
   let rm = Units.ms 40. in

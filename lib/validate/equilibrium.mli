@@ -15,17 +15,4 @@
     except for Reno's Bernoulli loss, which is seeded) and reports
     {!Oracle.verdict}s. *)
 
-val reno_loss_law : ?seed:int -> unit -> Oracle.verdict list
-(** Single Reno flow, 2% i.i.d. loss, a link fast enough that queueing
-    is negligible.  Judges measured goodput against the square-root law
-    evaluated at the measured mean RTT. *)
-
-val vegas_standing_queue : ?seed:int -> unit -> Oracle.verdict list
-(** Single Vegas flow on an ideal path: the time-averaged standing queue
-    must sit within the [alpha..beta]-packet corridor. *)
-
-val copa_standing_queue : ?seed:int -> unit -> Oracle.verdict list
-(** Single Copa flow on an ideal path: the time-averaged queueing delay
-    must sit within the oscillation band around [mss / (delta * C)]. *)
-
 val all : ?seed:int -> unit -> Oracle.verdict list

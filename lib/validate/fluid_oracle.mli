@@ -8,38 +8,6 @@
     CCA's own oscillation band — the same sawtooth / alpha..beta slack
     the {!Equilibrium} oracles grant the packet simulator itself. *)
 
-type cca_kind = Reno | Copa | Vegas
-
-val kind_name : cca_kind -> string
-
-val agreement_kind :
-  ?seed:int ->
-  ?rate:float ->
-  ?rm:float ->
-  ?duration:float ->
-  cca_kind ->
-  Oracle.verdict list
-(** Run the same symmetric 2-flow scenario on both backends (Reno with
-    a 1-BDP drop-tail buffer, the delay CCAs unbounded) and judge:
-    equilibrium throughput ratio agreement, standing-queue agreement,
-    and the fluid run's byte conservation. *)
-
-val agreement :
-  ?seed:int -> ?rate:float -> ?rm:float -> ?duration:float -> unit ->
-  Oracle.verdict list
-(** {!agreement_kind} over Reno, Copa and Vegas. *)
-
-val conservation : scenario:string -> Fluid.Engine.t -> Oracle.verdict
-(** Per-link fluid byte-conservation:
-    [initial_queue + accepted = served + queue] within
-    [1 + 1e-6 * accepted] bytes of float rounding. *)
-
-val hybrid_conservation :
-  scenario:string -> Fluid.Hybrid.result -> Oracle.verdict
-(** Chained inflow/outflow/queue identity across all fluid and packet
-    segments; slack is one byte per fluid->packet handoff (queue
-    rounding) plus float rounding. *)
-
 val hybrid_threshold : ?duration:float -> unit -> Oracle.verdict list
 (** End-to-end hybrid run of the E14 threshold scenario at D far below
     and far above the Copa starvation threshold: conservation holds at
@@ -47,3 +15,6 @@ val hybrid_threshold : ?duration:float -> unit -> Oracle.verdict list
     min-RTT to survive the seams), the low-D run does not. *)
 
 val all : ?seed:int -> ?quick:bool -> unit -> Oracle.verdict list
+(** Fluid vs packet agreement on a symmetric 2-flow scenario for Reno,
+    Copa and Vegas (equilibrium throughput ratio, standing queue, the
+    fluid run's byte conservation), then the hybrid checks. *)

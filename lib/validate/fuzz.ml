@@ -205,20 +205,12 @@ let check_sample ~seed ~id () =
   in
   (conservation @ determinism @ rescale, summary)
 
-let rec mkdirs dir =
-  if dir <> "" && dir <> "." && dir <> "/" && not (Sys.file_exists dir) then begin
-    mkdirs (Filename.dirname dir);
-    try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ()
-  end
-
 let violation_to_json v =
-  let opt = function
-    | None -> "null"
-    | Some s -> "\"" ^ Oracle.json_escape s ^ "\""
-  in
+  let json_escape = Runner.Supervise.json_escape in
+  let opt = function None -> "null" | Some s -> "\"" ^ json_escape s ^ "\"" in
   Printf.sprintf
     {|{"id":%d,"summary":"%s","shrunk":%s,"repro":%s,"failing":%s}|}
-    v.id (Oracle.json_escape v.summary) (opt v.shrunk) (opt v.repro_path)
+    v.id (json_escape v.summary) (opt v.shrunk) (opt v.repro_path)
     (Oracle.list_to_json v.failing)
 
 let report_to_json r =
@@ -254,7 +246,7 @@ let run ?dir ?(log = fun _ -> ()) ~seed ~n () =
                   let subdir =
                     Filename.concat d (Printf.sprintf "fuzz-%d" seed)
                   in
-                  mkdirs subdir;
+                  Runner.Cache.mkdir_p subdir;
                   let path =
                     Filename.concat subdir
                       (Printf.sprintf "scenario-%d.repro.bin" id)
@@ -270,7 +262,7 @@ let run ?dir ?(log = fun _ -> ()) ~seed ~n () =
       | None -> ()
       | Some d ->
           let subdir = Filename.concat d (Printf.sprintf "fuzz-%d" seed) in
-          mkdirs subdir;
+          Runner.Cache.mkdir_p subdir;
           Runner.Cache.write_atomic
             (Filename.concat subdir (Printf.sprintf "scenario-%d.json" id))
             (violation_to_json v));

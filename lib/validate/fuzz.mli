@@ -14,7 +14,7 @@ type violation = {
   summary : string;  (** generated-scenario parameter digest line *)
   failing : Oracle.verdict list;
   shrunk : string option;
-      (** [Sim.Shrink.describe] of the minimized reproducer, when the
+      (** [Shrink.describe] of the minimized reproducer, when the
           violation trips the invariant monitor and shrinking succeeded *)
   repro_path : string option;  (** on-disk reproducer, when persisted *)
 }
@@ -25,13 +25,6 @@ type report = {
   verdicts_checked : int;
   violations : violation list;
 }
-
-val generate :
-  rng:Sim.Rng.t -> ?scale:int -> int -> Sim.Network.config * string
-(** Generate scenario [i]'s config and its one-line parameter summary.
-    [scale] (default 1) multiplies every byte-valued quantity — used by
-    the fuzzer's rescale metamorphic check.  Consumes the generator, so
-    pass a fresh labeled stream. *)
 
 val check_sample :
   seed:int -> id:int -> unit -> Oracle.verdict list * string
@@ -46,7 +39,7 @@ val run :
 (** Fuzz [n] scenarios.  For each violation: shrink (when the invariant
     monitor trips) and, when [dir] is given, persist
     [<dir>/fuzz-<seed>/scenario-<id>.json] (verdicts + summary) and
-    [.../scenario-<id>.repro.bin] (a {!Sim.Shrink} reproducer loadable
+    [.../scenario-<id>.repro.bin] (a {!Shrink} reproducer loadable
     by [repro --replay]).  [log] receives one progress line per
     violation.
     @raise Invalid_argument if [n < 0]. *)

@@ -3,6 +3,8 @@ open Sim
 type scenario = {
   name : string;
   deterministic : bool;
+      (* no random loss, no stochastic jitter: eligible for the
+         flow-permutation check *)
   nflows : int;
   build : scale:int -> shift:float -> permute:bool -> Network.config;
 }
@@ -37,6 +39,8 @@ let bbr ~scale () =
 
 let order ~permute flows = if permute then List.rev flows else flows
 
+(* Every scenario is fault-free and constant-rate, so every
+   transformation axis is well-defined. *)
 let matrix () =
   [
     {
@@ -160,6 +164,8 @@ let run_throughputs cfg =
   let net = Network.run_config cfg in
   Network.throughputs net ()
 
+(* The scenario's applicable checks: rescale and shift always,
+   permutation when deterministic with >= 2 flows. *)
 let verdicts scn =
   let base = run_throughputs (scn.build ~scale:1 ~shift:0. ~permute:false) in
   let rescale =

@@ -25,29 +25,10 @@
     - {b jitter monotonicity}: adding a larger constant ACK-path delay
       must not increase a single Reno flow's throughput. *)
 
-type scenario = {
-  name : string;
-  deterministic : bool;
-      (** no random loss, no stochastic jitter — eligible for the
-          flow-permutation check *)
-  nflows : int;
-  build : scale:int -> shift:float -> permute:bool -> Sim.Network.config;
-}
-
-val matrix : unit -> scenario list
-(** The 6-scenario matrix: Reno solo (with an initial phantom
-    queue), staggered Reno pair, Reno vs Vegas, Copa with delayed ACKs,
-    Cubic vs BBR under random loss, Vegas behind aggregated ACKs with
-    uniform jitter.  All fault-free and constant-rate so every
-    transformation axis is well-defined. *)
-
-val verdicts : scenario -> Oracle.verdict list
-(** Run the scenario's applicable checks (rescale and shift always;
-    permutation when deterministic with ≥ 2 flows). *)
-
-val jitter_monotonicity : unit -> Oracle.verdict list
-(** Single Reno flow with constant ACK-path delays 0 / 10 / 30 ms:
-    throughput must be non-increasing (5% slack). *)
-
 val all : unit -> Oracle.verdict list
-(** Every check on every matrix scenario, plus jitter monotonicity. *)
+(** Every check on a 6-scenario matrix (Reno solo with an initial
+    phantom queue, staggered Reno pair, Reno vs Vegas, Copa with
+    delayed ACKs, Cubic vs BBR under random loss, Vegas behind
+    aggregated ACKs with uniform jitter), plus jitter monotonicity: a
+    single Reno flow with constant ACK-path delays 0 / 10 / 30 ms must
+    not speed up (5% slack). *)

@@ -41,21 +41,6 @@ let to_string v =
     v.oracle v.scenario v.expected v.observed v.tolerance
     (if v.detail = "" then "" else " — " ^ v.detail)
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
 (* JSON has no NaN/infinity literals; encode them as strings. *)
 let json_float f =
   if Float.is_nan f then "\"nan\""
@@ -64,6 +49,7 @@ let json_float f =
   else Printf.sprintf "%.17g" f
 
 let to_json v =
+  let json_escape = Runner.Supervise.json_escape in
   Printf.sprintf
     {|{"oracle":"%s","scenario":"%s","expected":%s,"observed":%s,"tolerance":%s,"ok":%b,"detail":"%s"}|}
     (json_escape v.oracle) (json_escape v.scenario) (json_float v.expected)

@@ -42,11 +42,6 @@ val failures : verdict list -> verdict list
 val to_string : verdict -> string
 (** One line: PASS/FAIL, oracle, scenario, expected/observed/tolerance. *)
 
-val json_escape : string -> string
-(** The body of a JSON string literal holding [s]: quotes, backslashes,
-    [\n], [\t] and other control bytes are escaped; every other byte,
-    UTF-8 included, is copied as is. *)
-
 val to_json : verdict -> string
 (** Self-contained JSON object (no trailing newline). *)
 

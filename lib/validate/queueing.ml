@@ -28,11 +28,11 @@ let md1_default =
   { mm1_default with label = "md1-rho0.7"; deterministic_size = true }
 
 type measured = {
-  completed : int;
-  mean_sojourn : float;
-  sojourn_stderr : float;
-  mean_occupancy : float;
-  utilization : float;
+  completed : int;  (* packets fully served after warmup *)
+  mean_sojourn : float;  (* seconds in system (queue + service) *)
+  sojourn_stderr : float;  (* i.i.d. stderr of the mean, pre-inflation *)
+  mean_occupancy : float;  (* time-average packets in system post-warmup *)
+  utilization : float;  (* measured busy fraction of the link *)
 }
 
 let run ~rng spec =

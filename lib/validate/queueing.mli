@@ -39,19 +39,8 @@ val md1_default : spec
     (~21k arrivals) — tight enough bands to catch percent-level bias,
     small enough to run in every test suite invocation. *)
 
-type measured = {
-  completed : int;  (** packets fully served after warmup *)
-  mean_sojourn : float;  (** seconds in system (queue + service) *)
-  sojourn_stderr : float;  (** i.i.d. stderr of the mean, pre-inflation *)
-  mean_occupancy : float;  (** time-average packets in system post-warmup *)
-  utilization : float;  (** measured busy fraction of the link *)
-}
-
-val run : rng:Sim.Rng.t -> spec -> measured
-(** Simulate the open-loop scenario and measure.  Deterministic given
-    the generator's state. *)
-
 val verdicts : rng:Sim.Rng.t -> spec -> Oracle.verdict list
-(** Run and judge: mean sojourn and mean occupancy against the closed
+(** Simulate the open-loop scenario (deterministic given the generator's
+    state) and judge: mean sojourn and mean occupancy against the closed
     forms, plus a coarse utilization cross-check (observed busy fraction
     vs rho). *)

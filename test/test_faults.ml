@@ -91,22 +91,13 @@ let test_compile_rate_piecewise_base () =
   check_float "base restored" 1000. (Sim.Link.rate_at r 3.);
   check_float "base seg 1 survives" 4000. (Sim.Link.rate_at r 5.)
 
-let test_compile_rate_passthrough_and_opportunities () =
+let test_compile_rate_passthrough () =
   let base = Sim.Link.Constant 7. in
   Alcotest.(check bool) "no link faults -> base unchanged" true
     (Sim.Fault.compile_rate
        (Sim.Fault.plan [ Sim.Fault.Ack_blackhole { flow = 0; t0 = 0.; t1 = 1. } ])
        base
-    == base);
-  let opp = Sim.Link.Opportunities { times = [| 0. |]; period = 1.; bytes = 1500 } in
-  Alcotest.(check bool) "opportunities + blackout rejected" true
-    (try
-       ignore
-         (Sim.Fault.compile_rate
-            (Sim.Fault.plan [ Sim.Fault.Link_blackout { t0 = 0.; t1 = 1. } ])
-            opp);
-       false
-     with Invalid_argument _ -> true)
+    == base)
 
 let test_fault_runtime_drops () =
   let plan =
@@ -515,8 +506,7 @@ let () =
           Alcotest.test_case "compile steps" `Quick test_compile_rate_steps;
           Alcotest.test_case "compile piecewise base" `Quick
             test_compile_rate_piecewise_base;
-          Alcotest.test_case "passthrough and opportunities" `Quick
-            test_compile_rate_passthrough_and_opportunities;
+          Alcotest.test_case "passthrough" `Quick test_compile_rate_passthrough;
           Alcotest.test_case "runtime drops" `Quick test_fault_runtime_drops;
           Alcotest.test_case "runtime deterministic" `Quick
             test_fault_runtime_deterministic;

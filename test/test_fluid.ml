@@ -226,8 +226,8 @@ let test_census_config_rejects () =
 let test_constructors_reject () =
   let law = Ccac.Model.reno_fluid in
   let packet_cca ~cwnd:_ = Reno.make () in
-  let engine_flow ?start_time ?extra_rm ?size ?mss () =
-    ignore (Fluid.Engine.flow ?start_time ?extra_rm ?size ?mss law)
+  let engine_flow ?start_time ?mss () =
+    ignore (Fluid.Engine.flow ?start_time ?mss law)
   in
   let engine_config ?(rate = 1.25e6) ?buffer ?(rm = 0.04) ?dt ?t0
       ?measure_from ?initial_queue ?(duration = 1.) () =
@@ -260,11 +260,6 @@ let test_constructors_reject () =
     [
       (ef, "start_time", "nan", fun () -> engine_flow ~start_time:nan ());
       (ef, "start_time", "inf", fun () -> engine_flow ~start_time:infinity ());
-      (ef, "extra_rm", "nan", fun () -> engine_flow ~extra_rm:nan ());
-      (ef, "extra_rm", "inf", fun () -> engine_flow ~extra_rm:infinity ());
-      (ef, "extra_rm", "-1", fun () -> engine_flow ~extra_rm:(-1.) ());
-      (ef, "size", "nan", fun () -> engine_flow ~size:nan ());
-      (ef, "size", "0", fun () -> engine_flow ~size:0. ());
       (ef, "mss", "nan", fun () -> engine_flow ~mss:nan ());
       (ef, "mss", "inf", fun () -> engine_flow ~mss:infinity ());
       (ef, "mss", "0", fun () -> engine_flow ~mss:0. ());
@@ -304,10 +299,9 @@ let test_constructors_reject () =
       (hc, "window", "nan", fun () -> hybrid_config ~window:nan ());
       (hc, "window", "0", fun () -> hybrid_config ~window:0. ());
     ];
-  (* The boundaries stay legal: unbounded and empty buffers, an
-     unbounded size, a zero-length engine run, an unbounded jitter bound
-     and events outside the horizon. *)
-  engine_flow ~size:infinity ();
+  (* The boundaries stay legal: unbounded and empty buffers, a
+     zero-length engine run, an unbounded jitter bound and events
+     outside the horizon. *)
   engine_config ~buffer:infinity ~duration:0. ();
   engine_config ~buffer:0. ~t0:5. ~measure_from:0. ();
   hybrid_flow ~jitter_bound:infinity ();

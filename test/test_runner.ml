@@ -122,14 +122,8 @@ let test_job_exception_parallel () =
   check_exception_slot "t/raise-par" results
 
 (* No-sleep policy so retry tests don't wait out real backoff. *)
-let test_policy ?deadline ?heap_ceiling_words ?(max_attempts = 3) () =
-  {
-    Runner.Supervise.default_policy with
-    max_attempts;
-    deadline;
-    heap_ceiling_words;
-    sleep = (fun _ -> ());
-  }
+let test_policy ?deadline ?(max_attempts = 3) () =
+  { Runner.Supervise.max_attempts; deadline; sleep = (fun _ -> ()) }
 
 let test_crashed_worker_respawns () =
   (* The job SIGKILLs its own worker on the first attempt (marker file
@@ -445,41 +439,6 @@ let test_supervise_journal_resume () =
       Alcotest.(check int) "three resumed" 3 s3.Runner.Pool.resumed;
       Alcotest.(check int) "one recomputed" 1 s3.Runner.Pool.executed)
 
-let test_supervise_heap_ceiling_quarantines () =
-  (* The allocation bomb must run in a forked worker: the Gc alarm
-     raises at the end of a major collection in that process only. *)
-  let bomb =
-    Runner.Job.create ~key:"t/heap-bomb" (fun () ->
-        let acc = ref [] in
-        for _ = 1 to 200_000 do
-          acc := Bytes.create 1024 :: !acc
-        done;
-        List.length !acc)
-  in
-  let outcomes, stats =
-    Runner.Supervise.run ~workers:2
-      ~policy:(test_policy ~heap_ceiling_words:(4 * 1024 * 1024) ())
-      [ job 1; bomb ]
-  in
-  (match outcomes with
-  | [ Runner.Supervise.Done _;
-      Runner.Supervise.Quarantined { reason; history } ] ->
-      let mentions_ceiling =
-        let needle = "heap ceiling" in
-        let n = String.length needle and m = String.length reason in
-        let rec at i =
-          i + n <= m && (String.sub reason i n = needle || at (i + 1))
-        in
-        at 0
-      in
-      Alcotest.(check bool) "reason names the heap ceiling" true
-        mentions_ceiling;
-      Alcotest.(check int) "no retry of a deterministic failure" 1
-        (List.length history)
-  | _ -> Alcotest.fail "expected Done + Quarantined");
-  Alcotest.(check int) "quarantined" 1 stats.Runner.Pool.quarantined;
-  Alcotest.(check int) "not retried" 0 stats.Runner.Pool.retried
-
 (* The numeric parameters behind repro's --deadline, --max-attempts and
    --fuzz reject out-of-range values, NaN included, before any job runs,
    naming the parameter. *)
@@ -512,14 +471,13 @@ let test_numeric_arguments_rejected () =
     cases
 
 let test_supervise_backoff_deterministic () =
-  let p = Runner.Supervise.default_policy in
-  let b1 = Runner.Supervise.backoff p ~key:"k" ~attempt:1 in
-  let b1' = Runner.Supervise.backoff p ~key:"k" ~attempt:1 in
-  let b4 = Runner.Supervise.backoff p ~key:"k" ~attempt:4 in
+  let b1 = Runner.Supervise.backoff ~key:"k" ~attempt:1 in
+  let b1' = Runner.Supervise.backoff ~key:"k" ~attempt:1 in
+  let b4 = Runner.Supervise.backoff ~key:"k" ~attempt:4 in
   Alcotest.(check (float 0.)) "replayable" b1 b1';
   Alcotest.(check bool) "grows with attempts" true (b4 > b1);
-  Alcotest.(check bool) "capped" true
-    (Runner.Supervise.backoff p ~key:"k" ~attempt:30 <= p.backoff_max)
+  Alcotest.(check (float 0.)) "capped at 2 s" 2.0
+    (Runner.Supervise.backoff ~key:"k" ~attempt:30)
 
 (* ------------------------------------------------------------------ *)
 (* repro exit codes                                                    *)
@@ -537,6 +495,11 @@ let repro_exe = "../bin/repro.exe"
 let run_repro args =
   Sys.command (Printf.sprintf "%s %s >/dev/null 2>&1" repro_exe args)
 
+(* Absent when each row starts: the driver must create the missing
+   parents of every directory it writes into. *)
+let missing_parent = fresh_dir "repro_missing"
+let under_missing_parent = Filename.quote (Filename.concat missing_parent "b")
+
 (* (test name, arguments, expected exit code).  The flags act alike
    serially and on forked workers: every run is supervised. *)
 let exit_code_cases =
@@ -551,12 +514,26 @@ let exit_code_cases =
           0 );
       ])
     [ ("", ""); ("-j 2 ", " -j 2") ]
+  @ [
+      ( "replay of a missing file exits 1",
+        "--replay no-such-reproducer.bin",
+        1 );
+      ( "selftest-shrink makes parents",
+        "--selftest-shrink " ^ under_missing_parent,
+        0 );
+      ( "fuzz cache-dir makes parents",
+        "--fuzz 0 --cache-dir " ^ under_missing_parent,
+        0 );
+    ]
 
 let test_repro_exit_code (_, args, code) () =
   if not (Sys.file_exists repro_exe) then Alcotest.skip ()
   else
-    Alcotest.(check int) (Printf.sprintf "repro %s exits %d" args code) code
-      (run_repro args)
+    Fun.protect
+      ~finally:(fun () -> rm_rf missing_parent)
+      (fun () ->
+        Alcotest.(check int) (Printf.sprintf "repro %s exits %d" args code)
+          code (run_repro args))
 
 (* An out-of-range numeric flag is a command-line error: exit 124 with
    the flag named on stderr, not an uncaught exception (125), a matrix
@@ -719,8 +696,6 @@ let () =
             test_supervise_quarantine_and_failure_record;
           Alcotest.test_case "journal resume" `Quick
             test_supervise_journal_resume;
-          Alcotest.test_case "heap ceiling quarantines" `Quick
-            test_supervise_heap_ceiling_quarantines;
           Alcotest.test_case "backoff deterministic" `Quick
             test_supervise_backoff_deterministic;
           Alcotest.test_case "numeric arguments rejected" `Quick

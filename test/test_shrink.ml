@@ -7,7 +7,7 @@ let with_temp_file f =
 
 let expect_incompatible name f =
   match f () with
-  | exception Sim.Shrink.Incompatible _ -> ()
+  | exception Validate.Shrink.Incompatible _ -> ()
   | _ -> Alcotest.fail (name ^ ": expected Shrink.Incompatible")
 
 (* One flow violates its declared jitter bound (Uniform above the bound
@@ -30,24 +30,25 @@ let violating_config () =
     ]
 
 let test_shrink_minimizes () =
-  match Sim.Shrink.shrink (violating_config ()) with
+  match Validate.Shrink.shrink (violating_config ()) with
   | None -> Alcotest.fail "expected a violation to shrink"
   | Some r ->
       Alcotest.(check string) "same check survives" "jitter-bound"
-        r.Sim.Shrink.check;
+        r.Validate.Shrink.check;
       Alcotest.(check bool) "at most 2 flows" true
-        (List.length r.Sim.Shrink.config.Sim.Network.flows <= 2);
+        (List.length r.Validate.Shrink.config.Sim.Network.flows <= 2);
       Alcotest.(check bool) "at most 1 fault event" true
         (List.length
-           (Sim.Fault.events r.Sim.Shrink.config.Sim.Network.faults)
+           (Sim.Fault.events r.Validate.Shrink.config.Sim.Network.faults)
         <= 1);
       Alcotest.(check bool) "horizon shrank" true
-        (r.Sim.Shrink.config.Sim.Network.duration < 4.0);
-      Alcotest.(check bool) "still violates" true (r.Sim.Shrink.violations > 0);
+        (r.Validate.Shrink.config.Sim.Network.duration < 4.0);
+      Alcotest.(check bool) "still violates" true
+        (r.Validate.Shrink.violations > 0);
       (* The minimized config must remain runnable and still trip. *)
       Alcotest.(check bool) "reproducer re-trips" true
-        (List.mem_assoc r.Sim.Shrink.check
-           (Sim.Shrink.trips r.Sim.Shrink.config))
+        (List.mem_assoc r.Validate.Shrink.check
+           (Validate.Shrink.trips r.Validate.Shrink.config))
 
 let test_shrink_clean_config () =
   let clean () =
@@ -56,28 +57,28 @@ let test_shrink_clean_config () =
       [ Sim.Network.flow (Reno.make ()) ]
   in
   Alcotest.(check bool) "clean scenario does not shrink" true
-    (Sim.Shrink.shrink (clean ()) = None)
+    (Validate.Shrink.shrink (clean ()) = None)
 
 (* A reproducer file is the magic line, the writing binary's digest as
    32 hex characters, the payload's MD5 and the payload.  A load must
    reject a damaged envelope before Marshal sees the payload. *)
 let test_repro_file_roundtrip () =
   with_temp_file (fun path ->
-      match Sim.Shrink.shrink (violating_config ()) with
+      match Validate.Shrink.shrink (violating_config ()) with
       | None -> Alcotest.fail "expected a violation"
       | Some r ->
-          Sim.Shrink.write_repro path r;
-          let r' = Sim.Shrink.load_repro path in
-          Alcotest.(check string) "check survives disk" r.Sim.Shrink.check
-            r'.Sim.Shrink.check;
+          Validate.Shrink.write_repro path r;
+          let r' = Validate.Shrink.load_repro path in
+          Alcotest.(check string) "check survives disk" r.Validate.Shrink.check
+            r'.Validate.Shrink.check;
           Alcotest.(check bool) "loaded reproducer still trips" true
-            (List.mem_assoc r'.Sim.Shrink.check
-               (Sim.Shrink.trips r'.Sim.Shrink.config));
+            (List.mem_assoc r'.Validate.Shrink.check
+               (Validate.Shrink.trips r'.Validate.Shrink.config));
           let raw = In_channel.with_open_bin path In_channel.input_all in
           let rejected name content =
             Out_channel.with_open_bin path (fun oc ->
                 Out_channel.output_string oc content);
-            expect_incompatible name (fun () -> Sim.Shrink.load_repro path)
+            expect_incompatible name (fun () -> Validate.Shrink.load_repro path)
           in
           let tampered f =
             let b = Bytes.of_string raw in

@@ -902,97 +902,6 @@ let test_link_ecn_marking () =
   Alcotest.(check int) "mark counter" 1 (Sim.Link.ce_marks link)
 
 (* ------------------------------------------------------------------ *)
-(* Trace-driven link (Mahimahi-style opportunities)                    *)
-(* ------------------------------------------------------------------ *)
-
-let opp = Sim.Link.Opportunities { times = [| 0.1; 0.5; 0.9 |]; period = 1.; bytes = 1500 }
-
-let test_opportunities_transmit_end () =
-  check_float "first" 0.1 (Sim.Link.transmit_end opp ~start:0. ~bytes:1500);
-  check_float "strictly after" 0.5 (Sim.Link.transmit_end opp ~start:0.1 ~bytes:1500);
-  check_float "wraps" 1.1 (Sim.Link.transmit_end opp ~start:0.95 ~bytes:1500);
-  check_float "second cycle" 1.5 (Sim.Link.transmit_end opp ~start:1.2 ~bytes:1500)
-
-let test_opportunities_rate_at () =
-  check_float "average rate" 4500. (Sim.Link.rate_at opp 123.)
-
-let test_opportunities_service () =
-  let eq = Sim.Event_queue.create () in
-  let link = Sim.Link.create ~eq ~rate:opp ~record_queue:false () in
-  let served_at = ref [] in
-  Sim.Link.set_on_dequeue link (fun _ -> served_at := Sim.Event_queue.now eq :: !served_at);
-  for i = 0 to 3 do
-    ignore (Sim.Link.enqueue link (mk_pkt i))
-  done;
-  Sim.Event_queue.run eq;
-  Alcotest.(check (list (float 1e-9))) "served at opportunity instants"
-    [ 0.1; 0.5; 0.9; 1.1 ] (List.rev !served_at)
-
-let test_opportunities_strict_advance_far_from_origin () =
-  (* Regression: at large absolute times, [base + times.(i)] can round to
-     exactly [start]; the lookup must keep advancing rather than serving
-     infinite packets in zero time. *)
-  let times = Array.init 991 (fun i -> Float.of_int i *. 0.00201817) in
-  let trace = Sim.Link.Opportunities { times; period = 2.; bytes = 1500 } in
-  let t = ref 1000.0 (* far from the origin *) in
-  for _ = 1 to 5000 do
-    let next = Sim.Link.transmit_end trace ~start:!t ~bytes:1500 in
-    Alcotest.(check bool) "strictly advances" true (next > !t);
-    t := next
-  done;
-  (* 5000 packets at ~495.5 opportunities/s take ~10.1 s. *)
-  Alcotest.(check bool)
-    (Printf.sprintf "rate respected (reached %.2f)" !t)
-    true
-    (!t -. 1000. > 9.)
-
-let test_cellular_trace_mean_rate () =
-  let rng = Sim.Rng.create ~seed:5 in
-  let mean_rate = Sim.Units.mbps 12. in
-  let trace =
-    Sim.Link.cellular_trace ~rng ~period:2. ~mean_rate ~burstiness:4. ()
-  in
-  let avg = Sim.Link.rate_at trace 0. in
-  Alcotest.(check bool)
-    (Printf.sprintf "avg %.0f within 25%% of %.0f" avg mean_rate)
-    true
-    (Float.abs (avg -. mean_rate) < 0.25 *. mean_rate);
-  match trace with
-  | Sim.Link.Opportunities { times; period; _ } ->
-      Alcotest.(check bool) "times sorted in [0, period)" true
-        (Array.for_all (fun t -> t >= 0. && t < period) times
-        &&
-        let ok = ref true in
-        for i = 1 to Array.length times - 1 do
-          if times.(i) < times.(i - 1) then ok := false
-        done;
-        !ok)
-  | _ -> Alcotest.fail "expected an opportunity trace"
-
-let test_cellular_trace_validates () =
-  let rng = Sim.Rng.create ~seed:1 in
-  Alcotest.(check bool) "burstiness < 1 rejected" true
-    (try
-       ignore
-         (Sim.Link.cellular_trace ~rng ~period:1. ~mean_rate:1e6 ~burstiness:0.5 ());
-       false
-     with Invalid_argument _ -> true)
-
-let test_reno_on_cellular_link () =
-  (* End to end: Reno should still push reasonable utilization through a
-     bursty opportunity trace. *)
-  let rng = Sim.Rng.create ~seed:9 in
-  let mean_rate = Sim.Units.mbps 12. in
-  let trace = Sim.Link.cellular_trace ~rng ~period:1. ~mean_rate ~burstiness:3. () in
-  let cfg =
-    Sim.Network.config ~rate:trace ~buffer:(60 * 1500) ~rm:0.04 ~duration:20.
-      [ Sim.Network.flow (Reno.make ()) ]
-  in
-  let net = Sim.Network.run_config cfg in
-  let u = Sim.Network.utilization net () in
-  Alcotest.(check bool) (Printf.sprintf "utilization %.2f > 0.5" u) true (u > 0.5)
-
-(* ------------------------------------------------------------------ *)
 (* DRR scheduling                                                      *)
 (* ------------------------------------------------------------------ *)
 
@@ -1060,35 +969,6 @@ let test_drr_equal_service_unequal_demand () =
        greedy_done)
     true
     (modest_done < 0.6 && greedy_done > 4.9)
-
-let test_drr_on_trace_link () =
-  (* The scheduler and the opportunity-trace service compose. *)
-  let eq = Sim.Event_queue.create () in
-  let link =
-    Sim.Link.create ~eq ~rate:opp ~discipline:(Sim.Link.Drr { quantum = 1500 })
-      ~record_queue:false ()
-  in
-  let served = ref [] in
-  Sim.Link.set_on_dequeue link (fun p -> served := p.Sim.Packet.flow :: !served);
-  for i = 0 to 2 do
-    (* Packet size equal to the quantum gives strict alternation. *)
-    ignore (Sim.Link.enqueue link (mk_pkt ~flow:0 ~size:1500 i));
-    ignore (Sim.Link.enqueue link (mk_pkt ~flow:1 ~size:1500 i))
-  done;
-  Sim.Event_queue.run eq;
-  let served = List.rev !served in
-  Alcotest.(check int) "all served" 6 (List.length served);
-  (* DRR interleaves: both flows appear within any 3 consecutive services
-     (flow 0's head start on the first opportunity shifts the phase, so
-     strict alternation from index 0 is not guaranteed). *)
-  let arr = Array.of_list served in
-  for i = 0 to Array.length arr - 3 do
-    let w = Array.sub arr i 3 in
-    Alcotest.(check bool) "window has both" true
-      (Array.exists (fun f -> f = 0) w && Array.exists (fun f -> f = 1) w)
-  done;
-  Alcotest.(check int) "flow 0 total" 3
-    (List.length (List.filter (fun f -> f = 0) served))
 
 let test_drr_work_conserving () =
   (* One flow alone must get the full rate despite the scheduler. *)
@@ -3261,24 +3141,12 @@ let () =
         [
           Alcotest.test_case "link marking" `Quick test_link_ecn_marking;
         ] );
-      ( "trace-link",
-        [
-          Alcotest.test_case "transmit_end" `Quick test_opportunities_transmit_end;
-          Alcotest.test_case "rate_at" `Quick test_opportunities_rate_at;
-          Alcotest.test_case "service at opportunities" `Quick test_opportunities_service;
-          Alcotest.test_case "strict advance far from origin" `Quick
-            test_opportunities_strict_advance_far_from_origin;
-          Alcotest.test_case "cellular mean rate" `Quick test_cellular_trace_mean_rate;
-          Alcotest.test_case "cellular validates" `Quick test_cellular_trace_validates;
-          Alcotest.test_case "reno end-to-end" `Quick test_reno_on_cellular_link;
-        ] );
       ( "drr",
         [
           Alcotest.test_case "bad quantum" `Quick test_drr_rejects_bad_quantum;
           Alcotest.test_case "interleaves" `Quick test_drr_interleaves_backlogged_flows;
           Alcotest.test_case "unequal demand" `Quick test_drr_equal_service_unequal_demand;
           Alcotest.test_case "work conserving" `Quick test_drr_work_conserving;
-          Alcotest.test_case "drr on trace link" `Quick test_drr_on_trace_link;
         ] );
       ( "flow",
         [

@@ -174,10 +174,10 @@ let test_fuzz_catches_injected_accounting_bug () =
           | Some p ->
               Alcotest.(check bool) ("repro exists: " ^ p) true (Sys.file_exists p);
               (* The reproducer must still trip while the bug is in. *)
-              let r = Sim.Shrink.load_repro p in
+              let r = Validate.Shrink.load_repro p in
               Alcotest.(check bool) "reproducer replays the violation" true
-                (Sim.Shrink.trips ~monitor_period:0.05
-                   (Sim.Shrink.copy_config r.Sim.Shrink.config)
+                (Validate.Shrink.trips ~monitor_period:0.05
+                   (Validate.Shrink.copy_config r.Validate.Shrink.config)
                  <> []))
         violations)
 
