@@ -259,6 +259,10 @@ let replay file =
 (* --------------------------------------------------------------------- *)
 
 let fuzz ~seed ~n ~cache_dir =
+  (* Made first, so a directory that cannot be made fails the run before
+     any scenario does. *)
+  let subdir = Filename.concat cache_dir (Printf.sprintf "fuzz-%d" seed) in
+  Runner.Cache.mkdir_p subdir;
   let t0 = Unix.gettimeofday () in
   let report =
     Validate.Fuzz.run ~dir:cache_dir ~log:print_endline ~seed ~n ()
@@ -268,8 +272,6 @@ let fuzz ~seed ~n ~cache_dir =
     report.Validate.Fuzz.samples report.Validate.Fuzz.verdicts_checked
     (List.length report.Validate.Fuzz.violations)
     (Unix.gettimeofday () -. t0);
-  let subdir = Filename.concat cache_dir (Printf.sprintf "fuzz-%d" seed) in
-  Runner.Cache.mkdir_p subdir;
   Runner.Cache.write_atomic
     (Filename.concat subdir "report.json")
     (Validate.Fuzz.report_to_json report);
@@ -296,9 +298,6 @@ let export ~dir ~quick =
   | Error msg | (exception Sys_error msg) ->
       prerr_endline ("repro: export: " ^ msg);
       exit 1
-  | exception Unix.Unix_error (err, _, path) ->
-      prerr_endline ("repro: export: " ^ path ^ ": " ^ Unix.error_message err);
-      exit 1
 
 (* --------------------------------------------------------------------- *)
 (* Main driver                                                            *)
@@ -307,71 +306,79 @@ let export ~dir ~quick =
 let main keys all quick jobs sim_backend no_cache cache_dir check resume
     deadline max_attempts selftest replay_file allow_failures fuzz_n fuzz_seed
     export_dir =
-  match (selftest, replay_file, fuzz_n, export_dir) with
-  | Some dir, _, _, _ -> selftest_shrink dir
-  | None, Some file, _, _ -> replay file
-  | None, None, Some n, _ -> fuzz ~seed:fuzz_seed ~n ~cache_dir
-  | None, None, None, Some dir -> export ~dir ~quick
-  | None, None, None, None when keys = [ "list" ] && not all -> list_keys ()
-  | None, None, None, None -> (
-      match select keys all with
-      | Error msg ->
-          prerr_endline ("repro: " ^ msg);
-          exit 1
-      | Ok experiments ->
-          let workers =
-            if jobs <= 0 then Runner.Pool.default_workers () else jobs
-          in
-          let cache =
-            if no_cache then None
-            else Some (Runner.Cache.create ~dir:cache_dir ())
-          in
-          (* The journal lives beside the cache: jobs are recorded as they
-             complete, so a killed run leaves exactly the breadcrumbs
-             --resume needs.  A fresh (non-resume) run clears it. *)
-          let journal =
-            match cache with
-            | None -> None
-            | Some _ ->
-                let path = Filename.concat cache_dir "journal" in
-                if not resume then (try Sys.remove path with Sys_error _ -> ());
-                Some path
-          in
-          let policy =
-            {
-              Runner.Supervise.default_policy with
-              deadline;
-              max_attempts;
-            }
-          in
-          let t0 = Unix.gettimeofday () in
-          let rows, stats =
-            try
-              Experiments.Registry.run_selection ~quick ~sim_backend ~workers
-                ?cache ~policy ?journal ~allow_failures experiments
-            with Runner.Pool.Job_failed { key; reason } ->
-              (* Quarantine / exhausted retries: a distinct exit code so
-                 CI can tell "simulator results drifted" (2) from "a job
-                 would not complete" (3). *)
-              Printf.eprintf
-                "repro: job %s failed permanently: %s\n\
-                 repro: (use --allow-failures to downgrade to a skip)\n"
-                key reason;
-              exit 3
-          in
-          let bad = List.filter (fun r -> not r.Experiments.Report.ok) rows in
-          Printf.printf "\n%d/%d checks hold the paper's shape\n"
-            (List.length rows - List.length bad)
-            (List.length rows);
-          Printf.eprintf
-            "runner: %d jobs, %d cache hits, %d executed, %d respawns, %d \
-             retried, %d quarantined, %d resumed, %d workers, %.1f s\n"
-            stats.Runner.Pool.jobs stats.Runner.Pool.cache_hits
-            stats.Runner.Pool.executed stats.Runner.Pool.respawns
-            stats.Runner.Pool.retried stats.Runner.Pool.quarantined
-            stats.Runner.Pool.resumed workers
-            (Unix.gettimeofday () -. t0);
-          if check && bad <> [] then exit 2)
+  (* The one handler for system-call failures that escape a mode: a
+     directory that cannot be made (a path component is a regular file,
+     permission is denied) names its path and exits 1, where cmdliner's
+     catch-all would report an internal error and exit 125. *)
+  try
+    match (selftest, replay_file, fuzz_n, export_dir) with
+    | Some dir, _, _, _ -> selftest_shrink dir
+    | None, Some file, _, _ -> replay file
+    | None, None, Some n, _ -> fuzz ~seed:fuzz_seed ~n ~cache_dir
+    | None, None, None, Some dir -> export ~dir ~quick
+    | None, None, None, None when keys = [ "list" ] && not all -> list_keys ()
+    | None, None, None, None -> (
+        match select keys all with
+        | Error msg ->
+            prerr_endline ("repro: " ^ msg);
+            exit 1
+        | Ok experiments ->
+            let workers =
+              if jobs <= 0 then Runner.Pool.default_workers () else jobs
+            in
+            let cache =
+              if no_cache then None
+              else Some (Runner.Cache.create ~dir:cache_dir ())
+            in
+            (* The journal lives beside the cache: jobs are recorded as they
+               complete, so a killed run leaves exactly the breadcrumbs
+               --resume needs.  A fresh (non-resume) run clears it. *)
+            let journal =
+              match cache with
+              | None -> None
+              | Some _ ->
+                  let path = Filename.concat cache_dir "journal" in
+                  if not resume then (try Sys.remove path with Sys_error _ -> ());
+                  Some path
+            in
+            let policy =
+              {
+                Runner.Supervise.default_policy with
+                deadline;
+                max_attempts;
+              }
+            in
+            let t0 = Unix.gettimeofday () in
+            let rows, stats =
+              try
+                Experiments.Registry.run_selection ~quick ~sim_backend ~workers
+                  ?cache ~policy ?journal ~allow_failures experiments
+              with Runner.Pool.Job_failed { key; reason } ->
+                (* Quarantine / exhausted retries: a distinct exit code so
+                   CI can tell "simulator results drifted" (2) from "a job
+                   would not complete" (3). *)
+                Printf.eprintf
+                  "repro: job %s failed permanently: %s\n\
+                   repro: (use --allow-failures to downgrade to a skip)\n"
+                  key reason;
+                exit 3
+            in
+            let bad = List.filter (fun r -> not r.Experiments.Report.ok) rows in
+            Printf.printf "\n%d/%d checks hold the paper's shape\n"
+              (List.length rows - List.length bad)
+              (List.length rows);
+            Printf.eprintf
+              "runner: %d jobs, %d cache hits, %d executed, %d respawns, %d \
+               retried, %d quarantined, %d resumed, %d workers, %.1f s\n"
+              stats.Runner.Pool.jobs stats.Runner.Pool.cache_hits
+              stats.Runner.Pool.executed stats.Runner.Pool.respawns
+              stats.Runner.Pool.retried stats.Runner.Pool.quarantined
+              stats.Runner.Pool.resumed workers
+              (Unix.gettimeofday () -. t0);
+            if check && bad <> [] then exit 2)
+  with Unix.Unix_error (err, _, path) ->
+    prerr_endline ("repro: " ^ path ^ ": " ^ Unix.error_message err);
+    exit 1
 
 let cmd =
   let doc = "Parallel, cached reproduction of the paper's experiment suite" in

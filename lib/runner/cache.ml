@@ -16,10 +16,15 @@ let default_version () =
   | exception Sys_error _ -> "unversioned"
 
 let rec mkdir_p dir =
-  if not (Sys.file_exists dir) then begin
+  if Sys.file_exists dir then begin
+    if not (Sys.is_directory dir) then
+      raise (Unix.Unix_error (Unix.ENOTDIR, "mkdir", dir))
+  end
+  else begin
     let parent = Filename.dirname dir in
     if parent <> dir then mkdir_p parent;
-    try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ()
+    try Unix.mkdir dir 0o755
+    with Unix.Unix_error (Unix.EEXIST, _, _) when Sys.is_directory dir -> ()
   end
 
 let create ?(dir = "_cache") ?version () =

@@ -44,4 +44,5 @@ val mkdir_p : string -> unit
 (** Create a directory and any missing parents (mode [0o755]); a no-op
     when it exists.  Every directory an artifact is written into is
     made with it.
-    @raise Unix.Unix_error when a component cannot be created. *)
+    @raise Unix.Unix_error when a component cannot be created, or
+    exists and is not a directory ([ENOTDIR], naming it). *)

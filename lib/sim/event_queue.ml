@@ -19,10 +19,24 @@
    Containers hold integer ids, never handles.  A per-queue registry maps
    each id to its handle ([reg]) and to where its entry lives ([loc]).  A
    handle takes an id when it goes from idle to queued and gives it back,
-   with its registry slot cleared, when it is popped or cancelled.  Heap
-   sifts, wheel cascades and swap-with-last removals therefore move only
-   floats and ints — no [caml_modify] — and no container or vacated slot
-   keeps a fired or cancelled closure alive. *)
+   with its registry slot cleared, when it is cancelled or its popped
+   entry is settled.  Heap sifts, wheel cascades and swap-with-last
+   removals therefore move only floats and ints — no [caml_modify] — and
+   no container or vacated slot keeps a fired or cancelled closure alive.
+
+   Most events re-arm the handle that just fired (a link completion, a
+   delay-line head, an RTO check).  So a popped entry is "held": it stays
+   at the root of its heap, keeping its id, while its action runs, and
+   the handle reads idle and uncounted exactly as after a removal.  If
+   the action re-arms that handle and the placement rule files the new
+   time into the same heap, the root takes the new (time, seq) and sifts
+   down once: one heap operation and no registry write per event, where
+   a pop and a push cost two sifts and give back and take again the id,
+   two [caml_modify]s among its writes.  Otherwise the root is removed
+   at the re-arm (the id is filed afresh) or, without a re-arm, when the
+   action returns or raises.  Nothing queued meanwhile displaces the
+   held root: it is the heap's minimum, and every new entry has time >=
+   now and a later seq. *)
 
 type handle = {
   mutable id : int; (* registry index while queued, [idle] otherwise *)
@@ -161,9 +175,8 @@ let hpush loc hp id ~time ~seq =
   hp.hsize <- i + 1;
   ignore (sift_up loc hp i)
 
-(* In-place move of the overflow entry at index [i], which stays in the
-   overflow heap whatever its new time: one sift path instead of
-   remove + push. *)
+(* In-place move of the entry at index [i], which stays in [hp]: one
+   sift path instead of remove + push. *)
 let hmove loc hp i ~time ~seq =
   hp.htimes.(i) <- time;
   hp.hseqs.(i) <- seq;
@@ -178,11 +191,6 @@ let hremove loc hp i =
     hp.hids.(i) <- hp.hids.(last);
     if sift_up loc hp i = i then sift_down loc hp i
   end
-
-let hpop loc hp =
-  let id = hp.hids.(0) in
-  hremove loc hp 0;
-  id
 
 type t = {
   due : heap;
@@ -210,6 +218,9 @@ type t = {
   mutable reg : handle array;
   mutable loc : int array;
   mutable free_id : int; (* head of the free-id list; [idle] when empty *)
+  (* Id of the popped entry held at its heap's root while its action
+     runs; [idle] otherwise.  Its [reg] slot still names the handle. *)
+  mutable held : int;
 }
 
 (* Below this many pending events a binary heap (depth <= 8) beats the
@@ -236,6 +247,7 @@ let create ?(wheel_threshold = default_wheel_threshold) ?(start = 0.) () =
     reg = [||];
     loc = [||];
     free_id = idle;
+    held = idle;
   }
 
 (* Called with every id queued: double the registry and put the new ids
@@ -261,19 +273,22 @@ let acquire t h =
   h.id <- id;
   id
 
-(* Take a queued handle's id back once its entry has left every
-   container; the handle is idle again. *)
-let release t h =
-  let id = h.id in
+(* Take an id back once its entry has left every container.  The
+   handle's own [id] is the caller's business: a held entry's handle
+   may already be queued elsewhere. *)
+let release t id =
   t.reg.(id) <- dummy_handle;
   t.loc.(id) <- t.free_id;
-  t.free_id <- id;
-  h.id <- idle
+  t.free_id <- id
 
 (* An id means something only in the registry that issued it: a queued
    handle belongs to this queue iff this registry maps its id back to
-   it. *)
-let owns t h = h.id < Array.length t.reg && t.reg.(h.id) == h
+   it.  The held id maps back to its handle too, but that handle is idle
+   here, so a queued handle carrying the same number got it from another
+   queue. *)
+let owns t h =
+  let id = h.id in
+  id <> t.held && id < Array.length t.reg && t.reg.(id) == h
 
 let foreign fn =
   invalid_arg ("Event_queue." ^ fn ^ ": handle is queued in another queue")
@@ -304,17 +319,30 @@ let validate t at =
     invalid_arg
       (Printf.sprintf "Event_queue.schedule: time %.9f is before now %.9f" at t.now)
 
-(* File a queued id in the container its time belongs to, under a fresh
-   sequence number.  [count] already includes it. *)
-let file t id ~at =
+(* The placement rule: the container a time being queued belongs in,
+   [count] already including it.  Below [wheel_threshold] that is the
+   overflow heap; above it, the wheel, or the due heap for a tick the
+   cursor has reached, or the overflow heap beyond the wheel's horizon. *)
+let target t ~at =
+  if t.count <= t.wheel_threshold then in_overflow
+  else
+    match Timer_wheel.placement (wheel_of t) ~time:at with
+    | Timer_wheel.Placed -> in_wheel
+    | Timer_wheel.Due -> in_due
+    | Timer_wheel.Far -> in_overflow
+
+(* File a queued id in container [c] (its [target]) under a fresh
+   sequence number. *)
+let file_in t id ~at c =
   let seq = t.next_seq in
   t.next_seq <- seq + 1;
-  if t.count <= t.wheel_threshold then hpush t.loc t.overflow id ~time:at ~seq
+  if c = in_overflow then hpush t.loc t.overflow id ~time:at ~seq
+  else if c = in_due then hpush t.loc t.due id ~time:at ~seq
   else
-    match Timer_wheel.add (wheel_of t) ~time:at ~seq id with
-    | Timer_wheel.Placed -> () (* the wheel's move callback filed it *)
-    | Timer_wheel.Due -> hpush t.loc t.due id ~time:at ~seq
-    | Timer_wheel.Far -> hpush t.loc t.overflow id ~time:at ~seq
+    (* the wheel's move callback files it *)
+    ignore (Timer_wheel.add (wheel_of t) ~time:at ~seq id : Timer_wheel.placement)
+
+let file t id ~at = file_in t id ~at (target t ~at)
 
 (* Take a queued id's entry out of its container; the id stays issued. *)
 let detach t id =
@@ -331,6 +359,39 @@ let insert t h ~at =
   t.count <- t.count + 1;
   file t (acquire t h) ~at
 
+let heap_of t l = if loc_tag l = in_due then t.due else t.overflow
+
+(* The held entry's action re-arms its own handle, which takes the id
+   back.  The root is reused when the new time belongs in the same heap,
+   removed and re-filed otherwise. *)
+let rearm_held t h ~at =
+  let id = t.held in
+  t.held <- idle;
+  h.id <- id;
+  t.count <- t.count + 1;
+  let l = t.loc.(id) in
+  let hp = heap_of t l in
+  let c = target t ~at in
+  if c = hp.tag then begin
+    let seq = t.next_seq in
+    t.next_seq <- seq + 1;
+    hmove t.loc hp (loc_index l) ~time:at ~seq
+  end
+  else begin
+    hremove t.loc hp (loc_index l);
+    file_in t id ~at c
+  end
+
+(* Remove the held entry, if its action left it, and free its id. *)
+let settle t =
+  let id = t.held in
+  if id <> idle then begin
+    t.held <- idle;
+    let l = t.loc.(id) in
+    hremove t.loc (heap_of t l) (loc_index l);
+    release t id
+  end
+
 let schedule t ~at action =
   validate t at;
   insert t (handle action) ~at
@@ -339,14 +400,17 @@ let cancel t h =
   if h.id <> idle then begin
     if not (owns t h) then foreign "cancel";
     detach t h.id;
-    release t h;
+    release t h.id;
+    h.id <- idle;
     t.count <- t.count - 1
   end
 
 let schedule_handle t h ~at =
   validate t at;
   let id = h.id in
-  if id = idle then insert t h ~at
+  if id = idle then
+    if t.held <> idle && t.reg.(t.held) == h then rearm_held t h ~at
+    else insert t h ~at
   else begin
     if not (owns t h) then foreign "schedule_handle";
     let l = t.loc.(id) in
@@ -409,17 +473,14 @@ let source t =
     else t.overflow
   end
 
-(* Pop [hp]'s root and return its handle, already idle so that its
-   action may re-arm it. *)
-let pop t hp =
-  let h = t.reg.(hpop t.loc hp) in
-  release t h;
-  t.count <- t.count - 1;
-  h
-
-let step t =
+(* The one pop path of [step] and [run_until]: run the next event if it
+   is due by [horizon], holding its entry while the action runs, and say
+   whether one ran. *)
+let fire_next t horizon =
+  (* Only an action that itself steps the queue finds an entry held. *)
+  settle t;
   let hp = source t in
-  if hp.hsize = 0 then false
+  if hp.hsize = 0 || hp.htimes.(0) > horizon then false
   else begin
     (* Skip the write (and the float box it allocates) when consecutive
        events share a timestamp. *)
@@ -429,23 +490,26 @@ let step t =
        than a recurring heap event — one extra resident slot deepens
        every sift path; a predicted branch costs nothing. *)
     (match t.step_hook with None -> () | Some f -> f t.now);
-    (pop t hp).action ();
-    true
+    let id = hp.hids.(0) in
+    let h = t.reg.(id) in
+    h.id <- idle;
+    t.count <- t.count - 1;
+    t.held <- id;
+    match h.action () with
+    | () ->
+        settle t;
+        true
+    | exception e ->
+        settle t;
+        raise e
   end
+
+let step t = fire_next t infinity
 
 let run_until t horizon =
   if Float.is_nan horizon then invalid_arg "Event_queue.run_until: horizon is NaN";
-  let rec loop () =
-    let hp = source t in
-    if hp.hsize > 0 && hp.htimes.(0) <= horizon then begin
-      if hp.htimes.(0) <> t.now then t.now <- hp.htimes.(0);
-      (match t.step_hook with None -> () | Some f -> f t.now);
-      (pop t hp).action ();
-      loop ()
-    end
-    else t.now <- Float.max t.now horizon
-  in
-  loop ()
+  while fire_next t horizon do () done;
+  t.now <- Float.max t.now horizon
 
 let run t = while step t do () done
 
@@ -454,19 +518,21 @@ let run t = while step t do () done
    copy reproduces the layout exactly.  Actions are closures and cannot
    be content-hashed; the armed times and FIFO sequence numbers pin the
    schedule, which is what divergence diagnosis needs.  Ids are not
-   folded: they name registry slots, not events.  While the wheel is
-   unallocated the due heap is empty, so the fold is the overflow heap's
-   alone. *)
-let fold_heap buf hp =
+   folded: they name registry slots, not events, and a held entry is
+   not pending, so it is skipped.  While the wheel is unallocated the due
+   heap is empty, so the fold is the overflow heap's alone. *)
+let fold_heap buf t hp =
   for i = 0 to hp.hsize - 1 do
-    Statebuf.f buf hp.htimes.(i);
-    Statebuf.i buf hp.hseqs.(i)
+    if hp.hids.(i) <> t.held then begin
+      Statebuf.f buf hp.htimes.(i);
+      Statebuf.i buf hp.hseqs.(i)
+    end
   done
 
 let fold_state buf t =
   Statebuf.f buf t.now;
   Statebuf.i buf (pending t);
   Statebuf.i buf t.next_seq;
-  fold_heap buf t.due;
-  fold_heap buf t.overflow;
+  fold_heap buf t t.due;
+  fold_heap buf t t.overflow;
   match t.wheel with None -> () | Some w -> Timer_wheel.fold_state buf w

@@ -19,14 +19,22 @@
     Containers hold integer ids, not handles.  Each queue keeps a
     registry from id to handle and to the entry's location: a handle
     takes an id when it goes from idle to queued, and gives it back —
-    its registry slot cleared — when it is popped or cancelled.  Ids are
-    reused, so the registry is as large as the peak number of pending
-    events.  Heap sifts, wheel cascades and removals therefore move only
-    floats and ints and write no pointer, and the queue never keeps a
-    fired or cancelled closure alive.  An id means something only in
+    its registry slot cleared — when it is cancelled, or when its
+    action returns without re-arming it.  Ids are reused, so the
+    registry is as large as the peak number of pending events.  Heap
+    sifts, wheel cascades and removals therefore move only floats and
+    ints and write no pointer, and the queue never keeps a fired or
+    cancelled closure alive.  An id means something only in
     the registry that issued it, so a queued handle belongs to exactly
     one queue, and every operation that takes a queue and a queued
     handle checks that the handle is queued there.
+
+    A popped entry stays at the root of its heap while its action runs,
+    the handle reading idle as after a removal.  If the action re-arms
+    the handle and the new time belongs in the same heap, the entry is
+    rewritten in place and sifted down once: a self-re-arming event (a
+    link completion, a delay-line head, a flow timer) costs one heap
+    operation and no registry write.
 
     Three containers hold the pending events:
 
@@ -136,11 +144,13 @@ val cancel : t -> handle -> unit
     @raise Invalid_argument if the handle is queued in another queue. *)
 
 val is_scheduled : handle -> bool
-(** Whether the handle is queued (in any queue). *)
+(** Whether the handle is queued (in any queue).  [false] inside the
+    handle's own action until it re-arms itself. *)
 
 val scheduled_time : t -> handle -> float
-(** Time the handle is armed for; [infinity] when idle, so no option is
-    built (the returned float is still boxed).
+(** Time the handle is armed for; [infinity] when idle — inside its own
+    action too, until it re-arms itself — so no option is built (the
+    returned float is still boxed).
     @raise Invalid_argument if the handle is queued in another queue. *)
 
 val fold_state : Buffer.t -> t -> unit

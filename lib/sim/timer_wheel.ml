@@ -114,22 +114,25 @@ let push t ~slot ~time ~seq id =
   t.lens.(slot) <- len + 1;
   t.move id ~slot ~idx:len
 
+let classify t tk =
+  if tk <= t.cursor then Due
+  else if tk lxor t.cursor >= horizon_ticks then Far
+  else Placed
+
+let placement t ~time = classify t (tick_of t time)
+
 let add t ~time ~seq id =
   let tk = tick_of t time in
-  if tk <= t.cursor then Due
-  else begin
-    let diff = tk lxor t.cursor in
-    if diff >= horizon_ticks then Far
-    else begin
-      let l = level_of diff in
+  match classify t tk with
+  | (Due | Far) as p -> p
+  | Placed ->
+      let l = level_of (tk lxor t.cursor) in
       let s = (tk lsr (slot_bits * l)) land slot_mask in
       push t ~slot:((l lsl slot_bits) lor s) ~time ~seq id;
       t.bitmaps.(l) <- t.bitmaps.(l) lor (1 lsl s);
       t.size <- t.size + 1;
       if t.memo >= 0 && tk < t.memo then t.memo <- tk;
       Placed
-    end
-  end
 
 let remove t ~slot ~idx =
   let last = t.lens.(slot) - 1 in

@@ -64,6 +64,9 @@ val tick_of : t -> float -> int
     overflow-heap times against wheel ticks in tick space (float
     products of tick * granularity could misorder by an ulp). *)
 
+val placement : t -> time:float -> placement
+(** Where {!add} would file [time] now, without filing it. *)
+
 val add : t -> time:float -> seq:int -> int -> placement
 (** O(1).  On [Placed], [move] has been called with the entry's
     location.  On [Due]/[Far] the wheel stores nothing. *)

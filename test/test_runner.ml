@@ -500,6 +500,13 @@ let run_repro args =
 let missing_parent = fresh_dir "repro_missing"
 let under_missing_parent = Filename.quote (Filename.concat missing_parent "b")
 
+(* A regular file where [repro] must make a directory, under it or in
+   its place: [repro] names the path and exits 1, not 125 from an
+   uncaught [ENOTDIR]. *)
+let regular_file = Filename.temp_file "repro_file" ""
+let () = at_exit (fun () -> try Sys.remove regular_file with Sys_error _ -> ())
+let under_file name = Filename.quote (Filename.concat regular_file name)
+
 (* (test name, arguments, expected exit code).  The flags act alike
    serially and on forked workers: every run is supervised. *)
 let exit_code_cases =
@@ -524,6 +531,13 @@ let exit_code_cases =
       ( "fuzz cache-dir makes parents",
         "--fuzz 0 --cache-dir " ^ under_missing_parent,
         0 );
+      ("fuzz cache-dir under a file exits 1", "--fuzz 0 --cache-dir " ^ under_file "x", 1);
+      ("selftest-shrink under a file exits 1", "--selftest-shrink " ^ under_file "y", 1);
+      ("cache-dir under a file exits 1", "fig1 --quick --cache-dir " ^ under_file "z", 1);
+      ( "cache-dir that is a file exits 1",
+        "fig1 --quick --cache-dir " ^ Filename.quote regular_file,
+        1 );
+      ("export under a file exits 1", "--export " ^ under_file "w" ^ " --quick", 1);
     ]
 
 let test_repro_exit_code (_, args, code) () =

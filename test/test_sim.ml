@@ -1580,6 +1580,157 @@ let test_eq_handle_fifo_ties () =
   Sim.Event_queue.run eq;
   Alcotest.(check (list string)) "tie order" [ "a"; "h"; "b" ] (List.rev !fired)
 
+let eq_thresholds = [ Some 0; Some 2; None; Some max_int ]
+
+let show_threshold = function
+  | None -> "default"
+  | Some w -> string_of_int w
+
+let eq_fold eq =
+  let buf = Buffer.create 64 in
+  Sim.Event_queue.fold_state buf eq;
+  Buffer.contents buf
+
+(* Inside its own action a handle reads idle: [is_scheduled] false,
+   [scheduled_time] infinity, not counted by [pending], not folded by
+   [fold_state].  [Flow.sync_timer] and [Flow.maybe_send] re-arm a
+   handle only when [scheduled_time] says it is not already due by the
+   wanted time, so a stale time there would skip the re-arm and stop the
+   timer.  The re-arms here go to the same tick, near, farther and
+   beyond the wheel's horizon; three parked events keep [pending] above
+   threshold 2. *)
+let test_eq_action_sees_idle_handle () =
+  let offsets = [| 0.; 1e-6; 1e-4; 0.3; 600.; 1e8 |] and rounds = 30 in
+  List.iter
+    (fun wheel_threshold ->
+      let name what = show_threshold wheel_threshold ^ ": " ^ what in
+      let eq = Sim.Event_queue.create ?wheel_threshold () in
+      let h = Sim.Event_queue.handle ignore in
+      let fires = ref 0 and seen = ref [] in
+      Sim.Event_queue.set_action h (fun () ->
+          incr fires;
+          seen :=
+            ( Sim.Event_queue.is_scheduled h,
+              Sim.Event_queue.scheduled_time eq h,
+              Sim.Event_queue.pending eq,
+              (* 3 header words, then one (time, seq) pair per entry while
+                 the wheel is unallocated *)
+              (String.length (eq_fold eq) / 8) - 3 )
+            :: !seen;
+          let want =
+            Sim.Event_queue.now eq +. offsets.(!fires mod Array.length offsets)
+          in
+          if
+            !fires < rounds
+            && not (Sim.Event_queue.scheduled_time eq h <= want)
+          then Sim.Event_queue.schedule_handle eq h ~at:want);
+      List.iter
+        (fun at -> Sim.Event_queue.schedule eq ~at ignore)
+        [ 1e12; 2e12; 3e12 ];
+      Sim.Event_queue.schedule_handle eq h ~at:0.;
+      Sim.Event_queue.run_until eq 1e11;
+      Alcotest.(check int) (name "every re-arm taken") rounds !fires;
+      let wheel = Sim.Event_queue.wheel_allocated eq in
+      List.iter
+        (fun (sched, time, pending, folded) ->
+          Alcotest.(check bool) (name "is_scheduled") false sched;
+          check_float (name "scheduled_time") infinity time;
+          Alcotest.(check int) (name "pending") 3 pending;
+          if not wheel then
+            Alcotest.(check int) (name "fold_state entries") (2 * 3) folded)
+        !seen;
+      Alcotest.(check int) (name "parked events left") 3
+        (Sim.Event_queue.pending eq))
+    eq_thresholds
+
+exception Boom
+
+(* An action that raises out of [run_until] leaves no held entry behind:
+   [pending], [fold_state] and a later re-arm from outside behave as
+   after a plain pop of the same event, here the same trace whose action
+   returns.  The action raises only the first time it runs. *)
+let test_eq_action_raises () =
+  List.iter
+    (fun wheel_threshold ->
+      let name what = show_threshold wheel_threshold ^ ": " ^ what in
+      let build raises =
+        let eq = Sim.Event_queue.create ?wheel_threshold () in
+        let log = ref [] in
+        let h = Sim.Event_queue.handle ignore and raised = ref false in
+        Sim.Event_queue.set_action h (fun () ->
+            log := "h" :: !log;
+            if raises && not !raised then begin
+              raised := true;
+              raise Boom
+            end);
+        List.iteri
+          (fun k at ->
+            Sim.Event_queue.schedule eq ~at (fun () ->
+                log := string_of_int k :: !log))
+          [ 0.5; 1.0; 1.0; 1.0001; 2.0; 1e9 ];
+        Sim.Event_queue.schedule_handle eq h ~at:1.0;
+        (eq, h, log)
+      in
+      let a, ha, la = build true and b, hb, lb = build false in
+      (match Sim.Event_queue.run_until a 3. with
+      | () -> Alcotest.fail (name "the action did not raise")
+      | exception Boom -> ());
+      while List.length !lb < List.length !la do
+        ignore (Sim.Event_queue.step b)
+      done;
+      let same what =
+        Alcotest.(check (list string)) (name what ^ ": fired") !lb !la;
+        check_float (name what ^ ": now") (Sim.Event_queue.now b)
+          (Sim.Event_queue.now a);
+        Alcotest.(check int) (name what ^ ": pending")
+          (Sim.Event_queue.pending b) (Sim.Event_queue.pending a);
+        Alcotest.(check bool) (name what ^ ": is_scheduled")
+          (Sim.Event_queue.is_scheduled hb)
+          (Sim.Event_queue.is_scheduled ha);
+        check_float (name what ^ ": scheduled_time")
+          (Sim.Event_queue.scheduled_time b hb)
+          (Sim.Event_queue.scheduled_time a ha);
+        Alcotest.(check string) (name what ^ ": fold_state") (eq_fold b)
+          (eq_fold a)
+      in
+      same "after the raise";
+      Sim.Event_queue.schedule_handle a ha ~at:1.00005;
+      Sim.Event_queue.schedule_handle b hb ~at:1.00005;
+      same "after a re-arm from outside";
+      Sim.Event_queue.run a;
+      Sim.Event_queue.run b;
+      same "run dry")
+    eq_thresholds
+
+(* An action may arm its own handle in another queue and may step its
+   own queue.  The other queue's id for the handle can equal the one its
+   entry is held under here, which must not make this queue claim it;
+   a nested step first drops the held entry, so the firing event does
+   not run twice. *)
+let test_eq_action_reentry () =
+  let a = Sim.Event_queue.create () and b = Sim.Event_queue.create () in
+  let log = ref [] and first = ref true in
+  let h = Sim.Event_queue.handle ignore in
+  Sim.Event_queue.set_action h (fun () ->
+      log := "h" :: !log;
+      if !first then begin
+        first := false;
+        Sim.Event_queue.schedule_handle b h ~at:2.;
+        (match Sim.Event_queue.cancel a h with
+        | () -> log := "a cancelled h" :: !log
+        | exception Invalid_argument _ -> ());
+        ignore (Sim.Event_queue.step a)
+      end);
+  Sim.Event_queue.schedule_handle a h ~at:1.;
+  Sim.Event_queue.schedule a ~at:1.5 (fun () -> log := "x" :: !log);
+  Sim.Event_queue.run a;
+  Alcotest.(check (list string)) "h once, x nested" [ "h"; "x" ] (List.rev !log);
+  Alcotest.(check (pair int int)) "pending" (0, 1)
+    (Sim.Event_queue.pending a, Sim.Event_queue.pending b);
+  check_float "armed in b" 2. (Sim.Event_queue.scheduled_time b h);
+  Sim.Event_queue.run b;
+  Alcotest.(check (list string)) "then h in b" [ "h"; "x"; "h" ] (List.rev !log)
+
 (* ------------------------------------------------------------------ *)
 (* Delay line                                                          *)
 (* ------------------------------------------------------------------ *)
@@ -1981,7 +2132,8 @@ let test_eq_peak_100k_flows () =
 
 (* A naive reference scheduler: pending events in a list, the next one
    found by a linear scan for the least (time, seq).  Labels 0-7 are
-   handles; one-shot events get labels from 100 up. *)
+   handles; one-shot events get labels from 100 up, those scheduled by
+   an action from 1000 up. *)
 module Ref_sched = struct
   type t = {
     mutable evs : (float * int * int) list; (* (time, seq, label) *)
@@ -2041,18 +2193,100 @@ let show_ref_op (op, hi, ti) =
   in
   Printf.sprintf "%s +%g" name ref_offsets.(ti)
 
+(* What a firing handle's action does to the queue, besides logging.  The
+   actions take these from one shared list, one per firing, until it runs
+   out; the reference model takes them from its own copy as it pops. *)
+let show_reaction (kind, j, ti) =
+  let name =
+    match kind with
+    | 0 -> "re-arm self"
+    | 1 -> Printf.sprintf "cancel h%d" j
+    | 2 -> Printf.sprintf "arm h%d" j
+    | 3 -> "schedule"
+    | 4 -> "cancel self, re-arm self"
+    | 5 -> "re-arm self, cancel self"
+    | _ -> "nothing"
+  in
+  Printf.sprintf "%s +%g" name ref_offsets.(ti)
+
+let react_queue eq handles ~self ~label ~one_shot (kind, j, ti) =
+  let at = Sim.Event_queue.now eq +. ref_offsets.(ti) in
+  match kind with
+  | 0 -> Sim.Event_queue.schedule_handle eq handles.(self) ~at
+  | 1 -> Sim.Event_queue.cancel eq handles.(j)
+  | 2 -> Sim.Event_queue.schedule_handle eq handles.(j) ~at
+  | 3 -> Sim.Event_queue.schedule eq ~at (fun () -> one_shot label)
+  | 4 ->
+      Sim.Event_queue.cancel eq handles.(self);
+      Sim.Event_queue.schedule_handle eq handles.(self) ~at
+  | 5 ->
+      Sim.Event_queue.schedule_handle eq handles.(self) ~at;
+      Sim.Event_queue.cancel eq handles.(self)
+  | _ -> ()
+
+let react_model m ~self ~label (kind, j, ti) =
+  let at = m.Ref_sched.now +. ref_offsets.(ti) in
+  match kind with
+  | 0 | 4 -> Ref_sched.arm m ~at self
+  | 1 -> Ref_sched.remove m j
+  | 2 -> Ref_sched.arm m ~at j
+  | 3 -> Ref_sched.add m ~at label
+  | 5 -> Ref_sched.remove m self
+  | _ -> ()
+
 (* Run one trace on the queue and on the reference model side by side,
    comparing after every operation: what fired and in which order, the
    clock, [pending], and [is_scheduled] / [scheduled_time] of every
-   handle.  Returns the first divergence. *)
-let ref_divergence ?wheel_threshold ops =
+   handle.  Each firing also records what its action saw: the clock,
+   [pending], and its own handle's [is_scheduled] / [scheduled_time],
+   which must read idle.  Returns the first divergence. *)
+let ref_divergence ?wheel_threshold (reactions, ops) =
   let eq = Sim.Event_queue.create ?wheel_threshold () in
   let m = Ref_sched.create () in
   let fired = ref [] in
-  let handles =
-    Array.init 8 (fun i -> Sim.Event_queue.handle (fun () -> fired := i :: !fired))
+  let handles = Array.init 8 (fun _ -> Sim.Event_queue.handle ignore) in
+  (* (label, now, pending, (is_scheduled, scheduled_time)) per firing *)
+  let seen label self =
+    ( label,
+      Sim.Event_queue.now eq,
+      Sim.Event_queue.pending eq,
+      (match self with
+      | Some h -> Sim.Event_queue.(is_scheduled h, scheduled_time eq h)
+      | None -> (false, infinity)) )
   in
+  let fire_one_shot label = fired := seen label None :: !fired in
+  let real_rs = ref (List.mapi (fun k r -> (1000 + k, r)) reactions) in
+  let model_rs = ref !real_rs in
+  let take rs =
+    match !rs with
+    | [] -> None
+    | r :: rest ->
+        rs := rest;
+        Some r
+  in
+  Array.iteri
+    (fun i h ->
+      Sim.Event_queue.set_action h (fun () ->
+          fired := seen i (Some h) :: !fired;
+          match take real_rs with
+          | Some (label, r) ->
+              react_queue eq handles ~self:i ~label ~one_shot:fire_one_shot r
+          | None -> ()))
+    handles;
   let expect = ref [] in
+  let model_pop ~horizon =
+    match Ref_sched.pop m ~horizon with
+    | None -> false
+    | Some l ->
+        expect :=
+          (l, m.Ref_sched.now, List.length m.Ref_sched.evs, (false, infinity))
+          :: !expect;
+        (if l < 8 then
+           match take model_rs with
+           | Some (label, r) -> react_model m ~self:l ~label r
+           | None -> ());
+        true
+  in
   let check k op =
     let got = List.rev !fired and want = List.rev !expect in
     fired := [];
@@ -2062,10 +2296,17 @@ let ref_divergence ?wheel_threshold ops =
         (fun s -> Some (Printf.sprintf "op %d (%s): %s" k (show_ref_op op) s))
         fmt
     in
-    if got <> want then
-      bad "fired [%s], reference [%s]"
-        (String.concat ";" (List.map string_of_int got))
-        (String.concat ";" (List.map string_of_int want))
+    let show l =
+      String.concat ";"
+        (List.map
+           (fun (label, now, pending, (sched, time)) ->
+             Printf.sprintf "%d@%g(pending %d%s)" label now pending
+               (if sched || Float.is_finite time then
+                  Printf.sprintf ", reads queued at %g" time
+                else ""))
+           l)
+    in
+    if got <> want then bad "fired [%s], reference [%s]" (show got) (show want)
     else if Sim.Event_queue.now eq <> m.Ref_sched.now then
       bad "now %g, reference %g" (Sim.Event_queue.now eq) m.Ref_sched.now
     else if Sim.Event_queue.pending eq <> List.length m.Ref_sched.evs then
@@ -2092,7 +2333,7 @@ let ref_divergence ?wheel_threshold ops =
         (match op with
         | 0 | 1 ->
             let label = 100 + k in
-            Sim.Event_queue.schedule eq ~at (fun () -> fired := label :: !fired);
+            Sim.Event_queue.schedule eq ~at (fun () -> fire_one_shot label);
             Ref_sched.add m ~at label
         | 2 | 3 | 4 ->
             Sim.Event_queue.schedule_handle eq handles.(hi) ~at;
@@ -2100,21 +2341,12 @@ let ref_divergence ?wheel_threshold ops =
         | 5 ->
             Sim.Event_queue.cancel eq handles.(hi);
             Ref_sched.remove m hi
-        | 6 | 7 -> (
+        | 6 | 7 ->
             ignore (Sim.Event_queue.step eq);
-            match Ref_sched.pop m ~horizon:infinity with
-            | Some l -> expect := l :: !expect
-            | None -> ())
+            ignore (model_pop ~horizon:infinity)
         | _ ->
             Sim.Event_queue.run_until eq at;
-            let rec drain () =
-              match Ref_sched.pop m ~horizon:at with
-              | Some l ->
-                  expect := l :: !expect;
-                  drain ()
-              | None -> ()
-            in
-            drain ();
+            while model_pop ~horizon:at do () done;
             m.Ref_sched.now <- Float.max m.Ref_sched.now at);
         match check k o with None -> go (k + 1) rest | d -> d)
   in
@@ -2125,22 +2357,25 @@ let prop_eq_matches_reference =
     ~count:200
     QCheck.(
       make
-        ~print:(fun ops -> String.concat "; " (List.map show_ref_op ops))
+        ~print:(fun (reactions, ops) ->
+          Printf.sprintf "reactions [%s]; ops [%s]"
+            (String.concat "; " (List.map show_reaction reactions))
+            (String.concat "; " (List.map show_ref_op ops)))
         Gen.(
-          list_size (0 -- 120)
-            (triple (int_range 0 8) (int_range 0 7) (int_range 0 15))))
-    (fun ops ->
+          pair
+            (list_size (0 -- 40)
+               (triple (int_range 0 6) (int_range 0 7) (int_range 0 15)))
+            (list_size (0 -- 120)
+               (triple (int_range 0 8) (int_range 0 7) (int_range 0 15)))))
+    (fun trace ->
       List.for_all
         (fun wheel_threshold ->
-          match ref_divergence ?wheel_threshold ops with
+          match ref_divergence ?wheel_threshold trace with
           | None -> true
           | Some d ->
               QCheck.Test.fail_reportf "wheel_threshold %s: %s"
-                (match wheel_threshold with
-                | None -> "default"
-                | Some w -> string_of_int w)
-                d)
-        [ Some 0; Some 2; None; Some max_int ])
+                (show_threshold wheel_threshold) d)
+        eq_thresholds)
 
 (* Ids are recycled: 100 000 one-shot schedule/step cycles with at most 8
    events pending leave the queue about as large as after the first
@@ -3024,6 +3259,10 @@ let () =
           Alcotest.test_case "handle reschedule" `Quick test_eq_handle_reschedule;
           Alcotest.test_case "handle cancel" `Quick test_eq_handle_cancel;
           Alcotest.test_case "handle fifo ties" `Quick test_eq_handle_fifo_ties;
+          Alcotest.test_case "action sees its handle idle" `Quick
+            test_eq_action_sees_idle_handle;
+          Alcotest.test_case "action raises" `Quick test_eq_action_raises;
+          Alcotest.test_case "action re-entry" `Quick test_eq_action_reentry;
           Alcotest.test_case "step hook" `Quick
             test_eq_step_hook_observes_every_step;
           Alcotest.test_case "wheel lazy bypass" `Quick test_eq_wheel_lazy_bypass;
