@@ -73,11 +73,13 @@ module Table = struct
 end
 
 (* Per-ACK history the analysis layer reads, recorded iff
-   [record_series].  Optional as a group: a census flow carries [None]
-   and pays one word for the whole block — at 10^5+ concurrent flows
-   the series headers per flow were a measurable slice of the
-   bytes-per-flow budget. *)
+   [record_series]: the three members of [rows], which share one time
+   column.  Optional as a block: a census flow carries [None] and pays
+   one word for the whole block — at 10^5+ concurrent flows the series
+   headers per flow were a measurable slice of the bytes-per-flow
+   budget. *)
 type traces = {
+  rows : Series.group;
   rtt_series : Series.t;
   cwnd_series : Series.t;
   delivered_series : Series.t;
@@ -411,14 +413,16 @@ let create ~eq ~id ~cca ?(mss = Cca.default_mss) ?(start_time = 0.)
   let ix = Table.alloc tbl ~start_time in
   let seg_limit = seg_limit_of ~mss size_bytes in
   let traces =
-    if record_series then
-      Some
-        {
-          rtt_series = Series.create ~name:(Printf.sprintf "flow%d.rtt" id) ();
-          cwnd_series = Series.create ~name:(Printf.sprintf "flow%d.cwnd" id) ();
-          delivered_series =
-            Series.create ~name:(Printf.sprintf "flow%d.delivered" id) ();
-        }
+    if record_series then begin
+      let rows =
+        Series.group
+          (Printf.sprintf "flow%d.rtt" id)
+          (Printf.sprintf "flow%d.cwnd" id)
+          (Printf.sprintf "flow%d.delivered" id)
+      in
+      let rtt_series, cwnd_series, delivered_series = Series.members rows in
+      Some { rows; rtt_series; cwnd_series; delivered_series }
+    end
     else None
   in
   let t =
@@ -590,9 +594,8 @@ let finish_ack t ~(newest : Packet.t) ~acked_bytes ~any_ce =
   t.cca.Cca.on_ack a;
   (match t.traces with
   | Some tr ->
-      Series.add tr.rtt_series ~time rtt;
-      Series.add tr.cwnd_series ~time (t.cca.Cca.cwnd ());
-      Series.add tr.delivered_series ~time (float_of_int t.delivered)
+      Series.add_row tr.rows ~time rtt (t.cca.Cca.cwnd ())
+        (float_of_int t.delivered)
   | None -> ());
   detect_losses t;
   sync_timer t;

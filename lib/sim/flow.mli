@@ -62,10 +62,10 @@ val create :
     initial conditions.
 
     [record_series] (default [true]) controls the per-ACK RTT / cwnd /
-    delivered traces.  Disabling it keeps {!delivered_bytes} and friends
-    exact while bounding the flow's memory, which would otherwise grow
-    with the run's length — census flows and long benchmark runs turn it
-    off.
+    delivered traces.  They share one time column, so each ACK appends
+    one time and three values (32 B).  Disabling it keeps
+    {!delivered_bytes} and friends exact while bounding the flow's
+    memory — census flows and long benchmark runs turn it off.
 
     [table] places the flow's hot state in a shared {!Table} (one fresh
     private row is allocated otherwise — equivalent, just less compact

@@ -4,7 +4,15 @@
     then queries windows, resamples onto uniform grids, and integrates.
     Values between samples are interpreted as a step function (the value
     holds until the next sample) — the natural reading for cwnd, queue
-    length and delay trajectories. *)
+    length and delay trajectories.
+
+    Storage: a time column and a value column, each in fixed-size,
+    zero-filled chunks of 2048 rows, so a sample costs two floats
+    (16 B), an append never copies earlier samples, and a column holds
+    at most one chunk of slack.  A {!group} shares one time column among
+    three series, so a row costs four floats (32 B).  [=] and [Marshal]
+    see only the samples: two series built from the same samples are
+    equal and marshal to the same bytes, whatever was queried since. *)
 
 type t
 
@@ -12,7 +20,25 @@ val create : ?name:string -> unit -> t
 val length : t -> int
 
 val add : t -> time:float -> float -> unit
-(** @raise Invalid_argument if [time] decreases. *)
+(** @raise Invalid_argument if [time] decreases, or if [t] is a member
+    of a {!group}. *)
+
+type group
+(** Three series recorded at the same instants, sharing one time
+    column. *)
+
+val group : string -> string -> string -> group
+(** Three empty members with the given names. *)
+
+val members : group -> t * t * t
+(** The members, in the order {!group} named them.  They answer every
+    query, {!fold_state} included, exactly as three standalone series
+    fed the same samples would; {!add} on one raises. *)
+
+val add_row : group -> time:float -> float -> float -> float -> unit
+(** Append one sample to each member at [time], in member order.
+    Allocates nothing but a new chunk per column every 2048 rows.
+    @raise Invalid_argument if [time] decreases. *)
 
 val times : t -> float array
 val values : t -> float array
@@ -48,15 +74,15 @@ val window : t -> t0:float -> t1:float -> (float * float) list
     range). *)
 
 val window_values : t -> t0:float -> t1:float -> float array
-(** Values of the samples in the window, in time order (a single
-    [Array.sub] of the backing store — no intermediate list).  Empty
-    array on a window containing no samples; see {!window} for the
+(** Values of the samples in the window, in time order (one blit per
+    chunk the window spans — no intermediate list).  Empty array on a
+    window containing no samples; see {!window} for the
     degenerate-window contract. *)
 
 val min_max_in : t -> t0:float -> t1:float -> (float * float) option
 (** Extrema of samples within the window; [None] if no sample falls in
     it (including inverted windows — see {!window}).  Folds in place
-    over the backing arrays. *)
+    over the value chunks, copying nothing. *)
 
 val mean_in : t -> t0:float -> t1:float -> float option
 (** Mean of samples within the window; [None] if no sample falls in it

@@ -2006,39 +2006,312 @@ let test_network_minor_words_budget () =
   | Sys.Bytecode | Sys.Other _ -> ()
 
 (* ------------------------------------------------------------------ *)
-(* Series window queries (binary-search rewrite)                       *)
+(* Series readers across chunk boundaries                              *)
 (* ------------------------------------------------------------------ *)
+
+(* Rows per storage chunk (series.mli).  The lengths straddle chunk
+   boundaries: empty, one row, one short of a chunk, exactly one, one
+   past it, and several chunks. *)
+let series_chunk = 2048
+
+let series_lengths =
+  let c = series_chunk in
+  [ 0; 1; 5; c - 1; c; c + 1; 2 * c; (3 * c) + 7 ]
+
+(* [n] rows (time, a, b, c).  Time steps are 0, 0.25 or 1, so runs of
+   duplicate timestamps occur, and values are multiples of 0.25 in
+   [-5, 5), so extrema tie. *)
+let series_rows ~n ~seed =
+  let st = Random.State.make [| seed |] in
+  let t = ref (Random.State.float st 2.) in
+  let v () = float_of_int (Random.State.int st 40 - 20) *. 0.25 in
+  Array.init n (fun _ ->
+      t := !t +. [| 0.; 0.25; 1. |].(Random.State.int st 3);
+      let a = v () in
+      let b = v () in
+      (!t, a, b, v ()))
+
+(* Windows for a case: random ones from [fracs] (fractions of the
+   recorded span, a little past both ends, inverted when drawn that
+   way), point windows at the sample times around each chunk boundary,
+   and windows whose ends sit on either side of a boundary. *)
+let series_windows ts fracs =
+  let n = Array.length ts in
+  let lo = if n = 0 then 0. else ts.(0) and hi = if n = 0 then 1. else ts.(n - 1) in
+  let at f = lo +. (f *. (hi -. lo +. 1.)) in
+  let edges =
+    List.filter
+      (fun i -> i >= 0 && i < n)
+      (List.concat_map
+         (fun k -> [ (k * series_chunk) - 1; k * series_chunk; (k * series_chunk) + 1 ])
+         [ 0; 1; 2; 3 ]
+      @ [ n - 1 ])
+  in
+  List.map (fun (a, b) -> (at a, at b)) fracs
+  @ List.map (fun i -> (ts.(i), ts.(i))) edges
+  @ List.concat_map
+      (fun i -> if i + 2 < n then [ (ts.(i), ts.(i + 2)) ] else [])
+      edges
+
+(* Every reader's answers to every query, floats by bit pattern, as one
+   string: two implementations agree iff the strings are equal. *)
+type series_readers = {
+  r_length : int;
+  r_times : float array;
+  r_values : float array;
+  r_first : (float * float) option;
+  r_last : (float * float) option;
+  r_state : string;
+  r_value_at : float -> float option;
+  r_window : float -> float -> (float * float) list;
+  r_window_values : float -> float -> float array;
+  r_min_max_in : float -> float -> (float * float) option;
+  r_mean_in : float -> float -> float option;
+  r_integral : float -> float -> float;
+  r_resample : float -> float -> float -> (float * float) array;
+}
+
+let series_state s =
+  let b = Buffer.create 64 in
+  Sim.Series.fold_state b s;
+  Buffer.contents b
+
+let readers_of_series s =
+  let open Sim.Series in
+  {
+    r_length = length s;
+    r_times = times s;
+    r_values = values s;
+    r_first = first s;
+    r_last = last s;
+    r_state = series_state s;
+    r_value_at = value_at s;
+    r_window = (fun t0 t1 -> window s ~t0 ~t1);
+    r_window_values = (fun t0 t1 -> window_values s ~t0 ~t1);
+    r_min_max_in = (fun t0 t1 -> min_max_in s ~t0 ~t1);
+    r_mean_in = (fun t0 t1 -> mean_in s ~t0 ~t1);
+    r_integral = (fun t0 t1 -> integral s ~t0 ~t1);
+    r_resample = (fun t0 t1 dt -> resample s ~t0 ~t1 ~dt);
+  }
+
+(* The readers by brute force over plain arrays. *)
+let naive_readers ~name ts vs =
+  let n = Array.length ts in
+  let idx t0 t1 = List.filter (fun i -> t0 <= ts.(i) && ts.(i) <= t1) (List.init n Fun.id) in
+  let value_at q =
+    let r = ref None in
+    Array.iteri (fun i t -> if t <= q then r := Some vs.(i)) ts;
+    !r
+  in
+  let state =
+    let b = Buffer.create 64 in
+    Sim.Statebuf.s b name;
+    Sim.Statebuf.i b n;
+    Array.iteri (fun i t -> Sim.Statebuf.f b t; Sim.Statebuf.f b vs.(i)) ts;
+    Buffer.contents b
+  in
+  {
+    r_length = n;
+    r_times = Array.copy ts;
+    r_values = Array.copy vs;
+    r_first = (if n = 0 then None else Some (ts.(0), vs.(0)));
+    r_last = (if n = 0 then None else Some (ts.(n - 1), vs.(n - 1)));
+    r_state = state;
+    r_value_at = value_at;
+    r_window = (fun t0 t1 -> List.map (fun i -> (ts.(i), vs.(i))) (idx t0 t1));
+    r_window_values = (fun t0 t1 -> Array.of_list (List.map (fun i -> vs.(i)) (idx t0 t1)));
+    r_min_max_in =
+      (fun t0 t1 ->
+        match List.map (fun i -> vs.(i)) (idx t0 t1) with
+        | [] -> None
+        | h :: l -> Some (List.fold_left Float.min h l, List.fold_left Float.max h l));
+    r_mean_in =
+      (fun t0 t1 ->
+        match List.map (fun i -> vs.(i)) (idx t0 t1) with
+        | [] -> None
+        | l -> Some (List.fold_left ( +. ) 0. l /. float_of_int (List.length l)));
+    r_integral =
+      (fun t0 t1 ->
+        if t1 <= t0 || n = 0 then 0.
+        else begin
+          let v = ref (Option.value (value_at t0) ~default:0.) in
+          let acc = ref 0. and cursor = ref t0 in
+          Array.iteri
+            (fun i t ->
+              if t0 < t && t < t1 then begin
+                acc := !acc +. (!v *. (t -. !cursor));
+                cursor := t;
+                v := vs.(i)
+              end)
+            ts;
+          !acc +. (!v *. (t1 -. !cursor))
+        end);
+    r_resample =
+      (fun t0 t1 dt ->
+        if n = 0 then invalid_arg "resample: empty";
+        let k = int_of_float (Float.floor ((t1 -. t0) /. dt)) + 1 in
+        if k <= 0 then [||]
+        else
+          Array.init k (fun j ->
+              let q = t0 +. (float_of_int j *. dt) in
+              (q, Option.value (value_at q) ~default:vs.(0))));
+  }
+
+let series_answers r windows =
+  let b = Buffer.create 4096 in
+  let f = Sim.Statebuf.f b and i = Sim.Statebuf.i b in
+  let pair (x, y) = f x; f y in
+  let opt g = function None -> i 0 | Some x -> i 1; g x in
+  let arr g a = i (Array.length a); Array.iter g a in
+  i r.r_length;
+  arr f r.r_times;
+  arr f r.r_values;
+  opt pair r.r_first;
+  opt pair r.r_last;
+  Sim.Statebuf.s b r.r_state;
+  List.iter
+    (fun (t0, t1) ->
+      List.iter (fun q -> opt f (r.r_value_at q)) [ t0; t1; t0 -. 0.125; t1 +. 0.125 ];
+      arr pair (Array.of_list (r.r_window t0 t1));
+      arr f (r.r_window_values t0 t1);
+      opt pair (r.r_min_max_in t0 t1);
+      opt f (r.r_mean_in t0 t1);
+      f (r.r_integral t0 t1);
+      match r.r_resample t0 t1 ((Float.abs (t1 -. t0) /. 7.) +. 0.1) with
+      | grid -> arr pair grid
+      | exception Invalid_argument _ -> i (-1))
+    windows;
+  Buffer.contents b
+
+let series_case_arb =
+  QCheck.(
+    triple (oneofl series_lengths) small_nat
+      (list_of_size Gen.(1 -- 6) (pair (float_range (-0.1) 1.1) (float_range (-0.1) 1.1))))
 
 let prop_series_window_queries_match_naive =
   QCheck.Test.make
-    ~name:"series window queries match brute force" ~count:200
-    QCheck.(
-      pair
-        (list_of_size Gen.(0 -- 30) (float_range 0. 10.))
-        (pair (float_range (-1.) 11.) (float_range (-1.) 11.)))
-    (fun (vals, (a, b)) ->
+    ~name:"series window queries match brute force" ~count:200 series_case_arb
+    (fun (n, seed, fracs) ->
+      let rows = series_rows ~n ~seed in
+      let s = Sim.Series.create ~name:"s" () in
+      Array.iter (fun (t, v, _, _) -> Sim.Series.add s ~time:t v) rows;
+      let ts = Array.map (fun (t, _, _, _) -> t) rows in
+      let vs = Array.map (fun (_, v, _, _) -> v) rows in
+      let windows = series_windows ts fracs in
+      series_answers (readers_of_series s) windows
+      = series_answers (naive_readers ~name:"s" ts vs) windows)
+
+let prop_series_group_matches_standalone =
+  QCheck.Test.make
+    ~name:"series group members answer like standalone series" ~count:40
+    series_case_arb
+    (fun (n, seed, fracs) ->
+      let rows = series_rows ~n ~seed in
+      let g = Sim.Series.group "a" "b" "c" in
+      let solo = Array.init 3 (fun k -> Sim.Series.create ~name:[| "a"; "b"; "c" |].(k) ()) in
+      Array.iter
+        (fun (t, a, b, c) ->
+          Sim.Series.add_row g ~time:t a b c;
+          Array.iteri (fun k v -> Sim.Series.add solo.(k) ~time:t v) [| a; b; c |])
+        rows;
+      let ma, mb, mc = Sim.Series.members g in
+      let windows = series_windows (Array.map (fun (t, _, _, _) -> t) rows) fracs in
+      List.for_all2
+        (fun m s ->
+          series_answers (readers_of_series m) windows
+          = series_answers (readers_of_series s) windows
+          && Sim.Series.map Float.neg m = Sim.Series.map Float.neg s)
+        [ ma; mb; mc ] (Array.to_list solo))
+
+let test_series_group_rejects () =
+  let raises f = try f (); false with Invalid_argument _ -> true in
+  let g = Sim.Series.group "a" "b" "c" in
+  let a, b, _ = Sim.Series.members g in
+  Alcotest.(check bool) "add on a member raises" true
+    (raises (fun () -> Sim.Series.add a ~time:0. 1.));
+  Sim.Series.add_row g ~time:1. 1. 2. 3.;
+  Alcotest.(check bool) "add after add_row raises" true
+    (raises (fun () -> Sim.Series.add b ~time:2. 1.));
+  Alcotest.(check bool) "decreasing add_row raises" true
+    (raises (fun () -> Sim.Series.add_row g ~time:0.5 1. 2. 3.));
+  Alcotest.(check int) "rows" 1 (Sim.Series.length b);
+  Alcotest.(check (option (pair (float 0.) (float 0.)))) "member b" (Some (1., 2.))
+    (Sim.Series.last b)
+
+(* Storage is a function of the samples alone: the zero-filled chunk
+   tails and the directory padding make two series built from the same
+   samples equal under [=] and marshal to the same bytes, whatever was
+   asked of either since (cached job payloads and [Theorem1]'s
+   [analytic] comparison rely on it).  Between the two builds, freed
+   non-zero floats give uninitialised chunks a chance to differ. *)
+let test_series_equal_after_queries () =
+  let rows = series_rows ~n:(series_chunk + 5) ~seed:3 in
+  let build () =
+    let s = Sim.Series.create ~name:"a" () in
+    let g = Sim.Series.group "a" "b" "c" in
+    Array.iter
+      (fun (t, a, b, c) ->
+        Sim.Series.add s ~time:t a;
+        Sim.Series.add_row g ~time:t a b c)
+      rows;
+    (s, g)
+  in
+  let s1, g1 = build () in
+  let a1, b1, c1 = Sim.Series.members g1 in
+  let windows = series_windows (Array.map (fun (t, _, _, _) -> t) rows) [ (0.2, 0.7) ] in
+  List.iter (fun x -> ignore (series_answers (readers_of_series x) windows)) [ s1; a1; b1; c1 ];
+  ignore (Sys.opaque_identity (Array.init 64 (fun _ -> Array.make series_chunk 1.5)));
+  Gc.full_major ();
+  let s2, g2 = build () in
+  let _, b2, _ = Sim.Series.members g2 in
+  ignore (Sim.Series.window_values b2 ~t0:0. ~t1:1e9);
+  let marshal x = Marshal.to_string x [] in
+  Alcotest.(check bool) "standalone =" true (s1 = s2);
+  Alcotest.(check string) "standalone Marshal" (marshal s1) (marshal s2);
+  Alcotest.(check bool) "group =" true (g1 = g2);
+  Alcotest.(check string) "group Marshal" (marshal g1) (marshal g2);
+  Alcotest.(check bool) "round trip" true
+    ((Marshal.from_string (marshal g1) 0 : Sim.Series.group) = g2)
+
+(* Direct major-heap words per append ([major_words - promoted_words]):
+   chunks are allocated straight into the major heap, two columns for a
+   series (2 words per sample plus the chunk directories; doubling
+   arrays paid 4.2) and four for a group of three.  Bytecode boxes
+   differently, so the budget only binds on the native backend. *)
+let test_series_append_major_budget () =
+  match Sys.backend_type with
+  | Sys.Native ->
+      let n = 1_000_000 in
+      let direct f =
+        let s0 = Gc.quick_stat () in
+        f ();
+        let s1 = Gc.quick_stat () in
+        (s1.Gc.major_words -. s1.Gc.promoted_words
+         -. (s0.Gc.major_words -. s0.Gc.promoted_words))
+        /. float_of_int n
+      in
       let s = Sim.Series.create () in
-      List.iteri (fun i v -> Sim.Series.add s ~time:(float_of_int i) v) vals;
-      let t0 = Float.min a b and t1 = Float.max a b in
-      let naive =
-        List.filteri (fun i _ -> float_of_int i >= t0 && float_of_int i <= t1) vals
+      let per_sample =
+        direct (fun () ->
+            for i = 0 to n - 1 do
+              Sim.Series.add s ~time:(float_of_int i) 1.
+            done)
       in
-      let got = Array.to_list (Sim.Series.window_values s ~t0 ~t1) in
-      let mean_ok =
-        match (Sim.Series.mean_in s ~t0 ~t1, naive) with
-        | None, [] -> true
-        | Some m, (_ :: _ as l) ->
-            m = List.fold_left ( +. ) 0. l /. float_of_int (List.length l)
-        | _ -> false
+      let g = Sim.Series.group "a" "b" "c" in
+      let per_row =
+        direct (fun () ->
+            for i = 0 to n - 1 do
+              Sim.Series.add_row g ~time:(float_of_int i) 1. 2. 3.
+            done)
       in
-      let minmax_ok =
-        match (Sim.Series.min_max_in s ~t0 ~t1, naive) with
-        | None, [] -> true
-        | Some (mn, mx), (h :: _ as l) ->
-            mn = List.fold_left Float.min h l && mx = List.fold_left Float.max h l
-        | _ -> false
-      in
-      got = naive && mean_ok && minmax_ok)
+      ignore (Sys.opaque_identity (s, g));
+      Alcotest.(check bool)
+        (Printf.sprintf "%.2f major words/sample <= 2.5" per_sample)
+        true (per_sample <= 2.5);
+      Alcotest.(check bool)
+        (Printf.sprintf "%.2f major words/group row <= 4.5" per_row)
+        true (per_row <= 4.5)
+  | Sys.Bytecode | Sys.Other _ -> ()
 
 (* ------------------------------------------------------------------ *)
 (* Timer-wheel backend and million-flow scale                          *)
@@ -3342,6 +3615,12 @@ let () =
           Alcotest.test_case "first last" `Quick test_series_first_last;
           qt prop_series_integral_additive;
           qt prop_series_window_queries_match_naive;
+          qt prop_series_group_matches_standalone;
+          Alcotest.test_case "group rejects" `Quick test_series_group_rejects;
+          Alcotest.test_case "equal after queries" `Quick
+            test_series_equal_after_queries;
+          Alcotest.test_case "append major-heap budget" `Quick
+            test_series_append_major_budget;
         ] );
       ( "jitter",
         [
