@@ -11,7 +11,6 @@ type measurement = {
   throughput : float;
   efficiency : float;
   rtt : Sim.Series.t;
-  rate_trace : Sim.Series.t;
 }
 
 (* The band is the trailing [tail_frac] of the run, padded by
@@ -48,7 +47,6 @@ let measure ~make_cca ~rate ~rm ?duration ?(seed = 42) () =
         throughput = 0.;
         efficiency = 0.;
         rtt;
-        rate_trace = Sim.Flow.rate_series flow ~window:(4. *. rm);
       }
   | Some (lo, hi) ->
       let pad = Float.max (band_pad_frac *. (hi -. lo)) 1e-5 in
@@ -94,7 +92,6 @@ let measure ~make_cca ~rate ~rm ?duration ?(seed = 42) () =
         throughput;
         efficiency = throughput /. rate;
         rtt;
-        rate_trace = Sim.Flow.rate_series flow ~window:(4. *. rm);
       }
 
 let is_delay_convergent ~make_cca ~rates ~rm ?duration ?seed () =

@@ -23,7 +23,6 @@ type measurement = {
   throughput : float;  (** bytes/s over the tail window *)
   efficiency : float;  (** throughput / rate *)
   rtt : Sim.Series.t;  (** full RTT trajectory (ack time, rtt) *)
-  rate_trace : Sim.Series.t;  (** delivery-rate trajectory, bytes/s *)
 }
 
 val measure :

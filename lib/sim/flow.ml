@@ -719,21 +719,3 @@ let goodput t ~horizon =
   in
   let span = stop -. t.start_time in
   if span <= 0. then 0. else float_of_int t.delivered /. span
-
-let rate_series t ~window =
-  let out = Series.create ~name:(Printf.sprintf "flow%d.rate" t.id) () in
-  let ds = delivered_series t in
-  let times = Series.times ds in
-  let values = Series.values ds in
-  let n = Array.length times in
-  let j = ref 0 in
-  for i = 0 to n - 1 do
-    let t1 = times.(i) in
-    let t0 = t1 -. window in
-    while !j < n && times.(!j) < t0 do incr j done;
-    if !j < i then begin
-      let dt = t1 -. times.(!j) in
-      if dt > 0. then Series.add out ~time:t1 ((values.(i) -. values.(!j)) /. dt)
-    end
-  done;
-  out

@@ -155,10 +155,6 @@ val cwnd_series : t -> Series.t
 val delivered_series : t -> Series.t
 (** (ack time, cumulative delivered bytes). *)
 
-val rate_series : t -> window:float -> Series.t
-(** Delivery rate (bytes/s) computed over trailing windows of the delivered
-    trace — the "sending rate" series plotted in the paper's figures. *)
-
 val fold_state : Buffer.t -> t -> unit
 (** Append the flow's transport state (counters, RTT estimator, live
     outstanding window keyed by sequence number, recorded series) to a

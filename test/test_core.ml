@@ -246,7 +246,6 @@ let fake_measurement ~rate ~d_max =
     throughput = rate;
     efficiency = 1.;
     rtt = Sim.Series.create ();
-    rate_trace = Sim.Series.create ();
   }
 
 let test_pigeonhole_finds_close_pair () =

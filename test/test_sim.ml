@@ -86,15 +86,12 @@ let test_eq_run_until_excludes_future () =
    with it whatever the closure captured (packets, flows), until a later
    insertion overwrites the slot.  Every closure here captures a tracked
    ref; once the queue has run dry, none may survive a major GC.
-   Rounds of 200 stay below the default threshold, so [wheel_threshold]
-   picks the containers: 0 files near events in the wheel and pops them
-   through the due heap, the default keeps everything in the overflow
-   heap.  Far events land in the overflow heap under both.  Events come
-   four to a wheel tick, so cancels also hit due-heap residents. *)
-let eq_releases_closures ?wheel_threshold () =
+   Events come four to a millisecond, with every fifth one far in the
+   future, and cancels hit entries anywhere in the heap. *)
+let test_eq_releases_closures () =
   let rounds = 3 and per_round = 200 in
   let n = rounds * per_round in
-  let eq = Sim.Event_queue.create ?wheel_threshold () in
+  let eq = Sim.Event_queue.create () in
   let tracked = Weak.create n in
   let track i =
     let r = ref i in
@@ -132,9 +129,6 @@ let eq_releases_closures ?wheel_threshold () =
   for k = 0 to rounds - 1 do
     round k
   done;
-  Alcotest.(check bool) "wheel allocated iff threshold 0"
-    (wheel_threshold = Some 0)
-    (Sim.Event_queue.wheel_allocated eq);
   Gc.full_major ();
   let live = ref 0 in
   for i = 0 to n - 1 do
@@ -1372,8 +1366,6 @@ let test_network_config_validation () =
         fun () -> ignore (Sim.Event_queue.create ~start:nan ()) );
       ( "scheduler start inf", "Event_queue.create", "start",
         fun () -> ignore (Sim.Event_queue.create ~start:infinity ()) );
-      ( "wheel_threshold -1", "Event_queue.create", "wheel_threshold",
-        fun () -> ignore (Sim.Event_queue.create ~wheel_threshold:(-1) ()) );
     ];
   (* A zero buffer and a zero ECN threshold stay legal. *)
   cfg ~buffer:0 ~ecn_threshold:0 ();
@@ -1417,9 +1409,9 @@ let test_network_deterministic () =
    only checks that two hashes agree, which a constant hash would pass,
    so: two runs of one config hash equal at mid-horizon and at the
    horizon, another seed hashes differently, and so does the same run
-   at mid-horizon against the horizon.  The 300 staggered flows outgrow
-   the event queue's wheel threshold, so their mid-run hash folds a
-   live timer wheel (asserted); the two-flow case stays on the heap. *)
+   at mid-horizon against the horizon.  The 300 staggered flows keep
+   hundreds of events pending, so their mid-run hash folds a deep
+   heap; the two-flow case folds a handful. *)
 let test_network_state_hash_separates () =
   let rate = Sim.Units.mbps 12. in
   let two_flows ~seed =
@@ -1445,16 +1437,13 @@ let test_network_state_hash_separates () =
     let net = Sim.Network.build (mk ~seed) in
     Sim.Network.run_to net 1.;
     let mid = Sim.Network.state_hash net in
-    let wheel = Sim.Event_queue.wheel_allocated (Sim.Network.event_queue net) in
-    (mid, wheel, Sim.Network.state_hash (Sim.Network.run net))
+    (mid, Sim.Network.state_hash (Sim.Network.run net))
   in
   List.iter
-    (fun (name, mk, want_wheel) ->
-      let mid, wheel, final = hashes mk ~seed:1 in
-      let mid', _, final' = hashes mk ~seed:1 in
-      let other_mid, _, other_final = hashes mk ~seed:2 in
-      Alcotest.(check bool) (name ^ ": wheel allocated at t = 1 s") want_wheel
-        wheel;
+    (fun (name, mk) ->
+      let mid, final = hashes mk ~seed:1 in
+      let mid', final' = hashes mk ~seed:1 in
+      let other_mid, other_final = hashes mk ~seed:2 in
       Alcotest.(check string) (name ^ ": same config, same mid-run hash") mid
         mid';
       Alcotest.(check string) (name ^ ": same config, same final hash") final
@@ -1465,7 +1454,7 @@ let test_network_state_hash_separates () =
         (final <> other_final);
       Alcotest.(check bool) (name ^ ": mid-run hash differs from the horizon's")
         true (mid <> final))
-    [ ("2 flows", two_flows, false); ("300 staggered", staggered, true) ]
+    [ ("2 flows", two_flows); ("300 staggered", staggered) ]
 
 let test_network_accessor_lengths () =
   let cfg =
@@ -1580,12 +1569,6 @@ let test_eq_handle_fifo_ties () =
   Sim.Event_queue.run eq;
   Alcotest.(check (list string)) "tie order" [ "a"; "h"; "b" ] (List.rev !fired)
 
-let eq_thresholds = [ Some 0; Some 2; None; Some max_int ]
-
-let show_threshold = function
-  | None -> "default"
-  | Some w -> string_of_int w
-
 let eq_fold eq =
   let buf = Buffer.create 64 in
   Sim.Event_queue.fold_state buf eq;
@@ -1596,52 +1579,41 @@ let eq_fold eq =
    [fold_state].  [Flow.sync_timer] and [Flow.maybe_send] re-arm a
    handle only when [scheduled_time] says it is not already due by the
    wanted time, so a stale time there would skip the re-arm and stop the
-   timer.  The re-arms here go to the same tick, near, farther and
-   beyond the wheel's horizon; three parked events keep [pending] above
-   threshold 2. *)
+   timer.  The re-arms here go to the same instant, near, far and very
+   far; three parked events stay pending throughout. *)
 let test_eq_action_sees_idle_handle () =
   let offsets = [| 0.; 1e-6; 1e-4; 0.3; 600.; 1e8 |] and rounds = 30 in
+  let eq = Sim.Event_queue.create () in
+  let h = Sim.Event_queue.handle ignore in
+  let fires = ref 0 and seen = ref [] in
+  Sim.Event_queue.set_action h (fun () ->
+      incr fires;
+      seen :=
+        ( Sim.Event_queue.is_scheduled h,
+          Sim.Event_queue.scheduled_time eq h,
+          Sim.Event_queue.pending eq,
+          (* 3 header words, then one (time, seq) pair per entry *)
+          (String.length (eq_fold eq) / 8) - 3 )
+        :: !seen;
+      let want =
+        Sim.Event_queue.now eq +. offsets.(!fires mod Array.length offsets)
+      in
+      if !fires < rounds && not (Sim.Event_queue.scheduled_time eq h <= want)
+      then Sim.Event_queue.schedule_handle eq h ~at:want);
   List.iter
-    (fun wheel_threshold ->
-      let name what = show_threshold wheel_threshold ^ ": " ^ what in
-      let eq = Sim.Event_queue.create ?wheel_threshold () in
-      let h = Sim.Event_queue.handle ignore in
-      let fires = ref 0 and seen = ref [] in
-      Sim.Event_queue.set_action h (fun () ->
-          incr fires;
-          seen :=
-            ( Sim.Event_queue.is_scheduled h,
-              Sim.Event_queue.scheduled_time eq h,
-              Sim.Event_queue.pending eq,
-              (* 3 header words, then one (time, seq) pair per entry while
-                 the wheel is unallocated *)
-              (String.length (eq_fold eq) / 8) - 3 )
-            :: !seen;
-          let want =
-            Sim.Event_queue.now eq +. offsets.(!fires mod Array.length offsets)
-          in
-          if
-            !fires < rounds
-            && not (Sim.Event_queue.scheduled_time eq h <= want)
-          then Sim.Event_queue.schedule_handle eq h ~at:want);
-      List.iter
-        (fun at -> Sim.Event_queue.schedule eq ~at ignore)
-        [ 1e12; 2e12; 3e12 ];
-      Sim.Event_queue.schedule_handle eq h ~at:0.;
-      Sim.Event_queue.run_until eq 1e11;
-      Alcotest.(check int) (name "every re-arm taken") rounds !fires;
-      let wheel = Sim.Event_queue.wheel_allocated eq in
-      List.iter
-        (fun (sched, time, pending, folded) ->
-          Alcotest.(check bool) (name "is_scheduled") false sched;
-          check_float (name "scheduled_time") infinity time;
-          Alcotest.(check int) (name "pending") 3 pending;
-          if not wheel then
-            Alcotest.(check int) (name "fold_state entries") (2 * 3) folded)
-        !seen;
-      Alcotest.(check int) (name "parked events left") 3
-        (Sim.Event_queue.pending eq))
-    eq_thresholds
+    (fun at -> Sim.Event_queue.schedule eq ~at ignore)
+    [ 1e12; 2e12; 3e12 ];
+  Sim.Event_queue.schedule_handle eq h ~at:0.;
+  Sim.Event_queue.run_until eq 1e11;
+  Alcotest.(check int) "every re-arm taken" rounds !fires;
+  List.iter
+    (fun (sched, time, pending, folded) ->
+      Alcotest.(check bool) "is_scheduled" false sched;
+      check_float "scheduled_time" infinity time;
+      Alcotest.(check int) "pending" 3 pending;
+      Alcotest.(check int) "fold_state entries" (2 * 3) folded)
+    !seen;
+  Alcotest.(check int) "parked events left" 3 (Sim.Event_queue.pending eq)
 
 exception Boom
 
@@ -1650,57 +1622,52 @@ exception Boom
    after a plain pop of the same event, here the same trace whose action
    returns.  The action raises only the first time it runs. *)
 let test_eq_action_raises () =
-  List.iter
-    (fun wheel_threshold ->
-      let name what = show_threshold wheel_threshold ^ ": " ^ what in
-      let build raises =
-        let eq = Sim.Event_queue.create ?wheel_threshold () in
-        let log = ref [] in
-        let h = Sim.Event_queue.handle ignore and raised = ref false in
-        Sim.Event_queue.set_action h (fun () ->
-            log := "h" :: !log;
-            if raises && not !raised then begin
-              raised := true;
-              raise Boom
-            end);
-        List.iteri
-          (fun k at ->
-            Sim.Event_queue.schedule eq ~at (fun () ->
-                log := string_of_int k :: !log))
-          [ 0.5; 1.0; 1.0; 1.0001; 2.0; 1e9 ];
-        Sim.Event_queue.schedule_handle eq h ~at:1.0;
-        (eq, h, log)
-      in
-      let a, ha, la = build true and b, hb, lb = build false in
-      (match Sim.Event_queue.run_until a 3. with
-      | () -> Alcotest.fail (name "the action did not raise")
-      | exception Boom -> ());
-      while List.length !lb < List.length !la do
-        ignore (Sim.Event_queue.step b)
-      done;
-      let same what =
-        Alcotest.(check (list string)) (name what ^ ": fired") !lb !la;
-        check_float (name what ^ ": now") (Sim.Event_queue.now b)
-          (Sim.Event_queue.now a);
-        Alcotest.(check int) (name what ^ ": pending")
-          (Sim.Event_queue.pending b) (Sim.Event_queue.pending a);
-        Alcotest.(check bool) (name what ^ ": is_scheduled")
-          (Sim.Event_queue.is_scheduled hb)
-          (Sim.Event_queue.is_scheduled ha);
-        check_float (name what ^ ": scheduled_time")
-          (Sim.Event_queue.scheduled_time b hb)
-          (Sim.Event_queue.scheduled_time a ha);
-        Alcotest.(check string) (name what ^ ": fold_state") (eq_fold b)
-          (eq_fold a)
-      in
-      same "after the raise";
-      Sim.Event_queue.schedule_handle a ha ~at:1.00005;
-      Sim.Event_queue.schedule_handle b hb ~at:1.00005;
-      same "after a re-arm from outside";
-      Sim.Event_queue.run a;
-      Sim.Event_queue.run b;
-      same "run dry")
-    eq_thresholds
+  let build raises =
+    let eq = Sim.Event_queue.create () in
+    let log = ref [] in
+    let h = Sim.Event_queue.handle ignore and raised = ref false in
+    Sim.Event_queue.set_action h (fun () ->
+        log := "h" :: !log;
+        if raises && not !raised then begin
+          raised := true;
+          raise Boom
+        end);
+    List.iteri
+      (fun k at ->
+        Sim.Event_queue.schedule eq ~at (fun () ->
+            log := string_of_int k :: !log))
+      [ 0.5; 1.0; 1.0; 1.0001; 2.0; 1e9 ];
+    Sim.Event_queue.schedule_handle eq h ~at:1.0;
+    (eq, h, log)
+  in
+  let a, ha, la = build true and b, hb, lb = build false in
+  (match Sim.Event_queue.run_until a 3. with
+  | () -> Alcotest.fail "the action did not raise"
+  | exception Boom -> ());
+  while List.length !lb < List.length !la do
+    ignore (Sim.Event_queue.step b)
+  done;
+  let same what =
+    Alcotest.(check (list string)) (what ^ ": fired") !lb !la;
+    check_float (what ^ ": now") (Sim.Event_queue.now b)
+      (Sim.Event_queue.now a);
+    Alcotest.(check int) (what ^ ": pending")
+      (Sim.Event_queue.pending b) (Sim.Event_queue.pending a);
+    Alcotest.(check bool) (what ^ ": is_scheduled")
+      (Sim.Event_queue.is_scheduled hb)
+      (Sim.Event_queue.is_scheduled ha);
+    check_float (what ^ ": scheduled_time")
+      (Sim.Event_queue.scheduled_time b hb)
+      (Sim.Event_queue.scheduled_time a ha);
+    Alcotest.(check string) (what ^ ": fold_state") (eq_fold b) (eq_fold a)
+  in
+  same "after the raise";
+  Sim.Event_queue.schedule_handle a ha ~at:1.00005;
+  Sim.Event_queue.schedule_handle b hb ~at:1.00005;
+  same "after a re-arm from outside";
+  Sim.Event_queue.run a;
+  Sim.Event_queue.run b;
+  same "run dry"
 
 (* An action may arm its own handle in another queue and may step its
    own queue.  The other queue's id for the handle can equal the one its
@@ -2314,63 +2281,8 @@ let test_series_append_major_budget () =
   | Sys.Bytecode | Sys.Other _ -> ()
 
 (* ------------------------------------------------------------------ *)
-(* Timer-wheel backend and million-flow scale                          *)
+(* Million-flow scale                                                  *)
 (* ------------------------------------------------------------------ *)
-
-(* Placement never changes pop order: every insertion consumes one
-   global sequence number and containers compare exactly, so any trace
-   of schedules, cancels, re-arms and interleaved pops must fire in the
-   same order with the wheel live as with everything kept in the
-   overflow heap ([wheel_threshold = max_int], the reference path). *)
-let prop_eq_backend_equivalence =
-  QCheck.Test.make
-    ~name:"wheel and heap backends pop identically under random traces"
-    ~count:150
-    QCheck.(
-      list_of_size
-        Gen.(0 -- 80)
-        (triple (int_range 0 4) (int_range 0 7) (int_range 0 200000)))
-    (fun ops ->
-      let run wheel_threshold =
-        let eq = Sim.Event_queue.create ~wheel_threshold () in
-        let log = ref [] in
-        let handles =
-          Array.init 8 (fun i ->
-              Sim.Event_queue.handle (fun () -> log := i :: !log))
-        in
-        List.iteri
-          (fun j (op, hi, t) ->
-            let at = Sim.Event_queue.now eq +. (float_of_int t *. 1e-5) in
-            match op with
-            | 0 | 1 -> Sim.Event_queue.schedule_handle eq handles.(hi) ~at
-            | 2 ->
-                (* far beyond the wheel horizon: the overflow-heap path *)
-                Sim.Event_queue.schedule_handle eq handles.(hi)
-                  ~at:(at +. 1e8)
-            | 3 -> Sim.Event_queue.cancel eq handles.(hi)
-            | _ ->
-                let tag = 100 + j in
-                Sim.Event_queue.schedule eq ~at (fun () -> log := tag :: !log))
-          ops;
-        (* Interleave a partial drain with fresh arming: the due-heap
-           handoff only happens when pops and inserts mix. *)
-        for _ = 1 to 5 do
-          ignore (Sim.Event_queue.step eq)
-        done;
-        List.iteri
-          (fun j (op, hi, t) ->
-            if op = 0 then
-              Sim.Event_queue.schedule_handle eq handles.(hi)
-                ~at:(Sim.Event_queue.now eq +. (float_of_int (t + j) *. 1e-5)))
-          ops;
-        Sim.Event_queue.run eq;
-        List.rev !log
-      in
-      (* A low, trace-dependent threshold: 0 forces every insertion
-         through the wheel (cascade coverage); small nonzero values make
-         traces cross it mid-run, mixing overflow-era and wheel-era
-         residents in one queue. *)
-      run max_int = run (7 * List.length ops mod 23))
 
 let test_eq_peak_100k_flows () =
   (* The census workload shape at full scale: 100k sized flows armed in
@@ -2448,9 +2360,8 @@ module Ref_sched = struct
     | _ -> None
 end
 
-(* Offsets from [now]: a tiny set, so events tie, and a wide one whose
-   entries land on every wheel level and, at 1e8 s, beyond the wheel's
-   horizon ([Far]). *)
+(* Offsets from [now]: a tiny set, so events tie, and a wide one from a
+   millisecond to 1e8 s. *)
 let ref_offsets =
   [| 0.; 0.; 1e-6; 1e-4; 1e-4; 3e-4; 1e-3; 1e-3;
      0.3; 1.7; 30.; 600.; 2e4; 3e5; 5e6; 1e8 |]
@@ -2513,8 +2424,8 @@ let react_model m ~self ~label (kind, j, ti) =
    handle.  Each firing also records what its action saw: the clock,
    [pending], and its own handle's [is_scheduled] / [scheduled_time],
    which must read idle.  Returns the first divergence. *)
-let ref_divergence ?wheel_threshold (reactions, ops) =
-  let eq = Sim.Event_queue.create ?wheel_threshold () in
+let ref_divergence (reactions, ops) =
+  let eq = Sim.Event_queue.create () in
   let m = Ref_sched.create () in
   let fired = ref [] in
   let handles = Array.init 8 (fun _ -> Sim.Event_queue.handle ignore) in
@@ -2641,23 +2552,215 @@ let prop_eq_matches_reference =
             (list_size (0 -- 120)
                (triple (int_range 0 8) (int_range 0 7) (int_range 0 15)))))
     (fun trace ->
-      List.for_all
-        (fun wheel_threshold ->
-          match ref_divergence ?wheel_threshold trace with
-          | None -> true
-          | Some d ->
-              QCheck.Test.fail_reportf "wheel_threshold %s: %s"
-                (show_threshold wheel_threshold) d)
-        eq_thresholds)
+      match ref_divergence trace with
+      | None -> true
+      | Some d -> QCheck.Test.fail_reportf "%s" d)
+
+(* The census's depth: the full E19 cells peak at up to 2 022 pending
+   events (std Vegas at 20 ms jitter; 1 827 in the heavy Reno cell), far
+   past the handful the reference property above keeps queued.  [n]
+   handles, each armed once up front, re-arm themselves from their own
+   actions (most of the time) and, now and then, cancel or move another
+   handle or schedule a one-shot; between steps the test itself cancels,
+   moves and arms handles and schedules one-shots too.  Times sit on a
+   grid of 2^-10 s with offsets of a few ticks, so dozens of events
+   share each instant and only the sequence number orders them.  A
+   reference that keeps every handle's (time, seq) in arrays and finds
+   the next event by a linear scan checks, after every operation, what
+   fired, the clock, [pending] and every handle's [scheduled_time]; each
+   firing also checks that its own handle reads idle and uncounted. *)
+let eq_deep_divergence ~n seed =
+  let st = Random.State.make [| seed |] in
+  let tick = 1. /. 1024. in
+  let ticks = [| 0; 0; 1; 1; 2; 3; 5; 8; 13; 40; 1000 |] in
+  let offset () =
+    float_of_int ticks.(Random.State.int st (Array.length ticks)) *. tick
+  in
+  let eq = Sim.Event_queue.create () in
+  (* The reference: a handle's (time, seq), [infinity] when idle, and
+     the one-shots by label (from [n] up). *)
+  let mtime = Array.make n infinity and mseq = Array.make n 0 in
+  let shots = Hashtbl.create 64 in
+  let seq = ref 0 and mnow = ref 0. and labels = ref n in
+  let stamp () =
+    let s = !seq in
+    incr seq;
+    s
+  in
+  let marm i at =
+    mtime.(i) <- at;
+    mseq.(i) <- stamp ()
+  in
+  let mpending () =
+    Array.fold_left (fun c t -> if Float.is_finite t then c + 1 else c) 0 mtime
+    + Hashtbl.length shots
+  in
+  (* (label, pending and own handle's state as seen at the firing) *)
+  let fired = ref None in
+  (* reactions of the firing action, replayed on the reference after it
+     pops the same event, newest first *)
+  let todo = ref [] in
+  let one_shot () =
+    let label = !labels in
+    incr labels;
+    let at = Sim.Event_queue.now eq +. offset () in
+    Sim.Event_queue.schedule eq ~at (fun () ->
+        fired := Some (label, Sim.Event_queue.pending eq, false, infinity));
+    (label, at)
+  in
+  let handles = Array.init n (fun _ -> Sim.Event_queue.handle ignore) in
+  Array.iteri
+    (fun i h ->
+      Sim.Event_queue.set_action h (fun () ->
+          fired :=
+            Some
+              ( i,
+                Sim.Event_queue.pending eq,
+                Sim.Event_queue.is_scheduled h,
+                Sim.Event_queue.scheduled_time eq h );
+          let rearm () =
+            if Random.State.int st 100 < 95 then begin
+              let at = Sim.Event_queue.now eq +. offset () in
+              Sim.Event_queue.schedule_handle eq h ~at;
+              todo := (fun () -> marm i at) :: !todo
+            end
+          in
+          let side () =
+            let j = Random.State.int st n in
+            match Random.State.int st 30 with
+            | 0 ->
+                Sim.Event_queue.cancel eq handles.(j);
+                todo := (fun () -> mtime.(j) <- infinity) :: !todo
+            | 1 ->
+                let at = Sim.Event_queue.now eq +. offset () in
+                Sim.Event_queue.schedule_handle eq handles.(j) ~at;
+                todo := (fun () -> marm j at) :: !todo
+            | 2 ->
+                let label, at = one_shot () in
+                todo :=
+                  (fun () -> Hashtbl.replace shots label (at, stamp ()))
+                  :: !todo
+            | _ -> ()
+          in
+          if Random.State.bool st then begin
+            rearm ();
+            side ()
+          end
+          else begin
+            side ();
+            rearm ()
+          end))
+    handles;
+  (* Pop the reference's least (time, seq): its label. *)
+  let mpop () =
+    let best = ref (-1) and bt = ref infinity and bs = ref max_int in
+    let consider label t s =
+      if t < !bt || (t = !bt && s < !bs) then begin
+        best := label;
+        bt := t;
+        bs := s
+      end
+    in
+    Array.iteri
+      (fun i t -> if Float.is_finite t then consider i t mseq.(i))
+      mtime;
+    Hashtbl.iter (fun label (t, s) -> consider label t s) shots;
+    let l = !best in
+    if l >= 0 then begin
+      if l < n then mtime.(l) <- infinity else Hashtbl.remove shots l;
+      mnow := !bt
+    end;
+    l
+  in
+  let check () =
+    let bad fmt = Printf.ksprintf Option.some fmt in
+    if Sim.Event_queue.now eq <> !mnow then
+      bad "now %g, reference %g" (Sim.Event_queue.now eq) !mnow
+    else if Sim.Event_queue.pending eq <> mpending () then
+      bad "pending %d, reference %d" (Sim.Event_queue.pending eq) (mpending ())
+    else
+      let rec handle_ok i =
+        if i = n then None
+        else
+          let got = Sim.Event_queue.scheduled_time eq handles.(i) in
+          if
+            Sim.Event_queue.is_scheduled handles.(i)
+            <> Float.is_finite mtime.(i)
+          then bad "h%d is_scheduled disagrees" i
+          else if got <> mtime.(i) then
+            bad "h%d scheduled_time %g, reference %g" i got mtime.(i)
+          else handle_ok (i + 1)
+      in
+      handle_ok 0
+  in
+  for i = 0 to n - 1 do
+    let at = float_of_int (Random.State.int st 64) *. tick in
+    Sim.Event_queue.schedule_handle eq handles.(i) ~at;
+    marm i at
+  done;
+  let rec go k =
+    if k = 3 * n then None
+    else
+      let what, d =
+        match Random.State.int st 20 with
+        | 0 ->
+            let j = Random.State.int st n in
+            Sim.Event_queue.cancel eq handles.(j);
+            mtime.(j) <- infinity;
+            (Printf.sprintf "cancel h%d" j, None)
+        | 1 ->
+            let j = Random.State.int st n in
+            let at = Sim.Event_queue.now eq +. offset () in
+            Sim.Event_queue.schedule_handle eq handles.(j) ~at;
+            marm j at;
+            (Printf.sprintf "arm h%d" j, None)
+        | 2 ->
+            let label, at = one_shot () in
+            Hashtbl.replace shots label (at, stamp ());
+            ("schedule", None)
+        | _ ->
+            let before = mpending () in
+            fired := None;
+            todo := [];
+            let ran = Sim.Event_queue.step eq in
+            let want = mpop () in
+            List.iter (fun f -> f ()) (List.rev !todo);
+            ( "step",
+              match !fired with
+              | None when not ran && want < 0 -> None
+              | None -> Some (Printf.sprintf "nothing fired, reference %d" want)
+              | Some (label, _, _, _) when label <> want ->
+                  Some (Printf.sprintf "%d fired, reference %d" label want)
+              | Some (_, pending, sched, time) ->
+                  if pending <> before - 1 then
+                    Some
+                      (Printf.sprintf "%d saw pending %d, reference %d" want
+                         pending (before - 1))
+                  else if sched || Float.is_finite time then
+                    Some (Printf.sprintf "h%d reads queued in its action" want)
+                  else None )
+      in
+      match (match d with None -> check () | d -> d) with
+      | None -> go (k + 1)
+      | Some s -> Some (Printf.sprintf "op %d (%s): %s" k what s)
+  in
+  go 0
+
+let prop_eq_deep_matches_reference =
+  QCheck.Test.make ~name:"event queue matches the reference at census depth"
+    ~count:4
+    QCheck.(make ~print:string_of_int Gen.(0 -- 1_000_000))
+    (fun seed ->
+      match eq_deep_divergence ~n:2_560 seed with
+      | None -> true
+      | Some d -> QCheck.Test.fail_reportf "%s" d)
 
 (* Ids are recycled: 100 000 one-shot schedule/step cycles with at most 8
    events pending leave the queue about as large as after the first
-   thousand.  The registry stays at 16 slots; what may still grow is the
-   wheel, whose slot vectors are allocated as the cursor first reaches
-   them (224 slots of at most 8 entries here).  A registry that issued a
-   fresh id per insertion would add some 200 000 words. *)
-let eq_recycles_ids ?wheel_threshold () =
-  let eq = Sim.Event_queue.create ?wheel_threshold () in
+   thousand: the registry and the heap stay at 16 slots.  A registry that
+   issued a fresh id per insertion would add some 200 000 words. *)
+let test_eq_recycles_ids () =
+  let eq = Sim.Event_queue.create () in
   let fired = ref 0 in
   let cycle k =
     let at = Sim.Event_queue.now eq +. (float_of_int (k mod 8) *. 1e-3) in
@@ -2916,9 +3019,7 @@ let test_network_sized_flow_completes () =
   Alcotest.(check int) "event queue drained" 0
     (Sim.Event_queue.pending (Sim.Network.event_queue net));
   (* A small churning population: eight sized flows arriving over the
-     run, with the census's Poisson gaps and Pareto(1.5) sizes.  Its
-     queue never outgrows the wheel threshold, so the wheel is never
-     allocated: few-flow runs stay on the overflow-heap path. *)
+     run, with the census's Poisson gaps and Pareto(1.5) sizes. *)
   let master = Sim.Rng.create ~seed:7 in
   let arrivals = Sim.Rng.stream master ~label:"test/churn/arrivals" in
   let sizes = Sim.Rng.stream master ~label:"test/churn/sizes" in
@@ -2939,9 +3040,7 @@ let test_network_sized_flow_completes () =
          ~rm:0.02 ~seed:7 ~duration:2. specs)
   in
   Alcotest.(check bool) "8-flow churn completes" true
-    (Array.for_all Sim.Flow.completed (Sim.Network.flows churn));
-  Alcotest.(check bool) "8-flow churn never allocates the wheel" false
-    (Sim.Event_queue.wheel_allocated (Sim.Network.event_queue churn))
+    (Array.for_all Sim.Flow.completed (Sim.Network.flows churn))
 
 (* Scripted window driver for the outstanding ring: a stub CCA whose
    window we resize by hand, ACKs delivered oldest-first on command.
@@ -3184,40 +3283,6 @@ let test_ratio_summary_in_place_degenerate () =
     (raises (fun () -> Sim.Stats.ratio_summary_in_place [| -1. |]));
   Alcotest.(check bool) "infinite raises" true
     (raises (fun () -> Sim.Stats.ratio_summary_in_place [| 1.; infinity |]))
-
-(* ------------------------------------------------------------------ *)
-(* Timer-wheel lazy allocation                                         *)
-(* ------------------------------------------------------------------ *)
-
-let test_eq_wheel_lazy_bypass () =
-  let eq = Sim.Event_queue.create () in
-  let fired = ref 0 in
-  for i = 1 to 200 do
-    Sim.Event_queue.schedule eq
-      ~at:(float_of_int i *. 0.01)
-      (fun () -> incr fired)
-  done;
-  Alcotest.(check bool)
-    "small queue never allocates the wheel" false
-    (Sim.Event_queue.wheel_allocated eq);
-  Alcotest.(check int) "pending counts inserts" 200 (Sim.Event_queue.pending eq);
-  for i = 201 to 300 do
-    Sim.Event_queue.schedule eq
-      ~at:(float_of_int i *. 0.01)
-      (fun () -> incr fired)
-  done;
-  Alcotest.(check bool)
-    "wheel allocates past the threshold" true
-    (Sim.Event_queue.wheel_allocated eq);
-  Alcotest.(check int) "pending after growth" 300 (Sim.Event_queue.pending eq);
-  (* Partial drain: the O(1) counter must track pops and survive the
-     internal wheel-to-heap migrations. *)
-  Sim.Event_queue.run_until eq 1.;
-  Alcotest.(check int) "fired through t=1" 100 !fired;
-  Alcotest.(check int) "pending mid-run" 200 (Sim.Event_queue.pending eq);
-  Sim.Event_queue.run_until eq 10.;
-  Alcotest.(check int) "all fired" 300 !fired;
-  Alcotest.(check int) "drained" 0 (Sim.Event_queue.pending eq)
 
 (* ------------------------------------------------------------------ *)
 (* Population engine                                                   *)
@@ -3538,18 +3603,12 @@ let () =
           Alcotest.test_case "action re-entry" `Quick test_eq_action_reentry;
           Alcotest.test_case "step hook" `Quick
             test_eq_step_hook_observes_every_step;
-          Alcotest.test_case "wheel lazy bypass" `Quick test_eq_wheel_lazy_bypass;
-          Alcotest.test_case "pop and cancel release closures (wheel)" `Quick
-            (eq_releases_closures ~wheel_threshold:0);
-          Alcotest.test_case
-            "pop and cancel release closures (overflow heap)" `Quick
-            (eq_releases_closures ?wheel_threshold:None);
+          Alcotest.test_case "pop and cancel release closures" `Quick
+            test_eq_releases_closures;
           qt prop_eq_stable_order;
-          qt prop_eq_backend_equivalence;
           qt prop_eq_matches_reference;
-          Alcotest.test_case "ids recycled" `Quick (eq_recycles_ids ?wheel_threshold:None);
-          Alcotest.test_case "ids recycled (wheel)" `Quick
-            (eq_recycles_ids ~wheel_threshold:0);
+          qt prop_eq_deep_matches_reference;
+          Alcotest.test_case "ids recycled" `Quick test_eq_recycles_ids;
           Alcotest.test_case "misuse rejected" `Quick test_eq_misuse_rejected;
           Alcotest.test_case "peak at 100k flows" `Slow test_eq_peak_100k_flows;
         ] );
