@@ -8,12 +8,11 @@
    be diffed independently.
 
    The matrix always runs supervised (Runner.Supervise: deadlines,
-   retries, quarantine).  When the cache is enabled each completed job is
-   journaled beside the cache as it lands, so a run killed mid-matrix can
-   be finished with --resume, re-executing only the jobs that had not
-   completed.  --selftest-shrink and --replay exercise the
-   failing-scenario minimizer end to end; --export writes the figure
-   series as CSV. *)
+   retries, quarantine).  Each completed job lands in the cache as it
+   finishes, so a run killed mid-matrix is finished by running the same
+   command again: it replays the cached jobs and executes only the rest.
+   --selftest-shrink and --replay exercise the failing-scenario
+   minimizer end to end; --export writes the figure series as CSV. *)
 
 open Cmdliner
 
@@ -55,7 +54,8 @@ let backend_arg =
 let no_cache_arg =
   Arg.(value & flag & info [ "no-cache" ]
          ~doc:"Re-simulate everything; neither read nor write the run cache \
-               (also disables the resume journal).")
+               (a killed run then cannot be finished from it, and no \
+               failure records are written).")
 
 let cache_dir_arg =
   Arg.(value & opt string "_cache" & info [ "cache-dir" ] ~docv:"DIR"
@@ -64,13 +64,6 @@ let cache_dir_arg =
 let check_arg =
   Arg.(value & flag & info [ "check" ]
          ~doc:"Exit 2 unless every report row holds the paper's shape.")
-
-let resume_arg =
-  Arg.(value & flag & info [ "resume" ]
-         ~doc:"Keep the resume journal from a previous (possibly killed) \
-               run: jobs it records as done with intact cache entries are \
-               replayed, not re-executed.  Without this flag the journal \
-               is cleared at startup.")
 
 (* A numeric converter that rejects values outside [ok]; cmdliner then
    exits 124 naming the flag.  NaN fails every comparison, so it is
@@ -91,8 +84,8 @@ let deadline_arg =
       ~ok:(fun d -> d > 0. && Float.is_finite d)
   in
   Arg.(value & opt (some secs) None & info [ "deadline" ] ~docv:"SECS"
-         ~doc:"Per-attempt wall-clock deadline for each job (forked \
-               workers only).")
+         ~doc:"Per-attempt wall-clock deadline for each job.  Jobs then \
+               run on forked workers, one at $(b,-j 1).")
 
 let max_attempts_arg =
   Arg.(value & opt (checked int ~ok:(fun n -> n >= 1) ~what:">= 1") 3
@@ -303,8 +296,8 @@ let export ~dir ~quick =
 (* Main driver                                                            *)
 (* --------------------------------------------------------------------- *)
 
-let main keys all quick jobs sim_backend no_cache cache_dir check resume
-    deadline max_attempts selftest replay_file allow_failures fuzz_n fuzz_seed
+let main keys all quick jobs sim_backend no_cache cache_dir check deadline
+    max_attempts selftest replay_file allow_failures fuzz_n fuzz_seed
     export_dir =
   (* The one handler for system-call failures that escape a mode: a
      directory that cannot be made (a path component is a regular file,
@@ -330,17 +323,6 @@ let main keys all quick jobs sim_backend no_cache cache_dir check resume
               if no_cache then None
               else Some (Runner.Cache.create ~dir:cache_dir ())
             in
-            (* The journal lives beside the cache: jobs are recorded as they
-               complete, so a killed run leaves exactly the breadcrumbs
-               --resume needs.  A fresh (non-resume) run clears it. *)
-            let journal =
-              match cache with
-              | None -> None
-              | Some _ ->
-                  let path = Filename.concat cache_dir "journal" in
-                  if not resume then (try Sys.remove path with Sys_error _ -> ());
-                  Some path
-            in
             let policy =
               {
                 Runner.Supervise.default_policy with
@@ -352,7 +334,7 @@ let main keys all quick jobs sim_backend no_cache cache_dir check resume
             let rows, stats =
               try
                 Experiments.Registry.run_selection ~quick ~sim_backend ~workers
-                  ?cache ~policy ?journal ~allow_failures experiments
+                  ?cache ~policy ~allow_failures experiments
               with Runner.Pool.Job_failed { key; reason } ->
                 (* Quarantine / exhausted retries: a distinct exit code so
                    CI can tell "simulator results drifted" (2) from "a job
@@ -369,11 +351,10 @@ let main keys all quick jobs sim_backend no_cache cache_dir check resume
               (List.length rows);
             Printf.eprintf
               "runner: %d jobs, %d cache hits, %d executed, %d respawns, %d \
-               retried, %d quarantined, %d resumed, %d workers, %.1f s\n"
+               retried, %d quarantined, %d workers, %.1f s\n"
               stats.Runner.Pool.jobs stats.Runner.Pool.cache_hits
               stats.Runner.Pool.executed stats.Runner.Pool.respawns
-              stats.Runner.Pool.retried stats.Runner.Pool.quarantined
-              stats.Runner.Pool.resumed workers
+              stats.Runner.Pool.retried stats.Runner.Pool.quarantined workers
               (Unix.gettimeofday () -. t0);
             if check && bad <> [] then exit 2)
   with Unix.Unix_error (err, _, path) ->
@@ -386,7 +367,7 @@ let cmd =
     (Cmd.info "repro" ~doc)
     Term.(
       const main $ keys_arg $ all_arg $ quick_arg $ jobs_arg $ backend_arg
-      $ no_cache_arg $ cache_dir_arg $ check_arg $ resume_arg $ deadline_arg
+      $ no_cache_arg $ cache_dir_arg $ check_arg $ deadline_arg
       $ max_attempts_arg $ selftest_shrink_arg $ replay_arg
       $ allow_failures_arg $ fuzz_arg $ fuzz_seed_arg $ export_arg)
 

@@ -176,14 +176,3 @@ let beam_max sys ~horizon ~width =
   if f.sc.(k) > neg_infinity then
     { state = f.st.(k); score = f.sc.(k); trace = List.rev f.rev.(k) }
   else { state = sys.initial; score = neg_infinity; trace = [] }
-
-let count_leaves sys ~horizon =
-  check_horizon "count_leaves" horizon;
-  let rec go state depth =
-    if depth = horizon then 1
-    else
-      match sys.choices state with
-      | [] -> 1
-      | cs -> List.fold_left (fun acc c -> acc + go (sys.step state c) (depth + 1)) 0 cs
-  in
-  go sys.initial 0

@@ -45,7 +45,3 @@ val beam_max : ('s, 'c) system -> horizon:int -> width:int -> ('s, 'c) best
     that does not survive is garbage at once; the search holds at most
     2 [width] states.
     @raise Invalid_argument if [width < 1] or [horizon] is negative. *)
-
-val count_leaves : ('s, 'c) system -> horizon:int -> int
-(** Size of the DFS tree's leaf set — use to decide DFS vs beam.
-    @raise Invalid_argument if [horizon] is negative. *)

@@ -94,9 +94,3 @@ let render ?(width = 72) ?(height = 20) ?title ?x_label ?y_label series =
       series;
     Buffer.contents buf
   end
-
-let render_series ?width ?height ?title (name, s) =
-  let pts =
-    Array.to_list (Array.map2 (fun t v -> (t, v)) (Sim.Series.times s) (Sim.Series.values s))
-  in
-  render ?width ?height ?title [ (name, pts) ]

@@ -16,7 +16,3 @@ val render :
     (default 72x20 characters).  Points are scaled to the joint data
     bounds; degenerate ranges (a single x or constant y) are padded.
     Returns the multi-line string; empty series lists yield a stub. *)
-
-val render_series :
-  ?width:int -> ?height:int -> ?title:string -> string * Sim.Series.t -> string
-(** Convenience wrapper for one recorded {!Sim.Series.t}. *)

@@ -142,15 +142,13 @@ let rec take_drop n = function
       (x :: taken, left)
 
 let run_selection ?(quick = false) ?(sim_backend = Fluid.Backend.Packet)
-    ?(workers = 1) ?cache ?(policy = Runner.Supervise.default_policy) ?journal
+    ?(workers = 1) ?cache ?(policy = Runner.Supervise.default_policy)
     ?(allow_failures = false) experiments =
   let plans =
     List.map (fun e -> (e, e.plan ~quick ~backend:sim_backend)) experiments
   in
   let jobs = List.concat_map (fun (_, p) -> p.jobs) plans in
-  let outcomes, stats =
-    Runner.Supervise.run ~workers ~policy ?cache ?journal jobs
-  in
+  let outcomes, stats = Runner.Supervise.run ~workers ~policy ?cache jobs in
   (* The merge layer needs every payload, so a quarantined job is a hard
      failure unless [allow_failures] — but only after the rest of the
      matrix completed (and cached), so a re-run only re-executes the

@@ -48,7 +48,6 @@ val run_selection :
   ?workers:int ->
   ?cache:Runner.Cache.t ->
   ?policy:Runner.Supervise.policy ->
-  ?journal:string ->
   ?allow_failures:bool ->
   experiment list ->
   Report.row list * Runner.Pool.stats
@@ -61,13 +60,12 @@ val run_selection :
     to each experiment's plan — the [repro --backend] flag.
 
     Every call is supervised, with [policy] (default
-    {!Runner.Supervise.default_policy}) setting per-attempt deadlines,
-    heap ceilings and retries with backoff; failure records land in
-    [cache] and a [journal] enables resume (jobs journaled done with
-    intact cache entries are replayed, not re-executed).  The merge
-    layer needs every payload, so a quarantined job raises — but only
-    after the rest of the matrix completed and cached its results, so a
-    subsequent run re-executes only the stragglers.  With
+    {!Runner.Supervise.default_policy}) setting per-attempt deadlines
+    and retries with backoff; failure records land in [cache].  The
+    merge layer needs every payload, so a quarantined job raises — but
+    only after the rest of the matrix completed and cached its results,
+    so a subsequent run on the same cache re-executes only the
+    stragglers, a quarantined job included.  With
     [allow_failures] a quarantine instead skips the whole owning
     experiment (notice on stderr, no rows) and the run completes; the
     quarantine still shows in the returned stats.

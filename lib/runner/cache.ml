@@ -64,7 +64,8 @@ let find t ~key =
 
 (* Crash-atomic write: temp + fsync + rename, then fsync the directory so
    the rename survives a crash.  A SIGKILL at any instant leaves either no
-   entry or a complete one — the property the resume machinery relies on.
+   entry or a complete one — what lets a re-run after a crash replay every
+   entry the killed run stored.
    Some filesystems refuse fsync on a directory fd; losing that durability
    is acceptable, losing the write is not. *)
 let write_atomic path content =

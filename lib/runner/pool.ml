@@ -115,7 +115,7 @@ type worker = {
 
 let close_quiet fd = try Unix.close fd with Unix.Unix_error _ -> ()
 
-let run_serial ?cache ?(on_done = fun _ -> ()) jobs =
+let run_serial ?cache jobs =
   let hits = ref 0 and executed = ref 0 in
   let results =
     List.map
@@ -124,7 +124,6 @@ let run_serial ?cache ?(on_done = fun _ -> ()) jobs =
         match Option.bind cache (fun c -> Cache.find c ~key) with
         | Some (out, payload) ->
             incr hits;
-            on_done j;
             (out, Ok payload)
         | None -> (
             let out, res = with_stdout_captured (fun () -> Job.force j) in
@@ -135,7 +134,6 @@ let run_serial ?cache ?(on_done = fun _ -> ()) jobs =
                 Option.iter
                   (fun c -> Cache.store c ~key ~stdout:out ~payload)
                   cache;
-                on_done j;
                 (out, Ok payload)))
       jobs
   in
@@ -150,7 +148,7 @@ let run_serial ?cache ?(on_done = fun _ -> ()) jobs =
       resumed = 0;
     } )
 
-let run_parallel ~workers ~timeout ?cache ?(on_done = fun _ -> ()) jobs_list =
+let run_parallel ~workers ~timeout ?cache jobs_list =
   let jobs = Array.of_list jobs_list in
   let n = Array.length jobs in
   let results : (string * (bytes, string) result) option array =
@@ -162,8 +160,7 @@ let run_parallel ~workers ~timeout ?cache ?(on_done = fun _ -> ()) jobs_list =
     match Option.bind cache (fun c -> Cache.find c ~key:(Job.key jobs.(i))) with
     | Some (out, payload) ->
         results.(i) <- Some (out, Ok payload);
-        incr hits;
-        on_done jobs.(i)
+        incr hits
     | None -> Queue.add i queue
   done;
   let remaining = ref (Queue.length queue) in
@@ -313,7 +310,6 @@ let run_parallel ~workers ~timeout ?cache ?(on_done = fun _ -> ()) jobs_list =
                             Cache.store c ~key:(Job.key jobs.(resp.r_idx))
                               ~stdout:resp.r_out ~payload)
                           cache;
-                        on_done jobs.(resp.r_idx);
                         incr executed;
                         decr remaining;
                         w.current <- None;
@@ -323,11 +319,11 @@ let run_parallel ~workers ~timeout ?cache ?(on_done = fun _ -> ()) jobs_list =
         finish ())
   end
 
-let run_results ?(workers = 1) ?timeout ?cache ?on_done jobs =
-  (match timeout with
+(* A deadline needs a process to kill, so a [timeout] always takes the
+   forked path, on one worker when [workers <= 1]. *)
+let run_results ?(workers = 1) ?timeout ?cache jobs =
+  match timeout with
   | Some t when not (t > 0. && Float.is_finite t) ->
       invalid_arg "Pool.run_results: timeout must be finite and > 0"
-  | _ -> ());
-  if workers <= 1 then run_serial ?cache ?on_done jobs
-  else
-    run_parallel ~workers ~timeout ?cache ?on_done jobs
+  | None when workers <= 1 -> run_serial ?cache jobs
+  | _ -> run_parallel ~workers ~timeout ?cache jobs

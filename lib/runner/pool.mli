@@ -11,11 +11,11 @@
     job, the observable output is byte-for-byte identical to the serial
     run regardless of how jobs were scheduled across workers.
 
-    With [workers <= 1] jobs run serially in-process (no fork), through
-    the same capture machinery, so serial and parallel runs share one
-    output path.  With a [cache], jobs whose key is already stored are
-    not executed at all — their recorded stdout and result are replayed —
-    and freshly computed results are stored.
+    With [workers <= 1] and no [timeout], jobs run serially in-process
+    (no fork), through the same capture machinery, so serial and
+    parallel runs share one output path.  With a [cache], jobs whose key
+    is already stored are not executed at all — their recorded stdout
+    and result are replayed — and freshly computed results are stored.
 
     Jobs must be pure (a job re-run after a failure must produce the
     same result) and must not write to stderr if byte-identical streams
@@ -33,8 +33,9 @@ type stats = {
       (** jobs abandoned after exhausting every supervised attempt —
           always 0 from {!run_results}; filled by {!Supervise} *)
   resumed : int;
-      (** jobs skipped because a resume journal marked them done —
-          always 0 from {!run_results}; filled by {!Supervise} *)
+      (** always 0: a re-run recovers through the cache ([cache_hits]).
+          Kept only because perfbench's suite workload builds this
+          record. *)
 }
 
 exception Job_failed of { key : string; reason : string }
@@ -50,7 +51,6 @@ val run_results :
   ?workers:int ->
   ?timeout:float ->
   ?cache:Cache.t ->
-  ?on_done:(Job.t -> unit) ->
   Job.t list ->
   (string * (bytes, string) result) list * stats
 (** Per-job [(captured stdout, Ok payload | Error reason)] in job order,
@@ -58,9 +58,7 @@ val run_results :
     always completes — one bad job cannot discard its siblings' finished
     work.  [Error] covers a raising job, a worker crash and a per-attempt
     [timeout]; each job is attempted once.  [workers] defaults to [1]
-    (serial, in-process).  [timeout] (wall seconds) is enforced only on
-    forked workers ([workers >= 2]).  [on_done] fires in the parent the
-    moment a job's result lands (cache hit or fresh execution, after any
-    cache store) — {!Supervise} uses it to journal completions
-    incrementally so a killed run can resume.
+    (serial, in-process).  [timeout] (wall seconds) needs a process to
+    kill, so with a [timeout] the jobs always run on forked workers, one
+    when [workers <= 1].
     @raise Invalid_argument if [timeout] is NaN, infinite or [<= 0]. *)

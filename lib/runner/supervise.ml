@@ -21,64 +21,6 @@ let backoff ~key ~attempt =
     (0.05 *. (2. ** float_of_int (attempt - 1)) *. (1. +. (0.5 *. frac)))
 
 (* ------------------------------------------------------------------ *)
-(* Resume journal                                                      *)
-(* ------------------------------------------------------------------ *)
-
-(* Append-only, fsync'd per line: "done <md5(key)> <key>" when a job's
-   result reached the cache, "quarantine <md5(key)> <key>" when it was
-   abandoned.  The digest makes torn lines (a crash mid-append)
-   self-invalidating — a line whose digest does not match its key is
-   ignored, and the job simply recomputes. *)
-
-let key_digest key = Digest.to_hex (Digest.string key)
-
-let parse_line line =
-  match String.index_opt line ' ' with
-  | None -> None
-  | Some i -> (
-      let kind = String.sub line 0 i in
-      let rest = String.sub line (i + 1) (String.length line - i - 1) in
-      match String.index_opt rest ' ' with
-      | None -> None
-      | Some j ->
-          let md5 = String.sub rest 0 j in
-          let key = String.sub rest (j + 1) (String.length rest - j - 1) in
-          if md5 <> key_digest key then None
-          else
-            (match kind with
-            | "done" -> Some (`Done, key)
-            | "quarantine" -> Some (`Quarantine, key)
-            | _ -> None))
-
-let read_journal path =
-  let done_keys = Hashtbl.create 32 and quarantined = Hashtbl.create 8 in
-  (match In_channel.with_open_bin path In_channel.input_all with
-  | exception Sys_error _ -> ()
-  | content ->
-      String.split_on_char '\n' content
-      |> List.iter (fun line ->
-             match parse_line line with
-             | Some (`Done, key) -> Hashtbl.replace done_keys key ()
-             | Some (`Quarantine, key) -> Hashtbl.replace quarantined key ()
-             | None -> ()));
-  (done_keys, quarantined)
-
-let append_journal path kind key =
-  let line = Printf.sprintf "%s %s %s\n" kind (key_digest key) key in
-  let fd =
-    Unix.openfile path [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_APPEND ] 0o644
-  in
-  Fun.protect
-    ~finally:(fun () -> Unix.close fd)
-    (fun () ->
-      let n = String.length line in
-      let written = ref 0 in
-      while !written < n do
-        written := !written + Unix.write_substring fd line !written (n - !written)
-      done;
-      Unix.fsync fd)
-
-(* ------------------------------------------------------------------ *)
 (* Failure records                                                     *)
 (* ------------------------------------------------------------------ *)
 
@@ -100,7 +42,7 @@ let json_escape s =
 
 let failure_record_path cache key =
   Filename.concat (Filename.concat (Cache.dir cache) "failures")
-    (key_digest key ^ ".json")
+    (Digest.to_hex (Digest.string key) ^ ".json")
 
 let write_failure_record cache ~key ~reason ~history =
   Cache.mkdir_p (Filename.concat (Cache.dir cache) "failures");
@@ -126,7 +68,7 @@ let write_failure_record cache ~key ~reason ~history =
 (* Supervised execution                                                *)
 (* ------------------------------------------------------------------ *)
 
-let run ?workers ?(policy = default_policy) ?cache ?journal jobs =
+let run ?workers ?(policy = default_policy) ?cache jobs =
   if policy.max_attempts < 1 then
     invalid_arg "Supervise.run: max_attempts must be >= 1";
   (match policy.deadline with
@@ -138,52 +80,17 @@ let run ?workers ?(policy = default_policy) ?cache ?journal jobs =
   let outcomes : outcome option array = Array.make n None in
   let history = Array.make n [] (* newest first *) in
   let attempt_count = Array.make n 0 in
-  let resumed = ref 0 and retried = ref 0 and quarantined_n = ref 0 in
+  let retried = ref 0 and quarantined_n = ref 0 in
   let cache_hits = ref 0 and executed = ref 0 and respawns = ref 0 in
-  let journal_done key =
-    match journal with Some p -> append_journal p "done" key | None -> ()
-  in
   let quarantine i reason =
     let key = Job.key jobs_arr.(i) in
     outcomes.(i) <- Some (Quarantined { reason; history = List.rev history.(i) });
     incr quarantined_n;
-    (match cache with
+    match cache with
     | Some c ->
         write_failure_record c ~key ~reason ~history:(List.rev history.(i))
-    | None -> ());
-    match journal with Some p -> append_journal p "quarantine" key | None -> ()
+    | None -> ()
   in
-  (* Resume: a journaled "done" short-circuits the job iff its cache
-     entry is still present and intact; a missing or corrupt entry falls
-     through to recomputation.  A journaled "quarantine" is final for
-     this journal's lifetime. *)
-  (match journal with
-  | None -> ()
-  | Some path ->
-      let done_keys, quarantined_keys = read_journal path in
-      Array.iteri
-        (fun i j ->
-          let key = Job.key j in
-          if Hashtbl.mem done_keys key then begin
-            match Option.bind cache (fun c -> Cache.find c ~key) with
-            | Some (out, payload) ->
-                outcomes.(i) <- Some (Done { out; payload });
-                incr resumed
-            | None -> ()
-          end
-          else if Hashtbl.mem quarantined_keys key then begin
-            history.(i) <-
-              [ { attempt = 0; error = "quarantined by a previous run" } ];
-            outcomes.(i) <-
-              Some
-                (Quarantined
-                   {
-                     reason = "quarantined by a previous run (resume journal)";
-                     history = history.(i);
-                   });
-            incr quarantined_n
-          end)
-        jobs_arr);
   let pending () =
     Array.to_list
       (Array.of_seq
@@ -211,13 +118,8 @@ let run ?workers ?(policy = default_policy) ?cache ?journal jobs =
           if b > 0. then policy.sleep b
         end;
         let wave_jobs = List.map (fun i -> jobs_arr.(i)) idxs in
-        (* The journal line is written from inside the pool the moment a
-           job's result lands, not after the wave: a run killed mid-wave
-           must leave breadcrumbs for every job that actually finished. *)
         let results, stats =
-          Pool.run_results ?workers ?timeout:policy.deadline ?cache
-            ~on_done:(fun j -> journal_done (Job.key j))
-            wave_jobs
+          Pool.run_results ?workers ?timeout:policy.deadline ?cache wave_jobs
         in
         cache_hits := !cache_hits + stats.Pool.cache_hits;
         executed := !executed + stats.Pool.executed;
@@ -254,5 +156,5 @@ let run ?workers ?(policy = default_policy) ?cache ?journal jobs =
       respawns = !respawns;
       retried = !retried;
       quarantined = !quarantined_n;
-      resumed = !resumed;
+      resumed = 0;
     } )

@@ -1,5 +1,5 @@
 (** Supervised job execution: deadlines, retries with backoff,
-    quarantine, failure records and crash-resume.
+    quarantine and failure records.
 
     This is the runner's only retry loop: {!Pool.run_results} attempts
     each job once, and a supervised run drives it in waves through a
@@ -16,15 +16,15 @@
     ([<cache>/failures/<md5(key)>.json]: key, final reason, attempt
     history).
 
-    With a [journal], every completion and quarantine is appended (fsync'd,
-    digest-guarded against torn lines) as it happens; re-running the same
-    matrix with the same journal path resumes — journaled-done jobs whose
-    cache entries are intact are not re-executed ([resumed] in the stats),
-    and everything else recomputes. *)
+    Recovery is the cache: every finished job is stored as it lands, so
+    re-running the same matrix on the same cache after a crash replays
+    the finished jobs and executes only the rest.  A job quarantined by
+    an earlier run is attempted again; its failure record stays until a
+    later quarantine of the same key overwrites it. *)
 
 type policy = {
   max_attempts : int;  (** total attempts before quarantine (default 3) *)
-  deadline : float option;  (** per-attempt wall-clock seconds (workers only) *)
+  deadline : float option;  (** per-attempt wall-clock seconds *)
   sleep : float -> unit;
       (** injectable for tests; default [Unix.sleepf].  Called once per
           retry wave with the largest backoff owed in that wave. *)
@@ -58,12 +58,11 @@ val run :
   ?workers:int ->
   ?policy:policy ->
   ?cache:Cache.t ->
-  ?journal:string ->
   Job.t list ->
   outcome list * Pool.stats
 (** Execute the matrix under supervision; outcomes in job order.  The
     stats aggregate across waves and fill [retried] (attempts beyond each
-    job's first), [quarantined] and [resumed].  Failure records and the
-    journal are only persisted when [cache] / [journal] are given.
+    job's first) and [quarantined]; [resumed] is always 0.  Failure
+    records are only persisted when [cache] is given.
     @raise Invalid_argument if [policy.max_attempts < 1], or if
     [policy.deadline] is NaN, infinite or [<= 0]. *)

@@ -217,17 +217,6 @@ let integral t ~t0 ~t1 =
     !acc +. (!v *. (t1 -. !cursor))
   end
 
-let resample t ~t0 ~t1 ~dt =
-  if t.clock.len = 0 then invalid_arg "Series.resample: empty series";
-  if dt <= 0. then invalid_arg "Series.resample: dt must be positive";
-  let n = int_of_float (Float.floor ((t1 -. t0) /. dt)) + 1 in
-  if n <= 0 then [||]
-  else
-    Array.init n (fun k ->
-        let q = t0 +. (float_of_int k *. dt) in
-        let v = match value_at t q with Some v -> v | None -> vget t 0 in
-        (q, v))
-
 let fold_state buf t =
   Statebuf.s buf t.series_name;
   Statebuf.i buf t.clock.len;

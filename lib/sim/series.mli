@@ -1,7 +1,7 @@
 (** Append-only time series with non-decreasing timestamps.
 
     Monitors record (time, value) samples; the analysis code in [lib/core]
-    then queries windows, resamples onto uniform grids, and integrates.
+    then queries windows, looks values up and integrates.
     Values between samples are interpreted as a step function (the value
     holds until the next sample) — the natural reading for cwnd, queue
     length and delay trajectories.
@@ -93,11 +93,6 @@ val mean_in : t -> t0:float -> t1:float -> float option
 val integral : t -> t0:float -> t1:float -> float
 (** Integral of the step function over [t0, t1].  Uses the last sample at or
     before [t0] as the initial value (0 if none). *)
-
-val resample : t -> t0:float -> t1:float -> dt:float -> (float * float) array
-(** Step-sample onto the uniform grid t0, t0+dt, ...; grid points before the
-    first sample get the first sample's value.
-    @raise Invalid_argument on an empty series or non-positive [dt]. *)
 
 val map : (float -> float) -> t -> t
 (** Pointwise transformation of the values; timestamps preserved. *)

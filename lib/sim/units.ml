@@ -6,7 +6,5 @@ let kbps x = x *. 1e3 /. 8.
 
 let bdp_bytes ~rate ~rtt = int_of_float (Float.round (rate *. rtt))
 
-let bdp_packets ~rate ~rtt ~mss = rate *. rtt /. float_of_int mss
-
 let feq a b =
   Float.abs (a -. b) <= 1e-9 *. Float.max 1. (Float.max (Float.abs a) (Float.abs b))

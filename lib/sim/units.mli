@@ -24,8 +24,5 @@ val bdp_bytes : rate:float -> rtt:float -> int
 (** Bandwidth-delay product in bytes for [rate] bytes/s and [rtt] seconds,
     rounded to the nearest byte. *)
 
-val bdp_packets : rate:float -> rtt:float -> mss:int -> float
-(** Bandwidth-delay product in packets of size [mss]. *)
-
 val feq : float -> float -> bool
 (** Approximate float equality: [|a - b| <= 1e-9 * max(1, |a|, |b|)]. *)

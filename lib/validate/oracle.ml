@@ -32,7 +32,6 @@ let fail ~oracle ~scenario ?(detail = "") () =
   { oracle; scenario; expected = 1.; observed = 0.; tolerance = 0.; ok = false;
     detail }
 
-let all_ok vs = List.for_all (fun v -> v.ok) vs
 let failures vs = List.filter (fun v -> not v.ok) vs
 
 let to_string v =

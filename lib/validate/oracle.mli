@@ -37,7 +37,6 @@ val fail : oracle:string -> scenario:string -> ?detail:string -> unit -> verdict
 (** Boolean oracles (determinism, zero-violation counts) expressed as
     1-vs-1 or 1-vs-0 verdicts. *)
 
-val all_ok : verdict list -> bool
 val failures : verdict list -> verdict list
 val to_string : verdict -> string
 (** One line: PASS/FAIL, oracle, scenario, expected/observed/tolerance. *)

@@ -38,9 +38,6 @@ let test_dfs_dead_end () =
   let best = Ccac.Search.dfs_max sys ~horizon:10 in
   Alcotest.(check (float 1e-9)) "stops at dead end" 2. best.Ccac.Search.score
 
-let test_count_leaves () =
-  Alcotest.(check int) "3^4" 81 (Ccac.Search.count_leaves toy ~horizon:4)
-
 let prop_beam_never_beats_dfs =
   QCheck.Test.make ~name:"beam score <= dfs score" ~count:30
     QCheck.(pair (int_range 1 6) (int_range 1 8))
@@ -247,7 +244,6 @@ let test_entry_points_reject () =
         ("Search.beam_max", "width", search (Ccac.Search.beam_max ~horizon:2 ~width:0));
         ("Search.beam_max", "horizon", search (Ccac.Search.beam_max ~horizon:(-1) ~width:2));
         ("Search.dfs_max", "horizon", search (Ccac.Search.dfs_max ~horizon:(-1)));
-        ("Search.count_leaves", "horizon", search (Ccac.Search.count_leaves ~horizon:(-1)));
       ]);
   (* The boundaries stay legal: unbounded buffer and jitter, a zero
      buffer, no jitter, horizon 0 and a width-1 beam. *)
@@ -571,7 +567,6 @@ let () =
           Alcotest.test_case "dfs exact" `Quick test_dfs_exact;
           Alcotest.test_case "beam lower bound" `Quick test_beam_lower_bound;
           Alcotest.test_case "dead end" `Quick test_dfs_dead_end;
-          Alcotest.test_case "count leaves" `Quick test_count_leaves;
           qt prop_beam_never_beats_dfs;
           qt prop_beam_matches_oracle;
           Alcotest.test_case "beam matches oracle on model" `Quick

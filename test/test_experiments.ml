@@ -270,14 +270,6 @@ let test_plot_dimensions () =
     (fun l -> Alcotest.(check bool) "axis bar" true (String.contains l '|'))
     canvas_rows
 
-let test_plot_render_series_wrapper () =
-  let s = Sim.Series.create () in
-  Sim.Series.add s ~time:0. 1.;
-  Sim.Series.add s ~time:1. 2.;
-  let out = Experiments.Ascii_plot.render_series ~title:"W" ("wrapped", s) in
-  Alcotest.(check bool) "has marker" true (String.contains out '*');
-  Alcotest.(check bool) "has title" true (String.length out > 0 && out.[0] = 'W')
-
 let test_registry_titles_nonempty () =
   List.iter
     (fun e ->
@@ -349,7 +341,6 @@ let () =
             test_plot_contains_markers_and_labels;
           Alcotest.test_case "dimensions" `Quick test_plot_dimensions;
           Alcotest.test_case "degenerate point" `Quick test_plot_degenerate_point;
-          Alcotest.test_case "render_series" `Quick test_plot_render_series_wrapper;
           Alcotest.test_case "registry titles" `Quick test_registry_titles_nonempty;
         ] );
     ]

@@ -125,6 +125,10 @@ let test_job_exception_parallel () =
 let test_policy ?deadline ?(max_attempts = 3) () =
   { Runner.Supervise.max_attempts; deadline; sleep = (fun _ -> ()) }
 
+let done_payload = function
+  | Runner.Supervise.Done { out; payload } -> (out, payload)
+  | Runner.Supervise.Quarantined { reason; _ } -> Alcotest.fail reason
+
 let test_crashed_worker_respawns () =
   (* The job SIGKILLs its own worker on the first attempt (marker file
      absent) and succeeds on the retry.  Requires >= 2 workers so the
@@ -176,13 +180,15 @@ let test_persistent_crash_fails () =
   Alcotest.(check int) "one quarantine" 1 stats.Runner.Pool.quarantined;
   Alcotest.(check int) "respawned per attempt" 2 stats.Runner.Pool.respawns
 
-let test_timeout_kills_stuck_worker () =
+(* A deadline holds at any worker count: with the default one worker the
+   job runs forked, so a stuck attempt can be killed. *)
+let test_timeout_kills_stuck_worker workers () =
   let stuck =
     Runner.Job.create ~key:"t/stuck" (fun () ->
         Unix.sleep 30;
         0)
   in
-  match Runner.Pool.run_results ~workers:2 ~timeout:0.4 [ stuck ] with
+  match Runner.Pool.run_results ?workers ~timeout:0.4 [ stuck ] with
   | [ (_, Error reason) ], stats ->
       Alcotest.(check bool) "reason mentions the timeout" true
         (contains reason "timed out");
@@ -304,41 +310,35 @@ let test_supervise_matches_plain () =
   let outcomes, stats =
     Runner.Supervise.run ~policy:(test_policy ()) (jobs 6)
   in
-  let supervised =
-    List.map
-      (function
-        | Runner.Supervise.Done { out; payload } -> (out, payload)
-        | Runner.Supervise.Quarantined { reason; _ } -> Alcotest.fail reason)
-      outcomes
-  in
   Alcotest.(check (list (pair string int)))
     "supervised results byte-equal to plain pool run" (decoded plain)
-    (decoded supervised);
+    (decoded (List.map done_payload outcomes));
   Alcotest.(check int) "no retries" 0 stats.Runner.Pool.retried;
   Alcotest.(check int) "no quarantines" 0 stats.Runner.Pool.quarantined
 
+(* Fails (raises) on its first two attempts, then returns 777; the
+   attempt count lives in [marker], which it resets to 0. *)
+let flaky_job marker =
+  Out_channel.with_open_bin marker (fun oc -> Out_channel.output_string oc "0");
+  Runner.Job.create ~key:"t/flaky" (fun () ->
+      let n =
+        int_of_string (In_channel.with_open_bin marker In_channel.input_all)
+      in
+      Out_channel.with_open_bin marker (fun oc ->
+          Out_channel.output_string oc (string_of_int (n + 1)));
+      if n < 2 then failwith (Printf.sprintf "flaky attempt %d" n);
+      777)
+
 let test_supervise_retries_flaky () =
-  (* Fails (raises) until the third attempt, then succeeds: one job's
-     flakiness must not fail the matrix, and the attempts must be
-     counted. *)
+  (* One job's flakiness must not fail the matrix, and the attempts must
+     be counted. *)
   let marker = Filename.temp_file "runner_flaky" ".marker" in
-  let flaky =
-    Runner.Job.create ~key:"t/flaky" (fun () ->
-        let n =
-          int_of_string (In_channel.with_open_bin marker In_channel.input_all)
-        in
-        Out_channel.with_open_bin marker (fun oc ->
-            Out_channel.output_string oc (string_of_int (n + 1)));
-        if n < 2 then failwith (Printf.sprintf "flaky attempt %d" n);
-        777)
-  in
   Fun.protect
     ~finally:(fun () -> try Sys.remove marker with Sys_error _ -> ())
     (fun () ->
-      Out_channel.with_open_bin marker (fun oc ->
-          Out_channel.output_string oc "0");
       let outcomes, stats =
-        Runner.Supervise.run ~policy:(test_policy ()) [ job 1; flaky ]
+        Runner.Supervise.run ~policy:(test_policy ())
+          [ job 1; flaky_job marker ]
       in
       (match outcomes with
       | [ Runner.Supervise.Done _; Runner.Supervise.Done { payload; _ } ] ->
@@ -385,59 +385,70 @@ let test_supervise_quarantine_and_failure_record () =
           Alcotest.(check bool) ("record contains " ^ needle) true (at 0))
         [ "t/hopeless"; "always broken"; "\"attempts\"" ])
 
-let test_supervise_journal_resume () =
-  let dir = fresh_dir "runner_journal" in
+(* Recovery is the cache: a re-run after a crash replays every finished
+   job and executes only the ones whose entries are missing. *)
+let test_supervise_rerun_executes_missing () =
+  let dir = fresh_dir "runner_rerun" in
   Fun.protect
     ~finally:(fun () -> rm_rf dir)
     (fun () ->
-      let journal = Filename.concat dir "journal" in
-      let cache () = Runner.Cache.create ~dir ~version:"test" () in
-      let outcomes1, s1 =
-        Runner.Supervise.run ~policy:(test_policy ()) ~cache:(cache ())
-          ~journal (jobs 4)
+      let run () =
+        let cache = Runner.Cache.create ~dir ~version:"test" () in
+        let outcomes, stats =
+          Runner.Supervise.run ~policy:(test_policy ()) ~cache (jobs 4)
+        in
+        (decoded (List.map done_payload outcomes), stats)
       in
+      let first, s1 = run () in
       Alcotest.(check int) "first run executes all" 4 s1.Runner.Pool.executed;
-      (* Same journal, same cache: everything resumes, nothing runs. *)
-      let outcomes2, s2 =
-        Runner.Supervise.run ~policy:(test_policy ()) ~cache:(cache ())
-          ~journal (jobs 4)
+      (* A run killed before this job's result landed. *)
+      (match
+         Sys.readdir dir |> Array.to_list
+         |> List.filter (fun f -> Filename.check_suffix f ".job")
+       with
+      | victim :: _ -> Sys.remove (Filename.concat dir victim)
+      | [] -> Alcotest.fail "no cache entry on disk");
+      let again, s2 = run () in
+      Alcotest.(check int) "the rest replayed" 3 s2.Runner.Pool.cache_hits;
+      Alcotest.(check int) "one executed" 1 s2.Runner.Pool.executed;
+      Alcotest.(check (list (pair string int))) "same results" first again)
+
+(* A job quarantined by one run is attempted again by the next run on the
+   same cache, and the first run's failure record stays. *)
+let test_supervise_quarantine_retried_next_run () =
+  let dir = fresh_dir "runner_requarantine" in
+  let marker = Filename.temp_file "runner_flaky" ".marker" in
+  Fun.protect
+    ~finally:(fun () ->
+      rm_rf dir;
+      try Sys.remove marker with Sys_error _ -> ())
+    (fun () ->
+      let flaky = flaky_job marker in
+      let run () =
+        let cache = Runner.Cache.create ~dir ~version:"test" () in
+        ( cache,
+          Runner.Supervise.run
+            ~policy:(test_policy ~max_attempts:2 ())
+            ~cache [ job 1; flaky ] )
       in
-      Alcotest.(check int) "all resumed" 4 s2.Runner.Pool.resumed;
-      Alcotest.(check int) "nothing executed" 0 s2.Runner.Pool.executed;
-      let payloads o =
-        List.map
-          (function
-            | Runner.Supervise.Done { out; payload } -> (out, payload)
-            | Runner.Supervise.Quarantined { reason; _ } -> Alcotest.fail reason)
-          o
-      in
-      Alcotest.(check (list (pair string int))) "resumed results identical"
-        (decoded (payloads outcomes1))
-        (decoded (payloads outcomes2));
-      (* A journaled-done job whose cache entry vanished recomputes. *)
-      let victim_key = Runner.Job.key (job 2) in
-      let victim_path =
-        (* Cache file names are private; find it by elimination: probe
-           each entry and delete the one holding the victim. *)
-        Sys.readdir dir |> Array.to_list
-        |> List.filter (fun f -> Filename.check_suffix f ".job")
-        |> List.map (Filename.concat dir)
-        |> List.find (fun p ->
-               let c = cache () in
-               let raw = In_channel.with_open_bin p In_channel.input_all in
-               Sys.remove p;
-               let gone = Runner.Cache.find c ~key:victim_key = None in
-               Out_channel.with_open_bin p (fun oc ->
-                   Out_channel.output_string oc raw);
-               gone)
-      in
-      Sys.remove victim_path;
-      let _, s3 =
-        Runner.Supervise.run ~policy:(test_policy ()) ~cache:(cache ())
-          ~journal (jobs 4)
-      in
-      Alcotest.(check int) "three resumed" 3 s3.Runner.Pool.resumed;
-      Alcotest.(check int) "one recomputed" 1 s3.Runner.Pool.executed)
+      let cache, (outcomes, s1) = run () in
+      (match outcomes with
+      | [ Runner.Supervise.Done _; Runner.Supervise.Quarantined _ ] -> ()
+      | _ -> Alcotest.fail "expected Done + Quarantined");
+      Alcotest.(check int) "one quarantine" 1 s1.Runner.Pool.quarantined;
+      let record = Runner.Supervise.failure_record_path cache "t/flaky" in
+      let body = In_channel.with_open_bin record In_channel.input_all in
+      let _, (outcomes, s2) = run () in
+      (match outcomes with
+      | [ _; Runner.Supervise.Done { payload; _ } ] ->
+          Alcotest.(check int) "flaky result" 777 (Runner.Job.decode payload)
+      | _ -> Alcotest.fail "expected the quarantined job Done");
+      Alcotest.(check int) "sibling replayed" 1 s2.Runner.Pool.cache_hits;
+      Alcotest.(check int) "quarantined job attempted again" 1
+        s2.Runner.Pool.executed;
+      Alcotest.(check int) "no quarantine" 0 s2.Runner.Pool.quarantined;
+      Alcotest.(check string) "the first run's record stays" body
+        (In_channel.with_open_bin record In_channel.input_all))
 
 (* The numeric parameters behind repro's --deadline, --max-attempts and
    --fuzz reject out-of-range values, NaN included, before any job runs,
@@ -686,7 +697,9 @@ let () =
           Alcotest.test_case "persistent crash fails" `Quick
             test_persistent_crash_fails;
           Alcotest.test_case "timeout kills stuck worker" `Quick
-            test_timeout_kills_stuck_worker;
+            (test_timeout_kills_stuck_worker (Some 2));
+          Alcotest.test_case "timeout at one worker" `Quick
+            (test_timeout_kills_stuck_worker None);
         ] );
       ( "cache",
         [
@@ -708,8 +721,10 @@ let () =
             test_supervise_retries_flaky;
           Alcotest.test_case "quarantine writes failure record" `Quick
             test_supervise_quarantine_and_failure_record;
-          Alcotest.test_case "journal resume" `Quick
-            test_supervise_journal_resume;
+          Alcotest.test_case "re-run executes missing entries" `Quick
+            test_supervise_rerun_executes_missing;
+          Alcotest.test_case "quarantine retried next run" `Quick
+            test_supervise_quarantine_retried_next_run;
           Alcotest.test_case "backoff deterministic" `Quick
             test_supervise_backoff_deterministic;
           Alcotest.test_case "numeric arguments rejected" `Quick

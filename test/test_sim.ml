@@ -441,15 +441,6 @@ let test_series_degenerate_windows () =
   Alcotest.(check bool) "nan mean" true
     (raises (fun () -> Sim.Series.mean_in s ~t0:Float.nan ~t1:2.))
 
-let test_series_resample () =
-  let s = mk_series [ (0., 5.); (1., 10.) ] in
-  let grid = Sim.Series.resample s ~t0:0. ~t1:2. ~dt:0.5 in
-  Alcotest.(check int) "grid points" 5 (Array.length grid);
-  check_float "at 0" 5. (snd grid.(0));
-  check_float "at 0.5" 5. (snd grid.(1));
-  check_float "at 1.0" 10. (snd grid.(2));
-  check_float "at 2.0" 10. (snd grid.(4))
-
 let prop_series_integral_additive =
   QCheck.Test.make ~name:"series integral is additive over adjacent windows"
     ~count:100
@@ -491,8 +482,6 @@ let prop_online_matches_batch_mean =
       Float.abs (Sim.Stats.Online.mean o -. batch) < 1e-9 *. Float.max 1. (Float.abs batch))
 
 let test_units_extras () =
-  check_float_eps 1e-9 "bdp packets" 40.
-    (Sim.Units.bdp_packets ~rate:(Sim.Units.mbps 12.) ~rtt:0.04 ~mss:1500);
   Alcotest.(check bool) "feq close" true (Sim.Units.feq 1.0 (1.0 +. 1e-12));
   Alcotest.(check bool) "feq far" false (Sim.Units.feq 1.0 1.1)
 
@@ -2035,7 +2024,6 @@ type series_readers = {
   r_min_max_in : float -> float -> (float * float) option;
   r_mean_in : float -> float -> float option;
   r_integral : float -> float -> float;
-  r_resample : float -> float -> float -> (float * float) array;
 }
 
 let series_state s =
@@ -2058,7 +2046,6 @@ let readers_of_series s =
     r_min_max_in = (fun t0 t1 -> min_max_in s ~t0 ~t1);
     r_mean_in = (fun t0 t1 -> mean_in s ~t0 ~t1);
     r_integral = (fun t0 t1 -> integral s ~t0 ~t1);
-    r_resample = (fun t0 t1 dt -> resample s ~t0 ~t1 ~dt);
   }
 
 (* The readers by brute force over plain arrays. *)
@@ -2113,15 +2100,6 @@ let naive_readers ~name ts vs =
             ts;
           !acc +. (!v *. (t1 -. !cursor))
         end);
-    r_resample =
-      (fun t0 t1 dt ->
-        if n = 0 then invalid_arg "resample: empty";
-        let k = int_of_float (Float.floor ((t1 -. t0) /. dt)) + 1 in
-        if k <= 0 then [||]
-        else
-          Array.init k (fun j ->
-              let q = t0 +. (float_of_int j *. dt) in
-              (q, Option.value (value_at q) ~default:vs.(0))));
   }
 
 let series_answers r windows =
@@ -2143,10 +2121,7 @@ let series_answers r windows =
       arr f (r.r_window_values t0 t1);
       opt pair (r.r_min_max_in t0 t1);
       opt f (r.r_mean_in t0 t1);
-      f (r.r_integral t0 t1);
-      match r.r_resample t0 t1 ((Float.abs (t1 -. t0) /. 7.) +. 0.1) with
-      | grid -> arr pair grid
-      | exception Invalid_argument _ -> i (-1))
+      f (r.r_integral t0 t1))
     windows;
   Buffer.contents b
 
@@ -3669,7 +3644,6 @@ let () =
           Alcotest.test_case "window" `Quick test_series_window;
           Alcotest.test_case "degenerate windows" `Quick
             test_series_degenerate_windows;
-          Alcotest.test_case "resample" `Quick test_series_resample;
           Alcotest.test_case "map" `Quick test_series_map;
           Alcotest.test_case "first last" `Quick test_series_first_last;
           qt prop_series_integral_additive;
