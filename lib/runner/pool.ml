@@ -280,7 +280,20 @@ let run_parallel ~workers ~timeout ?cache jobs_list =
           in
           assert (busy <> []);
           let fds = List.map (fun w -> w.from_w) busy in
-          match Unix.select fds [] [] 0.25 with
+          (* Wake no later than the earliest deadline, so an overrunning
+             job is killed on time instead of at the next poll, and its
+             late result is not accepted. *)
+          let wait =
+            match timeout with
+            | None -> 0.25
+            | Some tmo ->
+                let now = Unix.gettimeofday () in
+                List.fold_left
+                  (fun acc w -> Float.min acc (w.started +. tmo -. now))
+                  0.25 busy
+                |> Float.max 0.
+          in
+          match Unix.select fds [] [] wait with
           | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
           | [], _, _ -> ()
           | fd :: _, _, _ -> (

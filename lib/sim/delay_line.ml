@@ -50,18 +50,6 @@ let create ~eq ~dummy deliver =
   Event_queue.set_action t.handle (fun () -> fire t);
   t
 
-let fold_state item buf t =
-  Statebuf.i buf t.len;
-  let cap = Array.length t.items in
-  for k = 0 to t.len - 1 do
-    let idx = (t.head + k) mod cap in
-    Statebuf.f buf t.dues.(idx);
-    item buf t.items.(idx)
-  done;
-  Statebuf.f buf t.last_due.v;
-  Statebuf.i buf t.pushes;
-  Statebuf.i buf t.fallbacks
-
 let ensure_room t =
   let cap = Array.length t.items in
   if cap = 0 then begin

@@ -41,9 +41,3 @@ val fallbacks : 'a t -> int
 (** Payloads that took the non-monotone per-packet escape hatch.  Stays 0
     for every jitter policy shipped today (the element clamps releases to
     monotone). *)
-
-val fold_state : (Buffer.t -> 'a -> unit) -> Buffer.t -> 'a t -> unit
-(** [fold_state item buf t] appends the queued payloads (via [item], in
-    delivery order, with their due times) and the line's counters to a
-    {!Statebuf} encoding.  Payloads that took the fallback path live in
-    the event queue, not here; they are covered by the event-queue fold. *)

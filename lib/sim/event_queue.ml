@@ -343,21 +343,3 @@ let run_until t horizon =
   t.now <- Float.max t.now horizon
 
 let run t = while step t do () done
-
-(* The heap layout is a deterministic function of the operation
-   sequence, so identical runs produce identical folds, and a marshalled
-   copy reproduces the layout exactly.  Actions are closures and cannot
-   be content-hashed; the armed times and FIFO sequence numbers pin the
-   schedule, which is what divergence diagnosis needs.  Ids are not
-   folded: they name registry slots, not events, and a held entry is
-   not pending, so it is skipped. *)
-let fold_state buf t =
-  Statebuf.f buf t.now;
-  Statebuf.i buf (pending t);
-  Statebuf.i buf t.next_seq;
-  for i = 0 to t.size - 1 do
-    if t.ids.(i) <> t.held then begin
-      Statebuf.f buf t.times.(i);
-      Statebuf.i buf t.seqs.(i)
-    end
-  done

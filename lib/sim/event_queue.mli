@@ -127,10 +127,3 @@ val scheduled_time : t -> handle -> float
     action too, until it re-arms itself — so no option is built (the
     returned float is still boxed).
     @raise Invalid_argument if the handle is queued in another queue. *)
-
-val fold_state : Buffer.t -> t -> unit
-(** Append the clock and the armed (time, sequence) pairs to a
-    {!Statebuf} encoding — part of {!Network.state_hash}.  Event
-    callbacks are closures and are not folded, nor are ids, which name
-    registry slots; two runs of the same binary and configuration
-    produce identical folds. *)

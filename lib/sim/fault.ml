@@ -212,13 +212,3 @@ let ack_drop t ~flow ~now =
 
 let data_drops t = Array.copy t.data_drops
 let ack_drops t = Array.copy t.ack_drops
-
-let fold_state buf t =
-  Statebuf.i buf (Array.length t.chains);
-  Array.iter
-    (fun c ->
-      Rng.fold_state buf c.rng;
-      Statebuf.b buf c.bad)
-    t.chains;
-  Array.iter (Statebuf.i buf) t.data_drops;
-  Array.iter (Statebuf.i buf) t.ack_drops

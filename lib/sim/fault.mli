@@ -88,9 +88,3 @@ val data_drops : t -> int array
 
 val ack_drops : t -> int array
 (** ACK batches blackholed, per flow. *)
-
-val fold_state : Buffer.t -> t -> unit
-(** Append the per-flow chain states (RNG stream + good/bad bit) and drop
-    counters to a {!Statebuf} encoding — part of {!Network.state_hash}.
-    The static windows come from the plan and are covered by the
-    configuration, not folded here. *)

@@ -657,48 +657,6 @@ let receive_ack_one t (p : Packet.t) =
     finish_ack t ~newest:p ~acked_bytes:size ~any_ce:p.Packet.ce
   end
 
-let fold_state buf t =
-  Statebuf.i buf t.id;
-  Statebuf.i buf t.mss;
-  Statebuf.b buf t.got_first_ack;
-  Statebuf.i buf t.next_seq;
-  Statebuf.i buf t.min_out;
-  Statebuf.i buf t.inflight;
-  Statebuf.i buf t.delivered;
-  Statebuf.i buf t.lost;
-  Statebuf.i buf t.highest_acked;
-  Statebuf.f buf t.tbl.Table.next_send_time.(t.ix);
-  Statebuf.f buf t.tbl.Table.last_progress.(t.ix);
-  Statebuf.f buf t.tbl.Table.srtt.(t.ix);
-  Statebuf.f buf t.tbl.Table.rttvar.(t.ix);
-  Statebuf.b buf t.running;
-  Statebuf.i buf t.degraded;
-  Statebuf.i buf t.stall_probes;
-  (* Sized flows fold their limit and completion instant; unbounded
-     flows keep the historical encoding byte for byte. *)
-  if t.seg_limit <> max_int then begin
-    Statebuf.i buf t.seg_limit;
-    Statebuf.f buf t.tbl.Table.done_time.(t.ix)
-  end;
-  (* Live outstanding window: fold only occupied slots, keyed by seq, so
-     the encoding is independent of ring capacity. *)
-  let mask = Array.length t.out_size - 1 in
-  for seq = t.min_out to t.next_seq - 1 do
-    let i = seq land mask in
-    if t.out_size.(i) > 0 then begin
-      Statebuf.i buf seq;
-      Statebuf.f buf t.out_sent.(i);
-      Statebuf.i buf t.out_size.(i);
-      Statebuf.i buf t.out_dats.(i)
-    end
-  done;
-  match t.traces with
-  | None -> ()
-  | Some tr ->
-      Series.fold_state buf tr.rtt_series;
-      Series.fold_state buf tr.cwnd_series;
-      Series.fold_state buf tr.delivered_series
-
 let throughput t ~t0 ~t1 =
   if t1 <= t0 then 0.
   else begin

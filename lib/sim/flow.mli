@@ -154,10 +154,3 @@ val cwnd_series : t -> Series.t
 
 val delivered_series : t -> Series.t
 (** (ack time, cumulative delivered bytes). *)
-
-val fold_state : Buffer.t -> t -> unit
-(** Append the flow's transport state (counters, RTT estimator, live
-    outstanding window keyed by sequence number, recorded series) to a
-    {!Statebuf} encoding — part of {!Network.state_hash}.  The encoding
-    is independent of the outstanding ring's capacity, so it is stable
-    across ring growth. *)

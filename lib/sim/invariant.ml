@@ -17,7 +17,9 @@ let create ?(max_recorded = 100) () =
     recorded_n = 0;
     total = 0;
     checks_run = 0;
-    tally = Hashtbl.create 8;
+    (* Not randomized, like [Link]'s DRR tables: [Network.state_hash]
+       hashes its bytes. *)
+    tally = Hashtbl.create ~random:false 8;
   }
 
 let record t ~time ~check ~detail =
@@ -67,12 +69,3 @@ let report t =
     else lines
   in
   String.concat "\n" (summary t :: lines)
-
-let fold_state buf t =
-  Statebuf.i buf t.total;
-  Statebuf.i buf t.checks_run;
-  List.iter
-    (fun (k, n) ->
-      Statebuf.s buf k;
-      Statebuf.i buf n)
-    (by_check t)

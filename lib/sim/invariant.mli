@@ -50,7 +50,3 @@ val report : t -> string
 (** The {!summary} line followed by up to 20 recorded violations, one
     per line as ["[t=<sim time>] <check>: <detail>"], plus a truncation
     marker when more were tallied than shown. *)
-
-val fold_state : Buffer.t -> t -> unit
-(** Append the counts and the per-check tally (sorted by check name) to a
-    {!Statebuf} encoding — part of {!Network.state_hash}. *)

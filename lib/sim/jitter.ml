@@ -63,13 +63,5 @@ let release_at t ~flow ~arrival ~sent =
   release
 
 let violations t = t.violations
-
-let fold_state buf t =
-  Rng.fold_state buf t.rng;
-  Statebuf.f buf t.bound;
-  Statebuf.f buf t.last_release.v;
-  Statebuf.i buf t.violations;
-  Statebuf.f buf t.max_requested;
-  Statebuf.f buf t.worst_excess
 let max_requested t = t.max_requested
 let worst_excess t = t.worst_excess

@@ -59,8 +59,3 @@ val worst_excess : t -> float
 (** Largest distance by which a request fell outside [0, bound] — 0 when
     there were no violations.  Distinguishes packet-granularity boundary
     riding (sub-millisecond) from a genuinely infeasible schedule. *)
-
-val fold_state : Buffer.t -> t -> unit
-(** Append the element's mutable state (RNG words, last release,
-    violation counters) to a {!Statebuf} encoding.  The policy itself is
-    configuration, not state, and is not folded. *)

@@ -121,12 +121,14 @@ let sched_of_discipline = function
   | Fifo -> Sfifo { pkts = [||]; enq = [||]; head = 0; len = 0 }
   | Drr { quantum } ->
       if quantum <= 0 then invalid_arg "Link: DRR quantum must be positive";
+      (* Not randomized: [Network.state_hash] hashes the tables' bytes,
+         whose seed and bucket order [OCAMLRUNPARAM=R] would vary. *)
       Sdrr
         {
-          queues = Hashtbl.create 8;
+          queues = Hashtbl.create ~random:false 8;
           round = Queue.create ();
-          in_round = Hashtbl.create 8;
-          deficits = Hashtbl.create 8;
+          in_round = Hashtbl.create ~random:false 8;
+          deficits = Hashtbl.create ~random:false 8;
           quantum;
         }
 
@@ -375,76 +377,6 @@ let enqueue t pkt =
     start_service t;
     `Enqueued
   end
-
-let fold_sched buf = function
-  | Sfifo f ->
-      Statebuf.i buf 0;
-      Statebuf.i buf f.len;
-      let cap = Array.length f.pkts in
-      for k = 0 to f.len - 1 do
-        let idx = (f.head + k) mod cap in
-        Packet.fold_state buf f.pkts.(idx);
-        Statebuf.f buf f.enq.(idx)
-      done
-  | Sdrr d ->
-      Statebuf.i buf 1;
-      Statebuf.i buf d.quantum;
-      (* Hashtbl iteration order is insertion-history dependent; fold flow
-         ids in sorted order so the encoding is canonical. *)
-      let flows =
-        Hashtbl.fold (fun f _ acc -> f :: acc) d.queues []
-        |> List.sort compare
-      in
-      Statebuf.i buf (List.length flows);
-      List.iter
-        (fun f ->
-          Statebuf.i buf f;
-          let q = Hashtbl.find d.queues f in
-          Statebuf.i buf (Queue.length q);
-          Queue.iter
-            (fun (pkt, enq) ->
-              Packet.fold_state buf pkt;
-              Statebuf.f buf enq)
-            q;
-          Statebuf.i buf
-            (match Hashtbl.find_opt d.deficits f with Some v -> v | None -> 0))
-        flows;
-      Statebuf.i buf (Queue.length d.round);
-      Queue.iter (Statebuf.i buf) d.round
-
-let fold_state buf t =
-  Statebuf.opt Statebuf.i buf t.buffer;
-  Statebuf.i buf t.queued_bytes;
-  Statebuf.b buf t.busy;
-  Packet.fold_state buf t.in_service;
-  Statebuf.f buf t.in_service_enq.v;
-  Statebuf.i buf t.drops;
-  Statebuf.i buf t.ce_marks;
-  Statebuf.i buf t.offered_bytes;
-  Statebuf.i buf t.dropped_bytes;
-  Statebuf.i buf t.delivered_bytes;
-  (* Fold per-flow counters only up to the last nonzero slot so the
-     encoding does not depend on array growth history. *)
-  let last_nonzero =
-    let last = ref (-1) in
-    let scan a =
-      Array.iteri (fun i v -> if v <> 0 && i > !last then last := i) a
-    in
-    scan t.per_flow.offered;
-    scan t.per_flow.delivered;
-    scan t.per_flow.dropped;
-    !last
-  in
-  Statebuf.i buf (last_nonzero + 1);
-  for i = 0 to last_nonzero do
-    Statebuf.i buf (pf_get t.per_flow.offered i);
-    Statebuf.i buf (pf_get t.per_flow.delivered i);
-    Statebuf.i buf (pf_get t.per_flow.dropped i)
-  done;
-  fold_sched buf t.sched;
-  Statebuf.opt Statebuf.i buf t.ecn_threshold;
-  Statebuf.b buf t.record_queue;
-  Series.fold_state buf t.queue_series
 
 let queued_bytes t = t.queued_bytes
 

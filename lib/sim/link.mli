@@ -100,9 +100,3 @@ val set_buffer : t -> int option -> unit
     packets are never evicted; a shrink below the current occupancy only
     blocks new admissions until the queue drains below the new cap.
     @raise Invalid_argument on a negative size. *)
-
-val fold_state : Buffer.t -> t -> unit
-(** Append the queue contents (in service order), the ECN threshold and
-    the byte/drop counters to a {!Statebuf} encoding — part of
-    {!Network.state_hash}.  DRR per-flow queues are folded in sorted
-    flow-id order so the encoding is canonical. *)

@@ -726,41 +726,8 @@ let config_of t = t.cfg
 
 (* --- State hash ----------------------------------------------------------- *)
 
-let fold_delivery buf (d : Packet.delivery) =
-  Packet.fold_state buf d.Packet.packet;
-  Statebuf.f buf d.Packet.delivered_at
-
-let fold_batch buf batch =
-  Statebuf.i buf (List.length batch);
-  List.iter (fold_delivery buf) batch
-
-let fold_state buf t =
-  let slots = slots t in
-  let per_slot f = Array.iter f slots in
-  Event_queue.fold_state buf t.eq;
-  Link.fold_state buf t.link;
-  Statebuf.i buf t.nslots;
-  per_slot (fun s -> Flow.fold_state buf s.flow);
-  per_slot (fun s -> Jitter.fold_state buf s.jitter);
-  per_slot (fun s -> Rng.fold_state buf s.loss_rng);
-  Statebuf.i buf (List.length t.lines);
-  List.iter
-    (fun (_, l) -> Delay_line.fold_state Packet.fold_state buf l)
-    (List.rev t.lines);
-  per_slot (fun s ->
-      match s.ack with
-      | Fast l -> Delay_line.fold_state Packet.fold_state buf l
-      | Batched (l, st) ->
-          Delay_line.fold_state fold_batch buf l;
-          Statebuf.i buf st.count;
-          fold_batch buf st.held);
-  per_slot (fun s -> Statebuf.i buf s.random_losses);
-  per_slot (fun s -> Statebuf.i buf s.received_bytes);
-  per_slot (fun s -> Statebuf.i buf s.unacked);
-  Statebuf.opt Fault.fold_state buf t.faults;
-  Statebuf.opt Invariant.fold_state buf t.invariant
-
-let state_hash t = Statebuf.digest fold_state t
+let state_hash t =
+  Digest.to_hex (Digest.string (Marshal.to_string t [ Marshal.Closures ]))
 
 (* --- Running ------------------------------------------------------------- *)
 

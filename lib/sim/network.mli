@@ -155,11 +155,14 @@ val spawn :
     recycled slot's. *)
 
 val state_hash : t -> string
-(** Hex digest of the network's observable mutable state, computed from
-    per-module [fold_state] encodings, so it is stable across binaries
-    and heap layouts.  Two runs of the same configuration that have
-    processed the same events hash identically; the fuzzer's
-    determinism oracle compares two runs by it. *)
+(** Hex MD5 of the network's [Marshal] image (with closures): everything
+    reachable from [t], CCA state and event actions included.  Two runs
+    of the same configuration that have processed the same events hash
+    identically; the fuzzer's determinism oracle compares two runs by
+    it.  The image holds code pointers, so a hash is comparable only
+    with one taken by the same binary.
+    @raise Invalid_argument if a closure in the network captures a
+    channel or another value [Marshal] cannot write. *)
 
 val event_queue : t -> Event_queue.t
 val link : t -> Link.t

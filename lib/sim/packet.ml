@@ -20,12 +20,3 @@ let dummy =
     app_limited = false;
     ce = false;
   }
-
-let fold_state buf p =
-  Statebuf.i buf p.flow;
-  Statebuf.i buf p.seq;
-  Statebuf.i buf p.size;
-  Statebuf.f buf p.sent_at;
-  Statebuf.i buf p.delivered_at_send;
-  Statebuf.b buf p.app_limited;
-  Statebuf.b buf p.ce

@@ -24,7 +24,3 @@ val dummy : t
 (** Placeholder packet (flow [-2], size 0) for preallocated buffers — ring
     slots, in-service registers — that need a value of the packet type
     without pinning a real packet.  Never enters the network. *)
-
-val fold_state : Buffer.t -> t -> unit
-(** Append every field to a {!Statebuf} encoding — part of
-    {!Network.state_hash}. *)

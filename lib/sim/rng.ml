@@ -101,9 +101,3 @@ let pareto t ~alpha ~xm =
   (* Inverse CDF; [1. -. u] in (0,1] keeps the power finite. *)
   let u = float t 1. in
   xm *. ((1. -. u) ** (-1. /. alpha))
-
-let fold_state buf t =
-  Statebuf.i64 buf (Bytes.get_int64_ne t 0);
-  Statebuf.i64 buf (Bytes.get_int64_ne t 8);
-  Statebuf.i64 buf (Bytes.get_int64_ne t 16);
-  Statebuf.i64 buf (Bytes.get_int64_ne t 24)

@@ -53,7 +53,3 @@ val pareto : t -> alpha:float -> xm:float -> float
     few segments, a few are elephants. *)
 
 val bits64 : t -> int64
-
-val fold_state : Buffer.t -> t -> unit
-(** Append the full generator state (the four xoshiro words) to a
-    {!Statebuf} encoding — part of {!Network.state_hash}. *)

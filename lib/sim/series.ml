@@ -217,14 +217,6 @@ let integral t ~t0 ~t1 =
     !acc +. (!v *. (t1 -. !cursor))
   end
 
-let fold_state buf t =
-  Statebuf.s buf t.series_name;
-  Statebuf.i buf t.clock.len;
-  for i = 0 to t.clock.len - 1 do
-    Statebuf.f buf (tget t i);
-    Statebuf.f buf (vget t i)
-  done
-
 let map f t =
   let out = create ~name:t.series_name () in
   for i = 0 to t.clock.len - 1 do

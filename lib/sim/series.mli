@@ -32,8 +32,8 @@ val group : string -> string -> string -> group
 
 val members : group -> t * t * t
 (** The members, in the order {!group} named them.  They answer every
-    query, {!fold_state} included, exactly as three standalone series
-    fed the same samples would; {!add} on one raises. *)
+    query exactly as three standalone series fed the same samples
+    would; {!add} on one raises. *)
 
 val add_row : group -> time:float -> float -> float -> float -> unit
 (** Append one sample to each member at [time], in member order.
@@ -48,10 +48,6 @@ val values : t -> float array
 
 val last : t -> (float * float) option
 val first : t -> (float * float) option
-
-val fold_state : Buffer.t -> t -> unit
-(** Append name, length and every (time, value) bit pattern to a
-    {!Statebuf} encoding — part of {!Network.state_hash}. *)
 
 val value_at : t -> float -> float option
 (** Step interpolation: the value of the latest sample at or before the

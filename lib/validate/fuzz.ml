@@ -175,8 +175,8 @@ let check_sample ~seed ~id () =
   let net = Network.run_config (Shrink.copy_config cfg) in
   let conservation = Conservation.verdicts ~scenario:label net in
   (* Determinism: an independent run of the same config must land on the
-     same full state hash.  This subsumes "same throughputs" and folds
-     every component's state on a random scenario. *)
+     same state hash.  This subsumes "same throughputs": the hash covers
+     everything the network reaches, every CCA's state included. *)
   let determinism =
     let net2 = Network.run_config (Shrink.copy_config cfg) in
     let h1 = Network.state_hash net and h2 = Network.state_hash net2 in

@@ -195,6 +195,21 @@ let test_timeout_kills_stuck_worker workers () =
       Alcotest.(check int) "worker respawned" 1 stats.Runner.Pool.respawns
   | _ -> Alcotest.fail "expected an Error slot"
 
+(* A deadline fires at the deadline, not at the runner's next 0.25 s
+   poll: a job that returns after it, but inside that poll, is still an
+   error. *)
+let test_timeout_beats_late_result () =
+  let late =
+    Runner.Job.create ~key:"t/late" (fun () ->
+        Unix.sleepf 0.2;
+        0)
+  in
+  match Runner.Pool.run_results ~timeout:0.05 [ late ] with
+  | [ (_, Error reason) ], _ ->
+      Alcotest.(check bool) "reason mentions the timeout" true
+        (contains reason "timed out")
+  | _ -> Alcotest.fail "a result after the deadline was accepted"
+
 (* ------------------------------------------------------------------ *)
 (* Cache                                                               *)
 (* ------------------------------------------------------------------ *)
@@ -700,6 +715,8 @@ let () =
             (test_timeout_kills_stuck_worker (Some 2));
           Alcotest.test_case "timeout at one worker" `Quick
             (test_timeout_kills_stuck_worker None);
+          Alcotest.test_case "timeout beats a late result" `Quick
+            test_timeout_beats_late_result;
         ] );
       ( "cache",
         [

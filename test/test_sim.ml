@@ -256,16 +256,7 @@ let test_rng_pinned_stream () =
     [ 0x677E4E357F338F89L; 0xD28A1AF834573EDDL; 0x1E8CD744CB6FC86BL;
       0xF050D56B7297497BL; 0xA7378D9450BCB73AL; 0x4727EFFDCC863491L;
       0x9EB567E56B3A0114L; 0xC61CF7FB01D110EBL ]
-    (Sim.Rng.stream (Sim.Rng.create ~seed:42) ~label:"census");
-  (* [fold_state] encodes the four xoshiro words s0..s3 in order, here
-     the splitmix64 expansion of seed 42. *)
-  let buf = Buffer.create 32 in
-  Sim.Rng.fold_state buf (Sim.Rng.create ~seed:42);
-  let b = Buffer.to_bytes buf in
-  Alcotest.(check (list int64)) "fold_state words"
-    [ 0xBDD732262FEB6E95L; 0x28EFE333B266F103L; 0x47526757130F9F52L;
-      0x581CE1FF0E4AE394L ]
-    (List.init (Bytes.length b / 8) (fun i -> Bytes.get_int64_le b (8 * i)))
+    (Sim.Rng.stream (Sim.Rng.create ~seed:42) ~label:"census")
 
 (* Allocation budget: a draw allocates at most the float it returns (2
    words; 0 when the call is inlined).  Bytecode boxes differently, so
@@ -1399,8 +1390,12 @@ let test_network_deterministic () =
    so: two runs of one config hash equal at mid-horizon and at the
    horizon, another seed hashes differently, and so does the same run
    at mid-horizon against the horizon.  The 300 staggered flows keep
-   hundreds of events pending, so their mid-run hash folds a deep
-   heap; the two-flow case folds a handful. *)
+   hundreds of events pending, so their mid-run hash covers a deep
+   heap; the two-flow case a handful.  A DRR link with the invariant
+   monitor holds the only hash tables in a network, which must hash
+   equal even when [OCAMLRUNPARAM=R] randomizes tables.  Last, a CCA's
+   own state is part of the hash: one extra ACK fed to flow 0's
+   controller on one of two equal runs tells them apart. *)
 let test_network_state_hash_separates () =
   let rate = Sim.Units.mbps 12. in
   let two_flows ~seed =
@@ -1421,6 +1416,15 @@ let test_network_state_hash_separates () =
            Sim.Network.flow ~loss_rate:0.001 ~record_series:false
              ~start_time:(float_of_int i *. 0.003)
              (if i mod 2 = 0 then Reno.make () else Copa.make ())))
+  in
+  let drr_monitored ~seed =
+    Sim.Network.config ~rate:(Sim.Link.Constant rate) ~buffer:(48 * 1500)
+      ~discipline:(Sim.Link.Drr { quantum = 1500 }) ~monitor_period:0.1
+      ~rm:0.04 ~seed ~duration:2.
+      [
+        Sim.Network.flow ~loss_rate:0.01 (Reno.make ());
+        Sim.Network.flow (Copa.make ());
+      ]
   in
   let hashes mk ~seed =
     let net = Sim.Network.build (mk ~seed) in
@@ -1443,7 +1447,30 @@ let test_network_state_hash_separates () =
         (final <> other_final);
       Alcotest.(check bool) (name ^ ": mid-run hash differs from the horizon's")
         true (mid <> final))
-    [ ("2 flows", two_flows); ("300 staggered", staggered) ]
+    [
+      ("2 flows", two_flows);
+      ("300 staggered", staggered);
+      ("drr monitored", drr_monitored);
+    ];
+  let a = Sim.Network.run_config (two_flows ~seed:1)
+  and b = Sim.Network.run_config (two_flows ~seed:1) in
+  Alcotest.(check string) "cca only: equal runs hash equal"
+    (Sim.Network.state_hash a) (Sim.Network.state_hash b);
+  let now = Sim.Network.now a in
+  (Sim.Flow.cca (Sim.Network.flows a).(0)).Cca.on_ack
+    {
+      Cca.now;
+      rtt = 0.05;
+      acked_bytes = 1500;
+      sent_time = now -. 0.05;
+      delivered = 0;
+      delivered_now = 1500;
+      inflight = 0;
+      app_limited = false;
+      ecn_ce = false;
+    };
+  Alcotest.(check bool) "cca only: one extra ACK, another hash" true
+    (Sim.Network.state_hash a <> Sim.Network.state_hash b)
 
 let test_network_accessor_lengths () =
   let cfg =
@@ -1558,18 +1585,13 @@ let test_eq_handle_fifo_ties () =
   Sim.Event_queue.run eq;
   Alcotest.(check (list string)) "tie order" [ "a"; "h"; "b" ] (List.rev !fired)
 
-let eq_fold eq =
-  let buf = Buffer.create 64 in
-  Sim.Event_queue.fold_state buf eq;
-  Buffer.contents buf
-
 (* Inside its own action a handle reads idle: [is_scheduled] false,
-   [scheduled_time] infinity, not counted by [pending], not folded by
-   [fold_state].  [Flow.sync_timer] and [Flow.maybe_send] re-arm a
-   handle only when [scheduled_time] says it is not already due by the
-   wanted time, so a stale time there would skip the re-arm and stop the
-   timer.  The re-arms here go to the same instant, near, far and very
-   far; three parked events stay pending throughout. *)
+   [scheduled_time] infinity, not counted by [pending].
+   [Flow.sync_timer] and [Flow.maybe_send] re-arm a handle only when
+   [scheduled_time] says it is not already due by the wanted time, so a
+   stale time there would skip the re-arm and stop the timer.  The
+   re-arms here go to the same instant, near, far and very far; three
+   parked events stay pending throughout. *)
 let test_eq_action_sees_idle_handle () =
   let offsets = [| 0.; 1e-6; 1e-4; 0.3; 600.; 1e8 |] and rounds = 30 in
   let eq = Sim.Event_queue.create () in
@@ -1580,9 +1602,7 @@ let test_eq_action_sees_idle_handle () =
       seen :=
         ( Sim.Event_queue.is_scheduled h,
           Sim.Event_queue.scheduled_time eq h,
-          Sim.Event_queue.pending eq,
-          (* 3 header words, then one (time, seq) pair per entry *)
-          (String.length (eq_fold eq) / 8) - 3 )
+          Sim.Event_queue.pending eq )
         :: !seen;
       let want =
         Sim.Event_queue.now eq +. offsets.(!fires mod Array.length offsets)
@@ -1596,20 +1616,19 @@ let test_eq_action_sees_idle_handle () =
   Sim.Event_queue.run_until eq 1e11;
   Alcotest.(check int) "every re-arm taken" rounds !fires;
   List.iter
-    (fun (sched, time, pending, folded) ->
+    (fun (sched, time, pending) ->
       Alcotest.(check bool) "is_scheduled" false sched;
       check_float "scheduled_time" infinity time;
-      Alcotest.(check int) "pending" 3 pending;
-      Alcotest.(check int) "fold_state entries" (2 * 3) folded)
+      Alcotest.(check int) "pending" 3 pending)
     !seen;
   Alcotest.(check int) "parked events left" 3 (Sim.Event_queue.pending eq)
 
 exception Boom
 
 (* An action that raises out of [run_until] leaves no held entry behind:
-   [pending], [fold_state] and a later re-arm from outside behave as
-   after a plain pop of the same event, here the same trace whose action
-   returns.  The action raises only the first time it runs. *)
+   [pending] and a later re-arm from outside behave as after a plain pop
+   of the same event, here the same trace whose action returns.  The
+   action raises only the first time it runs. *)
 let test_eq_action_raises () =
   let build raises =
     let eq = Sim.Event_queue.create () in
@@ -1647,8 +1666,7 @@ let test_eq_action_raises () =
       (Sim.Event_queue.is_scheduled ha);
     check_float (what ^ ": scheduled_time")
       (Sim.Event_queue.scheduled_time b hb)
-      (Sim.Event_queue.scheduled_time a ha);
-    Alcotest.(check string) (what ^ ": fold_state") (eq_fold b) (eq_fold a)
+      (Sim.Event_queue.scheduled_time a ha)
   in
   same "after the raise";
   Sim.Event_queue.schedule_handle a ha ~at:1.00005;
@@ -2017,7 +2035,6 @@ type series_readers = {
   r_values : float array;
   r_first : (float * float) option;
   r_last : (float * float) option;
-  r_state : string;
   r_value_at : float -> float option;
   r_window : float -> float -> (float * float) list;
   r_window_values : float -> float -> float array;
@@ -2025,11 +2042,6 @@ type series_readers = {
   r_mean_in : float -> float -> float option;
   r_integral : float -> float -> float;
 }
-
-let series_state s =
-  let b = Buffer.create 64 in
-  Sim.Series.fold_state b s;
-  Buffer.contents b
 
 let readers_of_series s =
   let open Sim.Series in
@@ -2039,7 +2051,6 @@ let readers_of_series s =
     r_values = values s;
     r_first = first s;
     r_last = last s;
-    r_state = series_state s;
     r_value_at = value_at s;
     r_window = (fun t0 t1 -> window s ~t0 ~t1);
     r_window_values = (fun t0 t1 -> window_values s ~t0 ~t1);
@@ -2049,7 +2060,7 @@ let readers_of_series s =
   }
 
 (* The readers by brute force over plain arrays. *)
-let naive_readers ~name ts vs =
+let naive_readers ts vs =
   let n = Array.length ts in
   let idx t0 t1 = List.filter (fun i -> t0 <= ts.(i) && ts.(i) <= t1) (List.init n Fun.id) in
   let value_at q =
@@ -2057,20 +2068,12 @@ let naive_readers ~name ts vs =
     Array.iteri (fun i t -> if t <= q then r := Some vs.(i)) ts;
     !r
   in
-  let state =
-    let b = Buffer.create 64 in
-    Sim.Statebuf.s b name;
-    Sim.Statebuf.i b n;
-    Array.iteri (fun i t -> Sim.Statebuf.f b t; Sim.Statebuf.f b vs.(i)) ts;
-    Buffer.contents b
-  in
   {
     r_length = n;
     r_times = Array.copy ts;
     r_values = Array.copy vs;
     r_first = (if n = 0 then None else Some (ts.(0), vs.(0)));
     r_last = (if n = 0 then None else Some (ts.(n - 1), vs.(n - 1)));
-    r_state = state;
     r_value_at = value_at;
     r_window = (fun t0 t1 -> List.map (fun i -> (ts.(i), vs.(i))) (idx t0 t1));
     r_window_values = (fun t0 t1 -> Array.of_list (List.map (fun i -> vs.(i)) (idx t0 t1)));
@@ -2104,7 +2107,8 @@ let naive_readers ~name ts vs =
 
 let series_answers r windows =
   let b = Buffer.create 4096 in
-  let f = Sim.Statebuf.f b and i = Sim.Statebuf.i b in
+  let i x = Buffer.add_int64_le b (Int64.of_int x) in
+  let f x = Buffer.add_int64_le b (Int64.bits_of_float x) in
   let pair (x, y) = f x; f y in
   let opt g = function None -> i 0 | Some x -> i 1; g x in
   let arr g a = i (Array.length a); Array.iter g a in
@@ -2113,7 +2117,6 @@ let series_answers r windows =
   arr f r.r_values;
   opt pair r.r_first;
   opt pair r.r_last;
-  Sim.Statebuf.s b r.r_state;
   List.iter
     (fun (t0, t1) ->
       List.iter (fun q -> opt f (r.r_value_at q)) [ t0; t1; t0 -. 0.125; t1 +. 0.125 ];
@@ -2141,7 +2144,7 @@ let prop_series_window_queries_match_naive =
       let vs = Array.map (fun (_, v, _, _) -> v) rows in
       let windows = series_windows ts fracs in
       series_answers (readers_of_series s) windows
-      = series_answers (naive_readers ~name:"s" ts vs) windows)
+      = series_answers (naive_readers ts vs) windows)
 
 let prop_series_group_matches_standalone =
   QCheck.Test.make
